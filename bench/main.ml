@@ -20,14 +20,6 @@ let usage () =
     \       [--scaling] [--smoke] [--jobs N] [--csv] [--all]\n\
      default (no flags) = --all (csv only when asked)"
 
-(* The bench binary doubles as its own shard worker: the multi-process
-   scaling bench spawns [Sys.executable_name --shard-worker] fleets, so
-   the marker must be intercepted before any argument parsing. *)
-let () =
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "--shard-worker" then (
-    Mps_shard.Worker.run stdin stdout;
-    exit 0)
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs = ref 4 in
@@ -87,12 +79,6 @@ let () =
   if all || serve then Serve_bench.run ~smoke ();
   if fit_selector then Selector_bench.fit ();
   if all || selector then Selector_bench.run ~smoke ();
-  if scaling then begin
-    Perf.run_scaling ~smoke ~jobs:!jobs ();
-    Shard_bench.run ~smoke ~jobs:!jobs ()
-  end
-  else if all then begin
-    Perf.run_scaling ~smoke:true ~jobs:!jobs ();
-    Shard_bench.run ~smoke:true ~jobs:!jobs ()
-  end;
+  if scaling then Perf.run_scaling ~smoke ~jobs:!jobs ()
+  else if all then Perf.run_scaling ~smoke:true ~jobs:!jobs ();
   if csv then Csv_out.run_all ()

@@ -23,8 +23,6 @@
 module C = Core
 module Session = Mps_serve.Session
 module Server = Mps_serve.Server
-module Engine = Mps_shard.Engine
-module Transport = Mps_shard.Transport
 open Cmdliner
 
 (* One table for the wire protocol and the command line: GRAPH accepts
@@ -146,53 +144,6 @@ let with_jobs jobs f =
    goldens pin it). *)
 let with_session jobs f =
   with_jobs jobs (fun pool -> f (Session.create ?pool ()))
-
-(* --procs N: the sharded phases fan out over N worker OS processes (the
-   hidden `mpsched worker` entrypoint) through the shard engine, plugged
-   into the session as execution backends.  The engine's fan-in is
-   submission-ordered and its task layout procs-invariant, so output stays
-   byte-identical to --procs 1 — check.sh diffs exactly that. *)
-
-let procs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "procs" ] ~docv:"PROCS"
-        ~doc:
-          "Worker OS processes for the sharded phases (classification, \
-           portfolio, exact search).  1 (default) runs in-process; results \
-           are byte-identical for every value.  Composes with --jobs \
-           (domains inside each process are independent of the process \
-           fan-out).")
-
-let worker_argv = [| Sys.executable_name; "worker" |]
-
-let backends_of_engine eng =
-  {
-    Session.bk_classify =
-      Some
-        (fun ~universe ~span_limit ~budget ~capacity ctx ->
-          Engine.classify eng ~universe ?span_limit ?budget ~capacity ctx);
-    bk_portfolio =
-      Some
-        (fun ~budget ~pdef classify ->
-          Engine.portfolio eng ?budget ~pdef classify);
-    bk_exact =
-      Some
-        (fun ~priority ~pruning ~max_nodes ~seeds ~bans ~budget ~pdef classify ->
-          Engine.exact eng ~priority ?pruning ?max_nodes ~seeds ~bans ?budget
-            ~pdef classify);
-  }
-
-let with_session_procs jobs procs f =
-  if procs < 1 then or_fail (Error "--procs must be >= 1");
-  if procs = 1 then with_session jobs f
-  else
-    with_jobs jobs (fun pool ->
-        Engine.with_engine ~procs ~argv:worker_argv (fun eng ->
-            match f (Session.create ?pool ~backends:(backends_of_engine eng) ()) with
-            | r -> r
-            | exception Mps_shard.Fleet.Worker_failed m ->
-                or_fail (Error ("shard: " ^ m))))
 
 (* --stats / --trace: observability flags shared by the phase subcommands.
    The summary goes to stderr and the trace to a file, so the primary
@@ -324,12 +275,12 @@ let print_exact_stats (ct : C.Exact.certificate) =
     (List.length ct.C.Exact.bans)
 
 let select_cmd =
-  let run spec capacity span pdef strategy rules verbose certify jobs procs
-      stats trace_out =
+  let run spec capacity span pdef strategy rules verbose certify jobs stats
+      trace_out =
     let g = or_fail (load_graph spec) in
     let strategy = strategy_of strategy rules in
     with_obs stats trace_out @@ fun () ->
-    with_session_procs jobs procs @@ fun sess ->
+    with_session jobs @@ fun sess ->
     let entry, _ = Session.intern sess g in
     (* The phase commands classify unbudgeted, as they always did;
        certification below uses the pipeline default budget — two distinct
@@ -413,17 +364,16 @@ let select_cmd =
     (Cmd.info "select" ~doc:"Run the pattern selection algorithm (§5.2)")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg
-      $ strategy_arg $ rules_arg $ verbose $ certify $ jobs_arg $ procs_arg
-      $ stats_arg $ trace_out_arg)
+      $ strategy_arg $ rules_arg $ verbose $ certify $ jobs_arg $ stats_arg
+      $ trace_out_arg)
 
 (* --- exact --- *)
 
 let exact_cmd =
-  let run spec capacity span pdef max_nodes no_prune jobs procs stats trace_out
-      =
+  let run spec capacity span pdef max_nodes no_prune jobs stats trace_out =
     let g = or_fail (load_graph spec) in
     with_obs stats trace_out @@ fun () ->
-    with_session_procs jobs procs @@ fun sess ->
+    with_session jobs @@ fun sess ->
     let entry, _ = Session.intern sess g in
     let options =
       {
@@ -471,7 +421,7 @@ let exact_cmd =
           classified pool")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg $ max_nodes
-      $ no_prune $ jobs_arg $ procs_arg $ stats_arg $ trace_out_arg)
+      $ no_prune $ jobs_arg $ stats_arg $ trace_out_arg)
 
 (* --- schedule --- *)
 
@@ -530,8 +480,8 @@ let schedule_cmd =
 (* --- pipeline --- *)
 
 let pipeline_cmd =
-  let run spec capacity span pdef strategy rules cluster jobs procs stats
-      trace_out =
+  let run spec capacity span pdef strategy rules cluster jobs stats trace_out
+      =
     let g = or_fail (load_graph spec) in
     let strategy = strategy_of strategy rules in
     with_obs stats trace_out @@ fun () ->
@@ -546,8 +496,7 @@ let pipeline_cmd =
       }
     in
     let t =
-      with_session_procs jobs procs (fun sess ->
-          fst (Session.pipeline sess g ~options))
+      with_session jobs (fun sess -> fst (Session.pipeline sess g ~options))
     in
     (match t.C.Pipeline.auto with
     | Some o ->
@@ -564,16 +513,16 @@ let pipeline_cmd =
     (Cmd.info "pipeline" ~doc:"Full flow: select, schedule, configuration report")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg
-      $ strategy_arg $ rules_arg $ cluster $ jobs_arg $ procs_arg $ stats_arg
+      $ strategy_arg $ rules_arg $ cluster $ jobs_arg $ stats_arg
       $ trace_out_arg)
 
 (* --- portfolio --- *)
 
 let portfolio_cmd =
-  let run spec capacity span pdef jobs procs stats trace_out =
+  let run spec capacity span pdef jobs stats trace_out =
     let g = or_fail (load_graph spec) in
     with_obs stats trace_out @@ fun () ->
-    with_session_procs jobs procs (fun sess ->
+    with_session jobs (fun sess ->
         let entry, _ = Session.intern sess g in
         let options =
           {
@@ -605,7 +554,7 @@ let portfolio_cmd =
        ~doc:"Try every selection strategy and keep the winner (parallel with --jobs)")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg $ jobs_arg
-      $ procs_arg $ stats_arg $ trace_out_arg)
+      $ stats_arg $ trace_out_arg)
 
 (* --- optimal --- *)
 
@@ -888,35 +837,18 @@ let serve_cmd =
         (* Client mode: forward stdin's request lines to a listening
            server and print its response lines — the socket counterpart
            of piping into --stdin. *)
-        let t =
-          match Transport.connect_unix ~path with
-          | t -> t
+        let conn =
+          match Server.connect_unix ~path with
+          | conn -> conn
           | exception Unix.Unix_error (e, _, _) ->
               or_fail
                 (Error
                    (Printf.sprintf "serve --connect %s: %s" path
                       (Unix.error_message e)))
         in
-        (* The server reads ahead in batches, so pipeline: send every
-           request first, half-close to mark the end, then drain the
-           responses (one line per request, in order). *)
-        let _, oc = Transport.channels t in
-        let rec send_all n =
-          match input_line stdin with
-          | line ->
-              output_string oc line;
-              output_char oc '\n';
-              send_all (if String.trim line = "" then n else n + 1)
-          | exception End_of_file -> n
-        in
-        let sent = send_all 0 in
-        Transport.shutdown_send t;
-        for _ = 1 to sent do
-          match Transport.recv t with
-          | Ok j -> print_endline (C.Json.to_line j)
-          | Error m -> or_fail (Error ("serve --connect: " ^ m))
-        done;
-        Transport.close t
+        (match Server.forward conn ~requests:stdin ~responses:stdout with
+        | Ok () -> ()
+        | Error m -> or_fail (Error ("serve --connect: " ^ m)))
     | _, Some path, None ->
         (* Socket transport: one warm session shared by every connection,
            served one connection at a time (the session is single-writer
@@ -925,7 +857,7 @@ let serve_cmd =
         with_obs stats trace_out @@ fun () ->
         with_session jobs @@ fun sess ->
         let fd =
-          match Transport.listen_unix ~path with
+          match Server.listen_unix ~path with
           | fd -> fd
           | exception Unix.Unix_error (e, _, _) ->
               or_fail
@@ -934,10 +866,7 @@ let serve_cmd =
                       (Unix.error_message e)))
         in
         let rec accept_loop () =
-          let conn = Transport.accept_unix fd in
-          let ic, oc = Transport.channels conn in
-          Server.run ~batch sess ic oc;
-          Transport.close conn;
+          Server.serve_connection ~batch sess fd;
           if stats then print_session_stats sess;
           accept_loop ()
         in
@@ -1016,13 +945,6 @@ let workload_cmd =
     Term.(const run $ name_arg)
 
 let () =
-  (* Hidden worker entrypoint: `mpsched worker` is what --procs spawns
-     (requests on stdin, responses on stdout).  Dispatched before cmdliner
-     so it never shows up in help or completions. *)
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "worker" then begin
-    Mps_shard.Worker.run stdin stdout;
-    exit 0
-  end;
   let info =
     Cmd.info "mpsched" ~version:"1.0.0"
       ~doc:"Multi-pattern scheduling and pattern selection for the Montium (IPDPS 2006)"

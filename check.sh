@@ -5,10 +5,10 @@
 # smoke gate (suffix replay leaves counters and the serve edit stream
 # byte-identical at any --jobs), the selector gate (auto smoke, counter
 # jobs-invariance, rules-file round-trip, regret/speedup in release), the
-# exact-search smoke gate, the shard gate (--procs fleet byte-identical to
-# single-process on the huge suite, worker-crash recovery, socket serve
-# matching the stdin golden), and the scaling benchmark in smoke mode at
-# --jobs 1 and --jobs 4 plus once in release (multi-process rows included).
+# exact-search smoke gate, the benchmark determinism gate (same-seed counts
+# and serve digest repeat, jobs 1 and nproc classifications agree), socket
+# serve matching the stdin golden, and the scaling benchmark in smoke mode
+# at --jobs 1 and --jobs 4 plus once in release.
 #
 #   ./check.sh          # the whole gate
 #   ./check.sh --fast   # build + tests only
@@ -226,44 +226,12 @@ say "selector regret gate (smoke, release profile)"
 # saves less than 3x the full portfolio's selection wall-clock.
 dune exec --no-build --profile release bench/main.exe -- --selector --smoke
 
-say "shard: mpsched output must be byte-identical for any --procs"
-# The worker fleet's fan-in is submission-ordered, so every command must
-# produce the same bytes on a 1-worker and a 4-worker fleet — including a
-# huge-suite graph and a procs x jobs cross.
-for spec in "select huge-grid" "pipeline huge-deep" "portfolio huge-grid" \
-            "exact 3dft" "select huge-deep --certify"; do
-  # shellcheck disable=SC2086
-  dune exec --no-build bin/mpsched.exe -- $spec --procs 1 > "$tmp1"
-  # shellcheck disable=SC2086
-  dune exec --no-build bin/mpsched.exe -- $spec --procs 4 > "$tmp4"
-  if ! cmp -s "$tmp1" "$tmp4"; then
-    echo "FAIL: mpsched $spec differs between --procs 1 and --procs 4" >&2
-    diff "$tmp1" "$tmp4" | head -20 >&2
-    exit 1
-  fi
-  echo "  ok: mpsched $spec"
-done
-dune exec --no-build bin/mpsched.exe -- select huge-grid --jobs 1 > "$tmp1"
-dune exec --no-build bin/mpsched.exe -- select huge-grid --jobs 4 --procs 4 \
-  > "$tmp4"
-if ! cmp -s "$tmp1" "$tmp4"; then
-  echo "FAIL: select huge-grid differs between --jobs 1 and --jobs 4 --procs 4" >&2
-  diff "$tmp1" "$tmp4" | head -20 >&2
-  exit 1
-fi
-echo "  ok: --procs x --jobs cross byte-identical"
-# A worker killed mid-batch must surface as a clean error, never a hang.
-if MPS_SHARD_CRASH=2 timeout 60 dune exec --no-build bin/mpsched.exe -- \
-    select huge-grid --procs 2 > /dev/null 2> "$tmp1"; then
-  echo "FAIL: mpsched succeeded despite a crashed shard worker" >&2
-  exit 1
-fi
-if ! grep -q "shard:" "$tmp1"; then
-  echo "FAIL: crashed worker did not produce a shard error message" >&2
-  cat "$tmp1" >&2
-  exit 1
-fi
-echo "  ok: worker crash surfaces as a clean error"
+say "benchmark determinism: same seed, same counts; jobs 1 = nproc"
+# Runs every benchmark workload twice with one seed and exits 1 unless the
+# deterministic counts (cycles, antichains, exact-search nodes) and the
+# serve response digest repeat, and unless the classifications at jobs 1
+# and on nproc domains agree.
+python3 perfbench/determinism.py
 
 say "serve socket: --listen/--connect must match the --stdin golden"
 sock="${TMPDIR:-/tmp}/mps-check-$$.sock"
@@ -294,7 +262,7 @@ dune exec --no-build bench/main.exe -- --scaling --smoke --jobs 1
 say "scaling benchmark (smoke, --jobs 4)"
 dune exec --no-build bench/main.exe -- --scaling --smoke --jobs 4
 
-say "scaling benchmark (smoke, release profile, multi-process rows)"
+say "scaling benchmark (smoke, release profile)"
 dune exec --no-build --profile release bench/main.exe -- --scaling --smoke
 
 say "all checks passed"

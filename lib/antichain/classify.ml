@@ -93,10 +93,9 @@ exception Over_budget
    (at most one block per domain). *)
 let budget_flush_block = 1024
 
-(* The common landing of every accumulation path (sequential, domain
-   pool, process buckets): a merged master-universe partial becomes the
-   published record.  Counters fire here so every path reports
-   identically. *)
+(* The common landing of both accumulation paths (sequential and domain
+   pool): a merged master-universe partial becomes the published record.
+   Counters fire here so both paths report identically. *)
 let finish ~graph ~capacity ~span_limit ~universe ~truncated merged =
   let present =
     Universe.fold
@@ -209,85 +208,6 @@ let compute ?pool ?universe ?span_limit ?budget ?(keep_antichains = false)
     | _ -> sequential ()
   in
   finish ~graph ~capacity ~span_limit ~universe ~truncated merged
-
-(* --- process-sharding buckets ----------------------------------------
-
-   A worker process cannot hand back a [t] (universes and id tables don't
-   cross process boundaries), so it exports its root chunk as a [bucket]:
-   pattern spellings in first-visit order with counts and sparse
-   frequency vectors.  Importing the chunks of any ascending-root
-   partition in submission order replays exactly the interning sequence
-   of the sequential walk, so [of_buckets] yields a classification
-   bit-identical to {!compute} — the same contract the domain-pool merge
-   already keeps, one process boundary further out. *)
-
-type bucket_entry = {
-  be_pattern : Pattern.t;
-  be_count : int;
-  be_freq : (int * int) list; (* node id, frequency; ascending node id *)
-}
-
-type bucket = { bk_entries : bucket_entry list; bk_total : int }
-
-let bucket_roots ?span_limit ?budget ~capacity ctx ~lo ~hi =
-  let graph = Enumerate.ctx_graph ctx in
-  let n = Dfg.node_count graph in
-  if lo < 0 || hi > n || lo > hi then
-    invalid_arg "Classify.bucket_roots: bad root range";
-  let part = fresh_partial (Universe.create ()) in
-  let cap = match budget with None -> max_int | Some b -> b in
-  match
-    for root = lo to hi - 1 do
-      Enumerate.iter_root ?span_limit ~max_size:capacity ctx root ~f:(fun a ->
-          if part.p_total >= cap then raise Over_budget;
-          classify_into ~graph ~n ~keep_antichains:false part a)
-    done
-  with
-  | exception Over_budget -> None
-  | () ->
-      let entries =
-        Universe.fold
-          (fun id p acc ->
-            let i = Id.to_int id in
-            match
-              if i < Array.length part.p_slots then part.p_slots.(i) else None
-            with
-            | None -> acc
-            | Some e ->
-                let freq = ref [] in
-                for nd = n - 1 downto 0 do
-                  if e.freq.(nd) > 0 then freq := (nd, e.freq.(nd)) :: !freq
-                done;
-                { be_pattern = p; be_count = e.count; be_freq = !freq } :: acc)
-          part.p_universe []
-      in
-      Some { bk_entries = List.rev entries; bk_total = part.p_total }
-
-let of_buckets ?universe ?span_limit ~capacity ctx buckets =
-  Obs.span "classify" @@ fun () ->
-  let graph = Enumerate.ctx_graph ctx in
-  let n = Dfg.node_count graph in
-  let universe = match universe with Some u -> u | None -> Universe.create () in
-  let part = fresh_partial universe in
-  List.iter
-    (fun bk ->
-      List.iter
-        (fun be ->
-          let i = slot_of part (Universe.intern part.p_universe be.be_pattern) in
-          let e =
-            match part.p_slots.(i) with
-            | Some e -> e
-            | None ->
-                let e = { count = 0; freq = Array.make n 0; kept = [] } in
-                part.p_slots.(i) <- Some e;
-                e
-          in
-          e.count <- e.count + be.be_count;
-          List.iter (fun (nd, c) -> e.freq.(nd) <- e.freq.(nd) + c) be.be_freq)
-        bk.bk_entries;
-      part.p_total <- part.p_total + bk.bk_total)
-    buckets;
-  finish ~graph ~capacity ~span_limit ~universe ~truncated:false part
 
 let truncated t = t.truncated
 let graph t = t.graph

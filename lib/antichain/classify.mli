@@ -56,50 +56,6 @@ val compute :
     byte-identical too, at the price of bounded duplicated work on
     over-budget graphs. *)
 
-type bucket_entry = {
-  be_pattern : Mps_pattern.Pattern.t;
-  be_count : int;
-  be_freq : (int * int) list;
-      (** Sparse frequency vector: (node id, h(p̄,n)) with positive counts
-          only, ascending node id. *)
-}
-
-type bucket = { bk_entries : bucket_entry list; bk_total : int }
-(** One root chunk's classification in a process-portable shape: entries
-    in first-visit enumeration order (so importing chunks in submission
-    order replays the sequential interning sequence), [bk_total] the
-    number of antichains the chunk classified. *)
-
-val bucket_roots :
-  ?span_limit:int ->
-  ?budget:int ->
-  capacity:int ->
-  Enumerate.ctx ->
-  lo:int ->
-  hi:int ->
-  bucket option
-(** Classifies the antichains rooted in [\[lo, hi)] into a fresh scratch
-    bucket — what a shard worker computes for its chunk.  [None] when the
-    chunk alone visits more than [budget] antichains (the whole run is
-    then certainly over budget and the coordinator must fall back to the
-    budgeted sequential {!compute}).  Opens no span: the coordinator's
-    {!of_buckets} owns the "classify" span.
-    @raise Invalid_argument on bad limits or a bad root range. *)
-
-val of_buckets :
-  ?universe:Mps_pattern.Universe.t ->
-  ?span_limit:int ->
-  capacity:int ->
-  Enumerate.ctx ->
-  bucket list ->
-  t
-(** Merges chunk buckets — which must partition root ids [0, node_count)
-    in ascending order — into the classification {!compute} would have
-    produced: same buckets, frequency vectors, totals, and universe id
-    assignment.  [span_limit]/[capacity] are recorded metadata and must
-    be the values the buckets were computed under.  [keep_antichains] has
-    no bucket form; sharded classification never keeps antichains. *)
-
 val truncated : t -> bool
 (** Whether the enumeration budget cut the classification short. *)
 

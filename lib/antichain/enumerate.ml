@@ -93,17 +93,6 @@ let iter ?span_limit ?budget ~max_size ctx ~f =
   iter_spanned ?span_limit ?budget ~max_size ctx ~f:(fun ~span:_ nodes ->
       f (Antichain.of_nodes_unchecked nodes))
 
-let count_roots ?span_limit ~max_size ctx ~lo ~hi =
-  check_args ?span_limit ~max_size ();
-  let n = Dfg.node_count ctx.graph in
-  if lo < 0 || hi > n || lo > hi then
-    invalid_arg "Enumerate.count_roots: bad root range";
-  let c = ref 0 in
-  for root = lo to hi - 1 do
-    walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ _ -> incr c)
-  done;
-  !c
-
 let iter_root ?span_limit ~max_size ctx ~f root =
   check_args ?span_limit ~max_size ();
   if root < 0 || root >= Dfg.node_count ctx.graph then

@@ -66,15 +66,6 @@ val iter_root :
     enumeration — {!Classify.compute} builds its parallel path on this.
     @raise Invalid_argument on bad limits or if [root] is out of range. *)
 
-val count_roots :
-  ?span_limit:int -> max_size:int -> ctx -> lo:int -> hi:int -> int
-(** Number of antichains whose minimum node id lies in [\[lo, hi)] — the
-    chunked form of {!count} that process sharding fans out: summing the
-    counts of any partition of [0, node_count) equals {!count}.  Opens no
-    observability span (the coordinator owns the span; per-root
-    [enumerate.pruned] counters still fire).
-    @raise Invalid_argument on bad limits or a bad root range. *)
-
 val all :
   ?pool:Mps_exec.Pool.t ->
   ?span_limit:int ->

@@ -6,7 +6,6 @@
 
 (* Utilities *)
 module Pool = Mps_exec.Pool
-module Backend = Mps_exec.Backend
 module Obs = Mps_obs.Obs
 module Json = Mps_util.Json
 module Rng = Mps_util.Rng

@@ -160,7 +160,7 @@ type certification = {
   gap_percent : float;
 }
 
-let certified_core ?pool ?search ~options ?max_nodes ?bans classify =
+let certified_core ?pool ~options ?max_nodes ?bans classify =
   let graph = Classify.graph classify in
   let heuristic =
     Select.select ~params:options.selection ~pdef:options.pdef classify
@@ -170,11 +170,8 @@ let certified_core ?pool ?search ~options ?max_nodes ?bans classify =
      gap is never negative.  Both sides are costed canonically (see
      Exact.canonical_order). *)
   let exact =
-    match search with
-    | Some f -> f ~seeds:[ heuristic ] classify
-    | None ->
-        Exact.search ?pool ~priority:options.priority ?max_nodes
-          ~seeds:[ heuristic ] ?bans ~pdef:options.pdef classify
+    Exact.search ?pool ~priority:options.priority ?max_nodes
+      ~seeds:[ heuristic ] ?bans ~pdef:options.pdef classify
   in
   let heuristic_cycles =
     match
@@ -194,11 +191,11 @@ let certified_core ?pool ?search ~options ?max_nodes ?bans classify =
   in
   { heuristic; heuristic_cycles; exact; gap_percent }
 
-let certify_classified ?pool ?search ?(options = default_options) ?max_nodes
-    ?bans classify =
+let certify_classified ?pool ?(options = default_options) ?max_nodes ?bans
+    classify =
   validate_options ~who:"Pipeline.certify_classified" options;
   Obs.span "certify" @@ fun () ->
-  certified_core ?pool ?search ~options ?max_nodes ?bans classify
+  certified_core ?pool ~options ?max_nodes ?bans classify
 
 let certify ?pool ?(options = default_options) ?max_nodes dfg =
   validate_options ~who:"Pipeline.certify" options;

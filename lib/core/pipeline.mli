@@ -117,10 +117,6 @@ val certify :
 
 val certify_classified :
   ?pool:Mps_exec.Pool.t ->
-  ?search:
-    (seeds:Mps_pattern.Pattern.t list list ->
-    Mps_antichain.Classify.t ->
-    Mps_select.Exact.certificate) ->
   ?options:options ->
   ?max_nodes:int ->
   ?bans:Mps_select.Exact.ban_entry list ->
@@ -131,13 +127,7 @@ val certify_classified :
     ({!Mps_select.Exact.search}'s contract), so repeat certifications in a
     serve session skip every already-costed set.  The certification's
     optimal set and cycles are identical to a cold {!certify}; only the
-    search accounting (ban hits, evaluations) reflects the reuse.
-
-    [search] overrides how the exact search itself is executed — it
-    receives the heuristic seed and must return the certificate
-    {!Mps_select.Exact.search} with the same family parameters would (the
-    process-sharding engine plugs in here); [pool]/[max_nodes]/[bans] are
-    the caller's responsibility to thread into the override. *)
+    search accounting (ban hits, evaluations) reflects the reuse. *)
 
 type mapped = {
   program : Mps_frontend.Program.t;

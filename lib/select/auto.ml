@@ -17,7 +17,7 @@ type rules = rule list
    --selector` gates that the two agree).  Reading the table:
    harvest:greedy wins the small kernels (its exhaustive greedy harvest
    is near-exact there); beam takes the mid-size band where local search
-   recovers what one greedy pass misses; above that, the sharded-regime
+   recovers what one greedy pass misses; above that, the largest
    graphs split on color balance — with no strongly dominant color
    (huge-grid, fft16, fir16) the greedy harvest stays competitive, while
    the dominant-color chain-like huge-deep falls through to eq8's

@@ -22,6 +22,7 @@ module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
 module Pool = Mps_exec.Pool
 module Obs = Mps_obs.Obs
+module Listx = Mps_util.Listx
 
 type pruning = {
   prune_span : bool;
@@ -81,6 +82,8 @@ type session = {
   mutable capped : bool;
 }
 
+(* One root subtree's exploration: its local best, if it beat the
+   incumbent it started from, plus accounting and new ban entries. *)
 type task_result = {
   t_best : (int * Pattern.t list) option;
   t_stats : stats;
@@ -189,21 +192,9 @@ let canonical_order classify set =
   Array.iteri (fun i p -> Hashtbl.replace h (Pattern.to_string p) i) pool;
   order_by (fun p -> Hashtbl.find_opt h (Pattern.to_string p)) set
 
-(* Everything the per-root tasks share, prepared once: the candidate
-   order, prune tables, prior-ban table, and the closures running one
-   root subtree or the sequential seed phase.  A [plan] is buildable in
-   any process from the same classification + arguments and yields
-   bit-identical [task_result]s — pool order, dominance, and the prior
-   table are all pattern-level, never raw universe ids — which is what
-   lets a shard worker re-derive the coordinator's plan locally. *)
-type plan = {
-  pl_np : int;
-  pl_seed : Pattern.t list list -> session;
-  pl_run_root : inc:int -> int -> task_result;
-}
-
-let make_plan ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
-    ?(bans = []) ~pdef classify =
+let search ?pool ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
+    ?(seeds = []) ?(bans = []) ~pdef classify =
+  Obs.span "exact" @@ fun () ->
   if pdef < 1 then invalid_arg "Exact.search: pdef must be >= 1";
   if max_nodes < 1 then invalid_arg "Exact.search: max_nodes must be >= 1";
   (* Warm start from a previous certificate's ban list: every prior entry
@@ -403,29 +394,23 @@ let make_plan ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
       end
     end
   in
-  (* Seeds are costed canonically — deterministic whatever order the
-     caller's strategy emitted them in. *)
-  let canonical_seed set = order_by pool_index set in
-  let seed seeds =
-    (* Sequential seed phase: the root node's own completion (the pure
-       fabrication), then the warm-start incumbents. *)
-    let seed_s = make_session master max_int in
-    (* The prior incumbent is the earliest cheapest prior set — exactly
-       the optimum the producing search reported (its ban list is in
-       discovery order and the incumbent only ever improved strictly), so
-       a warm re-search returns the same optimal set when nothing beats
-       it. *)
-    (match prior_best with
-    | Some (c, set) ->
-        seed_s.inc <- c;
-        seed_s.best <- Some set
-    | None -> ());
-    seed_s.visited <- 1;
-    consider seed_s [] Color.Set.empty 0;
-    List.iter (fun set -> evaluate seed_s (canonical_seed set)) seeds;
-    emit_counters seed_s;
-    seed_s
-  in
+  (* Sequential seed phase: the root node's own completion (the pure
+     fabrication), then the warm-start incumbents, costed canonically —
+     deterministic whatever order the caller's strategy emitted them in. *)
+  let seed_s = make_session master max_int in
+  (* The prior incumbent is the earliest cheapest prior set — exactly the
+     optimum the producing search reported (its ban list is in discovery
+     order and the incumbent only ever improved strictly), so a warm
+     re-search returns the same optimal set when nothing beats it. *)
+  (match prior_best with
+  | Some (c, set) ->
+      seed_s.inc <- c;
+      seed_s.best <- Some set
+  | None -> ());
+  seed_s.visited <- 1;
+  consider seed_s [] Color.Set.empty 0;
+  List.iter (fun set -> evaluate seed_s (order_by pool_index set)) seeds;
+  emit_counters seed_s;
   let run_root ~inc i =
     let s = make_session (Eval.make ~delta:true g) inc in
     extend s i [] [] Color.Set.empty 0 0;
@@ -437,48 +422,18 @@ let make_plan ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
       t_capped = s.capped;
     }
   in
-  { pl_np = np; pl_seed = seed; pl_run_root = run_root }
-
-let plan_roots plan = plan.pl_np
-
-let run_task plan ~inc root =
-  if root < 0 || root >= plan.pl_np then
-    invalid_arg "Exact.run_task: root out of range";
-  plan.pl_run_root ~inc root
-
-let search ?pool ?runner ?priority ?pruning ?max_nodes ?(seeds = []) ?bans
-    ~pdef classify =
-  Obs.span "exact" @@ fun () ->
-  let plan = make_plan ?priority ?pruning ?max_nodes ?bans ~pdef classify in
-  let np = plan.pl_np in
-  let seed_s = plan.pl_seed seeds in
   let g_inc = ref seed_s.inc in
   let g_best = ref (match seed_s.best with Some set -> set | None -> []) in
   let g_stats = ref (stats_of_session seed_s) in
   let g_capped = ref false in
-  let run_batch inc batch =
-    match runner with
-    | Some r -> r ~inc batch
-    | None -> (
-        let f i = plan.pl_run_root ~inc i in
-        match pool with Some p -> Pool.map p ~f batch | None -> List.map f batch)
-  in
-  let rec batches = function
-    | [] -> []
-    | xs ->
-        let rec take k = function
-          | x :: tl when k > 0 ->
-              let a, b = take (k - 1) tl in
-              (x :: a, b)
-          | rest -> ([], rest)
-        in
-        let b, rest = take batch_size xs in
-        b :: batches rest
+  let run_batch batch =
+    let f = run_root ~inc:!g_inc in
+    match pool with Some p -> Pool.map p ~f batch | None -> List.map f batch
   in
   let results_rev = ref [] in
   List.iter
     (fun batch ->
-      let rs = run_batch !g_inc batch in
+      let rs = run_batch batch in
       List.iter
         (fun r ->
           g_stats := add_stats !g_stats r.t_stats;
@@ -490,7 +445,7 @@ let search ?pool ?runner ?priority ?pruning ?max_nodes ?(seeds = []) ?bans
               g_best := set
           | _ -> ())
         rs)
-    (batches (List.init np (fun i -> i)));
+    (Listx.chunks batch_size (List.init np Fun.id));
   (* Merge the per-subtree ban lists in submission order.  A completed set
      lives in exactly one subtree (the one of its smallest pool index), so
      the only duplicates are seed-phase sets re-met inside a subtree. *)

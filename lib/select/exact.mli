@@ -104,50 +104,8 @@ val canonical_order :
     search ascribes to it (the list scheduler breaks score ties by list
     position, so cycles are only well-defined relative to an order). *)
 
-type task_result = {
-  t_best : (int * Mps_pattern.Pattern.t list) option;
-  t_stats : stats;
-  t_bans : ban_entry list;
-  t_capped : bool;
-}
-(** One root subtree's exploration: the local best (cycles, set) if any
-    completion beat the incumbent it started from, its node/prune
-    accounting, its newly discovered ban entries in discovery order, and
-    whether it hit [max_nodes]. *)
-
-type plan
-(** A prepared search: candidate order, prune tables, prior-ban table.
-    Building the same plan (same classification parameters and arguments)
-    in another OS process yields bit-identical {!run_task} results — the
-    plan is derived from pattern-level data only, never raw universe
-    ids — which is what the process-sharding runner relies on. *)
-
-val make_plan :
-  ?priority:Mps_scheduler.Eval.pattern_priority ->
-  ?pruning:pruning ->
-  ?max_nodes:int ->
-  ?bans:ban_entry list ->
-  pdef:int ->
-  Mps_antichain.Classify.t ->
-  plan
-(** Prepares the search {!search} runs — see there for the argument
-    contracts.  Opens no span and runs no Eval work beyond the shared
-    analyses. @raise Invalid_argument as {!search} does. *)
-
-val plan_roots : plan -> int
-(** Number of root subtrees (= candidate pool size); {!run_task} accepts
-    roots [0 .. plan_roots - 1]. *)
-
-val run_task : plan -> inc:int -> int -> task_result
-(** [run_task plan ~inc root] explores root subtree [root] with the
-    incumbent frozen at [inc] — the unit of work {!search} batches, and
-    what a shard worker executes remotely.  Emits the [exact.*] counters
-    for its own exploration.  @raise Invalid_argument on a root out of
-    range. *)
-
 val search :
   ?pool:Mps_exec.Pool.t ->
-  ?runner:(inc:int -> int list -> task_result list) ->
   ?priority:Mps_scheduler.Eval.pattern_priority ->
   ?pruning:pruning ->
   ?max_nodes:int ->
@@ -157,15 +115,6 @@ val search :
   Mps_antichain.Classify.t ->
   certificate
 (** Branch-and-bound over the classification's pattern pool.
-
-    [runner] overrides how one batch of root subtrees is executed: it
-    receives the incumbent frozen at batch start and the batch's root
-    indices, and must return one {!task_result} per root in submission
-    order, each the exact result {!run_task} on an equivalent {!plan}
-    would produce.  The process-sharding engine passes its fleet here;
-    when absent the batch runs on [pool] (or sequentially).  Since tasks
-    are deterministic given [(inc, root)], the certificate is identical
-    for every runner/pool/jobs combination.
 
     [seeds] (default none) are warm-start incumbents — typically the
     heuristic's or the portfolio's sets.  They are costed first (and

@@ -72,28 +72,6 @@ let cost_entry ectx (strategy, patterns, known) =
   in
   { strategy; patterns; cycles }
 
-let run_named ?beam_width ~pdef classify name =
-  match List.assoc_opt name (strategies ?beam_width ~pdef classify) with
-  | Some thunk -> thunk ()
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Portfolio.run_named: unknown strategy %S" name)
-
-(* Fan-in: cost the un-costed sets on one shared evaluation context in
-   submission order — strategies that agree on a pattern set share one
-   schedule through the memo cache, and the cache stays single-domain.
-   This is the half of [run] a process shard reuses: workers produce
-   (strategy, patterns, known) rows, the coordinator ranks them here. *)
-let of_produced classify produced =
-  let ectx = Eval.make (Classify.graph classify) in
-  let candidates = List.map (cost_entry ectx) produced in
-  let ranked =
-    List.stable_sort (fun a b -> compare a.cycles b.cycles) candidates
-  in
-  match ranked with
-  | best :: _ -> { best; all = ranked }
-  | [] -> invalid_arg "Portfolio.of_produced: no strategy results"
-
 let run ?pool ?beam_width ?annealing ~pdef classify =
   if pdef < 1 then invalid_arg "Portfolio.run: pdef must be >= 1";
   Obs.span "portfolio" @@ fun () ->
@@ -120,4 +98,13 @@ let run ?pool ?beam_width ?annealing ~pdef classify =
     | Some pool -> Pool.map pool ~f:(fun task -> task ()) tasks
     | None -> List.map (fun task -> task ()) tasks
   in
-  of_produced classify produced
+  (* Fan-in: cost the un-costed sets on one shared evaluation context in
+     submission order — strategies that agree on a pattern set share one
+     schedule through the memo cache, and the cache stays single-domain. *)
+  let ectx = Eval.make (Classify.graph classify) in
+  let ranked =
+    List.stable_sort
+      (fun a b -> compare a.cycles b.cycles)
+      (List.map (cost_entry ectx) produced)
+  in
+  { best = List.hd ranked; all = ranked }

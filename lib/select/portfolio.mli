@@ -41,28 +41,6 @@ val strategy_names : string list
 (** The registry's names in registry order, without running anything —
     what rule files are validated against. *)
 
-val run_named :
-  ?beam_width:int ->
-  pdef:int ->
-  Mps_antichain.Classify.t ->
-  string ->
-  Mps_pattern.Pattern.t list * int option
-(** Runs one registry strategy by name — the unit of work a process shard
-    hands a worker.  Returns the thunk's raw result (pattern set, known
-    cycles).
-    @raise Invalid_argument on a name outside {!strategy_names}. *)
-
-val of_produced :
-  Mps_antichain.Classify.t ->
-  (string * Mps_pattern.Pattern.t list * int option) list ->
-  outcome
-(** Ranks raw (strategy, patterns, known-cycles) rows exactly as {!run}
-    does after its fan-in: un-costed sets are evaluated on one fresh
-    context in row order, ties break on row order.  Feeding the rows of
-    {!run_named} over {!strategy_names} in registry order reproduces
-    {!run}'s outcome whatever process produced each row.
-    @raise Invalid_argument on an empty row list. *)
-
 val run :
   ?pool:Mps_exec.Pool.t ->
   ?beam_width:int ->

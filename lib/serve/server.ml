@@ -391,3 +391,94 @@ let run ?(batch = default_batch) sess ic oc =
         loop ()
   in
   loop ()
+
+(* ---- Unix-domain socket transport ---- *)
+
+(* A write to a vanished peer must surface as an EPIPE [Sys_error] the
+   caller can contain, not a fatal SIGPIPE.  Idempotent, and a no-op on
+   platforms without the signal. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()
+
+(* One descriptor per channel, so closing both channels never closes one
+   descriptor number twice: between two closes of the same number another
+   domain may already have been handed it for a new file or socket. *)
+let channels fd =
+  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr (Unix.dup fd))
+
+let close_connection (ic, oc) =
+  close_out_noerr oc;
+  close_in_noerr ic
+
+let listen_unix ~path =
+  ignore_sigpipe ();
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  fd
+
+let serve_connection ?batch sess fd =
+  let conn, _ = Unix.accept fd in
+  let ic, oc = channels conn in
+  (* A client that leaves without reading its responses turns the next
+     write into EPIPE (or a read into ECONNRESET).  That ends this
+     connection only: the session and everything it has cached stay up
+     for the next client. *)
+  (try run ?batch sess ic oc with Sys_error _ -> ());
+  close_connection (ic, oc)
+
+let connect_unix ~path =
+  ignore_sigpipe ();
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> channels fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+(* Half-close: deliver end-of-input to the peer while keeping our read
+   side open for its remaining responses. *)
+let shutdown_send oc =
+  flush oc;
+  try Unix.shutdown (Unix.descr_of_out_channel oc) Unix.SHUTDOWN_SEND
+  with Unix.Unix_error _ | Invalid_argument _ -> ()
+
+let recv ic =
+  match input_line ic with
+  | exception End_of_file -> Error "unexpected end of stream"
+  | exception Sys_error e -> Error ("read failed: " ^ e)
+  | line -> (
+      match Json.parse line with
+      | Ok j -> Ok j
+      | Error e -> Error ("bad frame: " ^ e))
+
+let forward (ic, oc) ~requests ~responses =
+  (* The server reads ahead in batches, so pipeline: send every request
+     first, half-close to mark the end, then drain the responses (one line
+     per non-blank request, in order). *)
+  let rec send_all n =
+    match input_line requests with
+    | line ->
+        output_string oc line;
+        output_char oc '\n';
+        send_all (if String.trim line = "" then n else n + 1)
+    | exception End_of_file -> n
+  in
+  let sent = send_all 0 in
+  shutdown_send oc;
+  let rec drain k =
+    if k = 0 then Ok ()
+    else
+      match recv ic with
+      | Ok j ->
+          output_string responses (Json.to_line j);
+          output_char responses '\n';
+          flush responses;
+          drain (k - 1)
+      | Error _ as e -> e
+  in
+  let result = drain sent in
+  close_connection (ic, oc);
+  result

@@ -56,3 +56,35 @@ val run : ?batch:int -> Session.t -> in_channel -> out_channel -> unit
     Blank lines are skipped.  [batch] (default 32, clamped to ≥ 1) caps
     how many requests are read ahead for parse fan-out; it never changes
     any response, only pipelining. *)
+
+(** {2 Unix-domain sockets}
+
+    The transport behind [mpsched serve --listen] and [--connect]: the same
+    line protocol over a stream socket.  The first listen or connect sets
+    SIGPIPE to ignore, so a write to a vanished peer raises [Sys_error]
+    instead of killing the process. *)
+
+val listen_unix : path:string -> Unix.file_descr
+(** Binds and listens on a Unix-domain socket at [path], unlinking a
+    stale file there first.  @raise Unix.Unix_error on failure. *)
+
+val serve_connection : ?batch:int -> Session.t -> Unix.file_descr -> unit
+(** Blocks for the next connection on a listening socket, runs {!run} on
+    it until the client half-closes, then closes it.  A read or write
+    failure on the connection (the client left before reading its
+    responses) ends that connection only: the session, warm caches
+    included, survives for the next one. *)
+
+val connect_unix : path:string -> in_channel * out_channel
+(** Client side: a connection to the server listening at [path].
+    @raise Unix.Unix_error when nothing listens there. *)
+
+val forward :
+  in_channel * out_channel ->
+  requests:in_channel ->
+  responses:out_channel ->
+  (unit, string) result
+(** The client loop: sends every line of [requests], half-closes, then
+    copies one response line per non-blank request to [responses] and
+    closes the connection.  [Error] when the server's stream ends early or
+    carries a line that is not JSON. *)

@@ -24,50 +24,17 @@ type entry = {
   mutable e_features : C.Features.t option;
 }
 
-(* Pluggable execution backends: how the expensive operations run, not
-   what they compute.  Every hook must return exactly what the in-process
-   call it replaces would (the shard engine's contract), so caching,
-   goldens and the warm bits are oblivious to which backend ran. *)
-type backends = {
-  bk_classify :
-    (universe:C.Universe.t ->
-    span_limit:int option ->
-    budget:int option ->
-    capacity:int ->
-    C.Enumerate.ctx ->
-    C.Classify.t)
-    option;
-  bk_portfolio :
-    (budget:int option -> pdef:int -> C.Classify.t -> C.Portfolio.outcome)
-    option;
-  bk_exact :
-    (priority:C.Eval.pattern_priority ->
-    pruning:C.Exact.pruning option ->
-    max_nodes:int option ->
-    seeds:C.Pattern.t list list ->
-    bans:C.Exact.ban_entry list ->
-    budget:int option ->
-    pdef:int ->
-    C.Classify.t ->
-    C.Exact.certificate)
-    option;
-}
-
-let no_backends = { bk_classify = None; bk_portfolio = None; bk_exact = None }
-
 type t = {
   s_pool : C.Pool.t option;
-  s_backends : backends;
   entries : (string, entry) Hashtbl.t;
   mutable entry_list : entry list;  (* Interning order, newest first. *)
   mutable requests : int;
   mutable s_classifications : int;  (* Cold classifications ever computed. *)
 }
 
-let create ?pool ?(backends = no_backends) () =
+let create ?pool () =
   {
     s_pool = pool;
-    s_backends = backends;
     entries = Hashtbl.create 16;
     entry_list = [];
     requests = 0;
@@ -135,11 +102,8 @@ let family t e ~capacity ~span_limit ~budget =
       let universe = C.Universe.create () in
       let ctx = C.Enumerate.make_ctx e.e_graph in
       let classify =
-        match t.s_backends.bk_classify with
-        | Some f -> f ~universe ~span_limit ~budget ~capacity ctx
-        | None ->
-            C.Classify.compute ?pool:t.s_pool ?span_limit ?budget ~capacity
-              ~universe ctx
+        C.Classify.compute ?pool:t.s_pool ?span_limit ?budget ~capacity
+          ~universe ctx
       in
       let f_eval = C.Eval.make ~universe e.e_graph in
       let f = { classify; f_eval } in
@@ -265,31 +229,16 @@ let pipeline t dfg ~options =
 
 let portfolio t e ~options =
   let f, warm = family_of_options t e ~options in
-  let outcome =
-    match t.s_backends.bk_portfolio with
-    | Some run ->
-        run ~budget:options.C.Pipeline.enumeration_budget
-          ~pdef:options.C.Pipeline.pdef f.classify
-    | None ->
-        C.Portfolio.run ?pool:t.s_pool ~pdef:options.C.Pipeline.pdef f.classify
-  in
-  (outcome, warm)
+  ( C.Portfolio.run ?pool:t.s_pool ~pdef:options.C.Pipeline.pdef f.classify,
+    warm )
 
 let exact t e ~options ?pruning ?max_nodes () =
   let f, warm = family_of_options t e ~options in
   let key = ban_key ~options in
   let prior = prior_bans e key in
   let ct =
-    match t.s_backends.bk_exact with
-    | Some search ->
-        search ~priority:options.C.Pipeline.priority ~pruning ~max_nodes
-          ~seeds:[] ~bans:prior
-          ~budget:options.C.Pipeline.enumeration_budget
-          ~pdef:options.C.Pipeline.pdef f.classify
-    | None ->
-        C.Exact.search ?pool:t.s_pool ~priority:options.C.Pipeline.priority
-          ?pruning ?max_nodes ~bans:prior ~pdef:options.C.Pipeline.pdef
-          f.classify
+    C.Exact.search ?pool:t.s_pool ~priority:options.C.Pipeline.priority
+      ?pruning ?max_nodes ~bans:prior ~pdef:options.C.Pipeline.pdef f.classify
   in
   Hashtbl.replace e.e_bans key (prior @ ct.C.Exact.bans);
   (ct, warm)
@@ -303,19 +252,8 @@ let certify t dfg ~options ?max_nodes () =
   let f, warm = family_of_options t e ~options in
   let key = ban_key ~options in
   let prior = prior_bans e key in
-  let search =
-    match t.s_backends.bk_exact with
-    | None -> None
-    | Some run ->
-        Some
-          (fun ~seeds classify ->
-            run ~priority:options.C.Pipeline.priority ~pruning:None ~max_nodes
-              ~seeds ~bans:prior
-              ~budget:options.C.Pipeline.enumeration_budget
-              ~pdef:options.C.Pipeline.pdef classify)
-  in
   let cert =
-    C.Pipeline.certify_classified ?pool:t.s_pool ?search ~options ?max_nodes
+    C.Pipeline.certify_classified ?pool:t.s_pool ~options ?max_nodes
       ~bans:prior f.classify
   in
   Hashtbl.replace e.e_bans key (prior @ cert.C.Pipeline.exact.C.Exact.bans);
@@ -404,20 +342,10 @@ let edit t dfg ~options ~edits =
             (fun c -> not (C.Color.Set.mem c covered))
             (C.Dfg.colors g')
         in
-        let capacity = options.C.Pipeline.capacity in
-        let rec chunk = function
-          | [] -> []
-          | cs ->
-              let rec split k = function
-                | x :: tl when k > 0 ->
-                    let a, b = split (k - 1) tl in
-                    (x :: a, b)
-                | rest -> ([], rest)
-              in
-              let head, rest = split capacity cs in
-              C.Pattern.of_colors head :: chunk rest
+        let fabricated =
+          List.map C.Pattern.of_colors
+            (C.Listx.chunks options.C.Pipeline.capacity missing)
         in
-        let fabricated = chunk missing in
         let pats = selected @ fabricated in
         let ev = C.Eval.make ~delta:true g' in
         e'.e_evals <- ev :: e'.e_evals;

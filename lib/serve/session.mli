@@ -33,53 +33,9 @@
 type t
 type entry
 
-(** Pluggable execution backends — how the expensive operations run, not
-    what they compute.  Each hook, when present, replaces the in-process
-    call and must return {e exactly} what it would have (the shard
-    engine's determinism contract), so the session's caches, warm bits and
-    goldens never see the difference.  [mpsched --procs N] plugs the
-    process-sharding engine in here; the hooks are plain functions so this
-    library does not depend on the shard library. *)
-type backends = {
-  bk_classify :
-    (universe:Core.Universe.t ->
-    span_limit:int option ->
-    budget:int option ->
-    capacity:int ->
-    Core.Enumerate.ctx ->
-    Core.Classify.t)
-    option;  (** Replaces {!Core.Classify.compute}. *)
-  bk_portfolio :
-    (budget:int option ->
-    pdef:int ->
-    Core.Classify.t ->
-    Core.Portfolio.outcome)
-    option;
-      (** Replaces {!Core.Portfolio.run}.  [budget] is the enumeration
-          budget the classification was computed under (workers rebuild
-          the same family from it). *)
-  bk_exact :
-    (priority:Core.Eval.pattern_priority ->
-    pruning:Core.Exact.pruning option ->
-    max_nodes:int option ->
-    seeds:Core.Pattern.t list list ->
-    bans:Core.Exact.ban_entry list ->
-    budget:int option ->
-    pdef:int ->
-    Core.Classify.t ->
-    Core.Exact.certificate)
-    option;
-      (** Replaces {!Core.Exact.search}; [None] sub-options mean the
-          search's own defaults. *)
-}
-
-val no_backends : backends
-(** Every hook absent: the plain in-process session. *)
-
-val create : ?pool:Core.Pool.t -> ?backends:backends -> unit -> t
+val create : ?pool:Core.Pool.t -> unit -> t
 (** A fresh session.  [pool], when given, is used by every parallel
-    phase; its lifetime belongs to the caller.  [backends] defaults to
-    {!no_backends}. *)
+    phase; its lifetime belongs to the caller. *)
 
 val pool : t -> Core.Pool.t option
 val graph_count : t -> int

@@ -128,27 +128,26 @@ let extras =
     };
   ]
 
-(* Huge tier: layered-random DAGs sized for the sharded regime
-   ([mpsched --procs N], the bench --scaling multi-process rows).  Big
-   enough that root-range classification dominates wall-clock and chunks
-   amortise a fork+pipe round-trip; still seconds, not minutes, per
-   graph so the full selector fit can afford them. *)
+(* Huge tier: layered-random DAGs big enough that classification
+   dominates wall-clock, which is where --jobs scaling is measured; still
+   seconds, not minutes, per graph so the full selector fit can afford
+   them. *)
 let huge_tier =
   [
     {
       name = "huge-grid";
       build = rand ~layers:36 ~width:13 ~edge_prob:0.35 ~locality:2 ~seed:201;
-      blurb = "random: 36 layers x width 13 (sharded regime, balanced)";
+      blurb = "random: 36 layers x width 13 (balanced)";
     };
     {
       name = "huge-wide";
       build = rand ~layers:12 ~width:20 ~edge_prob:0.3 ~locality:1 ~seed:202;
-      blurb = "random: 12 layers x width 20 (sharded regime, antichain-heavy)";
+      blurb = "random: 12 layers x width 20 (antichain-heavy)";
     };
     {
       name = "huge-deep";
       build = rand ~layers:64 ~width:6 ~edge_prob:0.5 ~locality:2 ~seed:203;
-      blurb = "random: 64 layers x width 6 (sharded regime, chain-like)";
+      blurb = "random: 64 layers x width 6 (chain-like)";
     };
   ]
 

@@ -24,9 +24,9 @@ val corpus : ?full:bool -> ?huge:bool -> unit -> entry list
 (** The corpus in fixed, documented order.  The base list (default) is
     sized for smoke gates; [full] appends the larger instances the
     offline fit also sees (bigger FFT/matmul, a direct DFT, wider random
-    suites); [huge] appends the layered-random huge tier that the
-    sharded backends ([mpsched --procs], the multi-process scaling
-    bench) are measured on.  Names are unique across all three. *)
+    suites); [huge] appends the layered-random huge tier, where
+    classification dominates wall-clock and [--jobs] scaling is
+    measured.  Names are unique across all three. *)
 
 val find : string -> entry option
 (** Lookup by name over the whole corpus, huge tier included. *)

@@ -1,8 +1,10 @@
 (* Tests for the scheduling service: the protocol codec round-trips, serve
    responses agree with the direct library calls they wrap, warm requests
    return the same results as cold ones (with the exact backend doing zero
-   re-evaluation), the response stream is identical for any pool size, and
-   a malformed request never takes the session down. *)
+   re-evaluation), the response stream is identical for any pool size, a
+   malformed request never takes the session down, and the Unix-socket
+   transport carries the same stream and outlives a client that leaves
+   early. *)
 
 module Json = Mps_util.Json
 module Protocol = Mps_serve.Protocol
@@ -429,6 +431,97 @@ let test_cache_stats_accumulate () =
   let h, m = Session.session_cache_stats sess in
   Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh2, sm2) (h, m)
 
+(* --- socket transport ------------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let temp_with_contents text =
+  let path = Filename.temp_file "mps-serve" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  path
+
+(* Forwards the request file over [path]; returns the response text. *)
+let forward_file ~path requests =
+  let out = Filename.temp_file "mps-serve" ".out" in
+  let result =
+    In_channel.with_open_bin requests (fun requests ->
+        Out_channel.with_open_bin out (fun responses ->
+            Server.forward (Server.connect_unix ~path) ~requests ~responses))
+  in
+  let text = read_file out in
+  Sys.remove out;
+  match result with
+  | Ok () -> text
+  | Error m -> Alcotest.failf "serve over socket: %s" m
+
+let socket_counter = ref 0
+
+(* Runs [client] against a server that accepts [connections] clients in
+   turn on one session, from a second domain.  The path stays short:
+   socket addresses are limited to about a hundred bytes. *)
+let with_socket_server sess ~connections client =
+  incr socket_counter;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mps-%d-%d.sock" (Unix.getpid ()) !socket_counter)
+  in
+  let fd = Server.listen_unix ~path in
+  let server =
+    Domain.spawn (fun () ->
+        (* Closing the listening socket on the way out, failure included,
+           turns a dead server into a refused or reset client instead of a
+           hung one. *)
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            for _ = 1 to connections do
+              Server.serve_connection sess fd
+            done))
+  in
+  let result = client path in
+  Domain.join server;
+  Sys.remove path;
+  result
+
+(* The socket path must carry exactly the stream the --stdin golden pins. *)
+let test_socket_matches_golden () =
+  let got =
+    with_socket_server (Session.create ()) ~connections:1 (fun path ->
+        forward_file ~path "cli/serve_requests.txt")
+  in
+  Alcotest.(check string)
+    "socket responses = serve_smoke.expected"
+    (read_file "cli/serve_smoke.expected")
+    got
+
+(* A client that sends requests and disconnects without reading makes the
+   server's response write fail.  That must cost only that connection: the
+   next client on the same session is answered, from the warm caches the
+   first client's requests filled. *)
+let test_early_disconnect_keeps_session () =
+  let sess = Session.create () in
+  let line = "{\"cmd\":\"pipeline\",\"graph\":\"3dft\"}\n" in
+  let requests = temp_with_contents (line ^ line) in
+  let responses =
+    with_socket_server sess ~connections:2 (fun path ->
+        let ic, oc = Server.connect_unix ~path in
+        output_string oc (line ^ line ^ line);
+        close_out oc;
+        close_in ic;
+        forward_file ~path requests)
+  in
+  Sys.remove requests;
+  let lines = String.split_on_char '\n' (String.trim responses) in
+  Alcotest.(check int) "one response per request" 2 (List.length lines);
+  List.iter
+    (fun resp ->
+      let j = parse_ok "after early disconnect" resp in
+      Alcotest.(check bool) "warm" true
+        (as_bool "warm" (member_exn "pipeline" "warm" j)))
+    lines;
+  Alcotest.(check int) "every request executed" 5 (Session.request_count sess)
+
 let () =
   Alcotest.run "serve"
     [
@@ -471,5 +564,12 @@ let () =
             test_error_echoes_id;
           Alcotest.test_case "cache stats: per-request deltas, session totals"
             `Quick test_cache_stats_accumulate;
+        ] );
+      ( "socket",
+        [
+          Alcotest.test_case "stream matches the stdin golden" `Quick
+            test_socket_matches_golden;
+          Alcotest.test_case "early disconnect leaves the session serving"
+            `Quick test_early_disconnect_keeps_session;
         ] );
     ]

@@ -1,10 +1,11 @@
 (* Unit and property tests for the utility kernel: PRNG, multisets, bitsets,
-   heaps, statistics, table rendering. *)
+   heaps, list chunking, statistics, table rendering. *)
 
 module Rng = Mps_util.Rng
 module Bitset = Mps_util.Bitset
 module Mstats = Mps_util.Mstats
 module Ascii_table = Mps_util.Ascii_table
+module Listx = Mps_util.Listx
 module Cms = Mps_util.Multiset.Make (Char)
 module Int_heap = Mps_util.Heap.Make (Int)
 
@@ -292,6 +293,33 @@ let heap_props =
       (fun l -> Int_heap.drain (Int_heap.of_list l) = List.sort compare l);
   ]
 
+(* --- listx --- *)
+
+let test_chunks () =
+  Alcotest.(check (list (list int))) "ragged tail" [ [ 1; 2; 3 ]; [ 4; 5 ] ]
+    (Listx.chunks 3 [ 1; 2; 3; 4; 5 ]);
+  Alcotest.(check (list (list int))) "exact fit" [ [ 1; 2 ]; [ 3; 4 ] ]
+    (Listx.chunks 2 [ 1; 2; 3; 4 ]);
+  Alcotest.(check (list (list int))) "empty" [] (Listx.chunks 4 []);
+  Alcotest.check_raises "size 0"
+    (Invalid_argument "Listx.chunks: size must be >= 1") (fun () ->
+      ignore (Listx.chunks 0 [ 1 ]))
+
+(* Chunks concatenate back to the input, and only the last one is short. *)
+let chunks_props =
+  [
+    qtest "chunks: concat inverts, only the last is short"
+      QCheck2.Gen.(pair (1 -- 6) (list_size (0 -- 40) (0 -- 9)))
+      (fun (k, l) ->
+        let cs = Listx.chunks k l in
+        let rec shape = function
+          | [] -> true
+          | [ last ] -> List.length last >= 1 && List.length last <= k
+          | c :: rest -> List.length c = k && shape rest
+        in
+        List.concat cs = l && shape cs);
+  ]
+
 (* --- stats --- *)
 
 let test_stats () =
@@ -360,6 +388,7 @@ let () =
           Alcotest.test_case "non-destructive view" `Quick test_heap_nondestructive_view;
         ]
         @ heap_props );
+      ("listx", Alcotest.test_case "chunks" `Quick test_chunks :: chunks_props);
       ( "stats",
         [
           Alcotest.test_case "moments and percentiles" `Quick test_stats;
