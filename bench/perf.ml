@@ -1,231 +1,21 @@
-(* Bechamel micro-benchmarks: one Test.make per paper table (timing the code
-   that regenerates it) plus scaling benches for the expensive kernels
-   (antichain enumeration, classification, selection, scheduling). *)
+(* Microbenchmarks with hard gates: the pattern universe's interning and
+   dominance matrix, and the ways a search costs a pattern set (cold
+   schedule, warm Eval context, memo-cache hit, delta replay).
+   End-to-end timings of the compile, exact-search and serve paths live in
+   perfbench (BENCHMARK.json). *)
 
 module Pg = Core.Paper_graphs
 module Dfg = Core.Dfg
-module Levels = Core.Levels
 module Pattern = Core.Pattern
-module Enumerate = Core.Enumerate
-module Classify = Core.Classify
-module Select = Core.Select
 module Mp = Core.Multi_pattern
-module Random_dag = Core.Random_dag
-module Dft = Core.Dft
-module Program = Core.Program
-open Bechamel
-open Toolkit
 
 let capacity = Pg.montium_capacity
 let dft3 = Pg.fig2_3dft ()
-let fig4 = Pg.fig4_small ()
-let w5dft = Program.dfg (Dft.winograd5 ())
-let dft3_classify = Classify.compute ~span_limit:1 ~capacity (Enumerate.make_ctx dft3)
-
-let section4_patterns =
-  let p1, p2 = Pg.section4_patterns in
-  [ Pattern.of_string p1; Pattern.of_string p2 ]
-
-(* One staged test per paper table: the work that regenerates it. *)
-let table_tests =
-  [
-    Test.make ~name:"table1:levels-3dft" (Staged.stage (fun () ->
-        ignore (Levels.compute dft3)));
-    Test.make ~name:"table2:trace-schedule-3dft" (Staged.stage (fun () ->
-        ignore (Mp.schedule ~trace:true ~patterns:section4_patterns dft3)));
-    Test.make ~name:"table3:schedule-3-pattern-sets" (Staged.stage (fun () ->
-        List.iter
-          (fun (pats, _) ->
-            ignore (Mp.schedule ~patterns:(List.map Pattern.of_string pats) dft3))
-          Pg.table3_pattern_sets));
-    Test.make ~name:"table4:classify-fig4" (Staged.stage (fun () ->
-        ignore
-          (Classify.compute ~keep_antichains:true ~capacity (Enumerate.make_ctx fig4))));
-    Test.make ~name:"table5:count-matrix-3dft" (Staged.stage (fun () ->
-        ignore
-          (Enumerate.count_matrix ~max_size:capacity ~max_span:4
-             (Enumerate.make_ctx dft3))));
-    Test.make ~name:"table6:frequencies-fig4" (Staged.stage (fun () ->
-        ignore (Classify.compute ~capacity (Enumerate.make_ctx fig4))));
-    Test.make ~name:"table7:select+schedule-3dft" (Staged.stage (fun () ->
-        let pats = Select.select ~pdef:4 dft3_classify in
-        ignore (Mp.schedule ~patterns:pats dft3)));
-  ]
-
-(* Scaling: the heavy kernels on growing random DAGs. *)
-let scaling_tests =
-  let graphs =
-    List.map
-      (fun (layers, width) ->
-        let params = { Random_dag.default_params with Random_dag.layers; width } in
-        let g = Random_dag.generate ~params ~seed:1 () in
-        (Printf.sprintf "%dn" (Dfg.node_count g), g))
-      [ (6, 6); (10, 10); (16, 12) ]
-  in
-  List.concat_map
-    (fun (tag, g) ->
-      [
-        Test.make
-          ~name:(Printf.sprintf "enumerate-span1-%s" tag)
-          (Staged.stage (fun () ->
-               ignore
-                 (Enumerate.count ~span_limit:1 ~max_size:capacity
-                    (Enumerate.make_ctx g))));
-        Test.make
-          ~name:(Printf.sprintf "pipeline-%s" tag)
-          (Staged.stage (fun () -> ignore (Core.Pipeline.run g)));
-      ])
-    graphs
-  @ [
-      Test.make ~name:"pipeline-w5dft"
-        (Staged.stage (fun () -> ignore (Core.Pipeline.run w5dft)));
-    ]
-
-let run_group name tests =
-  let grouped = Test.make_grouped ~name ~fmt:"%s/%s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _clock tbl ->
-      let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-40s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-40s (no estimate)\n" name)
-        (List.sort compare rows))
-    merged
-
-let run_all () =
-  Printf.printf "\n=== Performance: per-table regeneration cost ===\n";
-  run_group "tables" table_tests;
-  Printf.printf "\n=== Performance: scaling on random DAGs ===\n";
-  run_group "scaling" scaling_tests
-
-(* --- domain scaling: sequential vs parallel, determinism-checked -------
-
-   Measures the execution engine (Mps_exec.Pool) on the two wired hot
-   paths: the portfolio workload sweep (classification + every selection
-   strategy per graph) and raw antichain enumeration.  The parallel pass
-   must produce results identical to the sequential pass — that assertion
-   is the hard gate; the speedup number is the report.  On a host with
-   fewer cores than [jobs] no speedup is physically possible (OCaml
-   domains are OS threads and the minor GC is stop-the-world), so the
-   harness prints the core count next to the ratio rather than failing. *)
-
-module Pool = Core.Pool
-module Portfolio = Core.Portfolio
-module Ofdm = Core.Ofdm
-module Kernels = Core.Kernels
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-(* Everything that must be bit-identical between the two passes, in a
-   shape polymorphic [=] compares structurally. *)
-type sweep_result = {
-  sw_name : string;
-  sw_antichains : int;
-  sw_pattern_pool : int;
-  sw_entries : (string * string list * int) list;  (* strategy, patterns, cycles *)
-}
-
-let sweep_graph ?pool (name, graph) =
-  let cls =
-    Classify.compute ?pool ~span_limit:1 ~capacity (Enumerate.make_ctx graph)
-  in
-  let o = Portfolio.run ?pool ~pdef:4 cls in
-  {
-    sw_name = name;
-    sw_antichains = Classify.total_antichains cls;
-    sw_pattern_pool = Classify.pattern_count cls;
-    sw_entries =
-      List.map
-        (fun e ->
-          ( e.Portfolio.strategy,
-            List.map Pattern.to_string e.Portfolio.patterns,
-            e.Portfolio.cycles ))
-        o.Portfolio.all;
-  }
-
-let scaling_workloads ~smoke =
-  let base =
-    [
-      ("3dft", lazy (Pg.fig2_3dft ()));
-      ("fig4", lazy (Pg.fig4_small ()));
-      ("w5dft", lazy w5dft);
-    ]
-  in
-  let heavy =
-    [
-      ("fft8", lazy (Program.dfg (Dft.radix2_fft ~n:8)));
-      ("ofdm4", lazy (Program.dfg (Ofdm.receiver ~n:4)));
-      ("dct8", lazy (Program.dfg (Kernels.dct8 ())));
-      ( "rand-16x12",
-        lazy
-          (Random_dag.generate
-             ~params:{ Random_dag.default_params with Random_dag.layers = 16; width = 12 }
-             ~seed:1 ()) );
-    ]
-  in
-  List.map
-    (fun (n, g) -> (n, Lazy.force g))
-    (if smoke then base else base @ heavy)
-
-let pp_speedup label tseq tpar =
-  Printf.printf "  %-24s seq %8.3f s   par %8.3f s   speedup %.2fx\n" label tseq
-    tpar
-    (if tpar > 0. then tseq /. tpar else Float.nan)
-
-let run_scaling ?(smoke = false) ?(jobs = 4) () =
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "\n=== Domain scaling: sequential vs --jobs %d (host cores: %d) ===\n"
-    jobs cores;
-  let workloads = scaling_workloads ~smoke in
-  (* Portfolio sweep: classification dominated, parallel inside each graph
-     (root fan-out + one task per strategy). *)
-  let seq, t_seq = wall (fun () -> List.map (fun w -> sweep_graph w) workloads) in
-  let par, t_par =
-    Pool.with_pool ~jobs (fun pool ->
-        wall (fun () -> List.map (fun w -> sweep_graph ~pool w) workloads))
-  in
-  let sweep_ok = seq = par in
-  pp_speedup "portfolio-sweep" t_seq t_par;
-  (* Raw enumeration on the widest workload of the set. *)
-  let _, last_graph = List.nth workloads (List.length workloads - 1) in
-  let ctx = Enumerate.make_ctx last_graph in
-  let span = if smoke then 1 else 2 in
-  let c_seq, te_seq =
-    wall (fun () -> Enumerate.count ~span_limit:span ~max_size:capacity ctx)
-  in
-  let c_par, te_par =
-    Pool.with_pool ~jobs (fun pool ->
-        wall (fun () ->
-            Enumerate.count ~pool ~span_limit:span ~max_size:capacity ctx))
-  in
-  let enum_ok = c_seq = c_par in
-  pp_speedup "enumerate-count" te_seq te_par;
-  if not (sweep_ok && enum_ok) then begin
-    Printf.printf
-      "DETERMINISM MISMATCH: parallel results differ from sequential (sweep %b, \
-       enumerate %b)\n"
-      sweep_ok enum_ok;
-    exit 1
-  end;
-  Printf.printf "  determinism: parallel results identical to sequential (%d workloads)\n"
-    (List.length workloads);
-  if cores < jobs then
-    Printf.printf
-      "  note: host has %d core(s) for %d domains; speedup requires >= %d cores\n"
-      cores jobs jobs
 
 (* --- pattern ops: interning + matrix vs direct subpattern --------------
 

@@ -831,7 +831,7 @@ let serve_cmd =
       (Session.graph_count sess)
       hits misses
   in
-  let run use_stdin listen connect jobs batch stats trace_out =
+  let run use_stdin listen connect jobs stats trace_out =
     match (use_stdin, listen, connect) with
     | _, _, Some path ->
         (* Client mode: forward stdin's request lines to a listening
@@ -866,7 +866,7 @@ let serve_cmd =
                       (Unix.error_message e)))
         in
         let rec accept_loop () =
-          Server.serve_connection ~batch sess fd;
+          Server.serve_connection sess fd;
           if stats then print_session_stats sess;
           accept_loop ()
         in
@@ -874,7 +874,7 @@ let serve_cmd =
     | true, None, None ->
         with_obs stats trace_out @@ fun () ->
         with_session jobs @@ fun sess ->
-        Server.run ~batch sess stdin stdout;
+        Server.run sess stdin stdout;
         if stats then print_session_stats sess
     | false, None, None ->
         or_fail (Error "serve: pass --stdin, --listen PATH or --connect PATH")
@@ -906,14 +906,6 @@ let serve_cmd =
             "Client mode: forward request lines from standard input to the \
              server listening at $(docv) and print its responses.")
   in
-  let batch =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "How many requests are read ahead per batch (parse fan-out \
-             across --jobs); never changes any response.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -922,7 +914,7 @@ let serve_cmd =
           classification/eval/ban caches across requests, byte-identical \
           responses for every --jobs value")
     Term.(
-      const run $ use_stdin $ listen $ connect $ jobs_arg $ batch $ stats_arg
+      const run $ use_stdin $ listen $ connect $ jobs_arg $ stats_arg
       $ trace_out_arg)
 
 (* --- workload --- *)

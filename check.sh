@@ -6,18 +6,14 @@
 # byte-identical at any --jobs), the selector gate (auto smoke, counter
 # jobs-invariance, rules-file round-trip, regret/speedup in release), the
 # exact-search smoke gate, the benchmark determinism gate (same-seed counts
-# and serve digest repeat, jobs 1 and nproc classifications agree), socket
-# serve matching the stdin golden, and the scaling benchmark in smoke mode
-# at --jobs 1 and --jobs 4 plus once in release.
+# and serve digest repeat, jobs 1 and nproc classifications agree), and
+# socket serve matching the stdin golden.
 #
 #   ./check.sh          # the whole gate
 #   ./check.sh --fast   # build + tests only
 #
 # Exits non-zero on the first failure and names the stage that failed (a
-# failing mid-pipeline gate used to report only dune's exit status).  The
-# scaling benchmark hard-fails on any sequential/parallel divergence; the
-# speedup figure it prints is informational (it needs as many cores as
-# domains to show >1).
+# failing mid-pipeline gate used to report only dune's exit status).
 set -e
 
 STAGE="startup"
@@ -255,15 +251,6 @@ if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then
   exit 1
 fi
 echo "  ok: socket stream matches the committed golden"
-
-say "scaling benchmark (smoke, --jobs 1)"
-dune exec --no-build bench/main.exe -- --scaling --smoke --jobs 1
-
-say "scaling benchmark (smoke, --jobs 4)"
-dune exec --no-build bench/main.exe -- --scaling --smoke --jobs 4
-
-say "scaling benchmark (smoke, release profile)"
-dune exec --no-build --profile release bench/main.exe -- --scaling --smoke
 
 say "all checks passed"
 STAGE="done"

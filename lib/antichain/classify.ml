@@ -194,12 +194,12 @@ let compute ?pool ?universe ?span_limit ?budget ?(keep_antichains = false)
       if !local > 0 then publish ();
       part
     in
-    match
-      Pool.map_reduce pool ~map:task ~reduce:merge_partials
-        ~init:(fresh_partial (Universe.create ()))
-        (List.init n Fun.id)
-    with
-    | scratch -> (merge_partials (fresh_partial universe) scratch, false)
+    match Pool.map pool ~f:task (List.init n Fun.id) with
+    | parts ->
+        let scratch =
+          List.fold_left merge_partials (fresh_partial (Universe.create ())) parts
+        in
+        (merge_partials (fresh_partial universe) scratch, false)
     | exception Over_budget -> sequential ()
   in
   let merged, truncated =

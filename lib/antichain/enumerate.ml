@@ -35,7 +35,7 @@ let check_args ?span_limit ?budget ~max_size () =
 
    [walk_root] visits every antichain whose smallest node id is [root]: the
    root subtrees partition the enumeration, which is what both the
-   sequential loop and the domain-parallel fan-out are built on. *)
+   sequential loop and the domain-parallel fan-outs are built on. *)
 let walk_root ?span_limit ~max_size ctx ~f root =
   let lv = ctx.levels in
   let within_limit span =
@@ -77,21 +77,17 @@ let walk_root ?span_limit ~max_size ctx ~f root =
       (Levels.asap lv root) (Levels.alap lv root) root ~span:0;
   if !pruned > 0 then Obs.count "enumerate.pruned" !pruned
 
-let iter_spanned ?span_limit ?budget ~max_size ctx ~f =
+let iter ?span_limit ?budget ~max_size ctx ~f =
   check_args ?span_limit ?budget ~max_size ();
   let remaining = ref (Option.value budget ~default:max_int) in
-  let f ~span nodes =
+  let f ~span:_ nodes =
     if !remaining = 0 then raise Budget_exhausted;
     decr remaining;
-    f ~span nodes
+    f (Antichain.of_nodes_unchecked nodes)
   in
   for root = 0 to Dfg.node_count ctx.graph - 1 do
     walk_root ?span_limit ~max_size ctx ~f root
   done
-
-let iter ?span_limit ?budget ~max_size ctx ~f =
-  iter_spanned ?span_limit ?budget ~max_size ctx ~f:(fun ~span:_ nodes ->
-      f (Antichain.of_nodes_unchecked nodes))
 
 let iter_root ?span_limit ~max_size ctx ~f root =
   check_args ?span_limit ~max_size ();
@@ -100,102 +96,30 @@ let iter_root ?span_limit ~max_size ctx ~f root =
   walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
       f (Antichain.of_nodes_unchecked nodes))
 
-(* --- domain-parallel fan-out ----------------------------------------- *)
-
-(* Root subtrees are independent, so each becomes one pool task; per-root
-   results are merged in root order, which reproduces the sequential visit
-   order exactly.  Chunk 1 everywhere: subtree sizes are wildly skewed (a
-   source above a wide layer owns most of the antichains), so dynamic
-   scheduling is what buys the speedup.  A [budget] is inherently
-   sequential — it cuts a prefix of the visit order — so the budgeted entry
-   points ({!iter}) take no pool. *)
-
-let use_pool = function
-  | Some p when Pool.jobs p > 1 -> Some p
-  | _ -> None
-
-let map_roots pool ?span_limit ~max_size ctx task =
-  Pool.map pool
-    ~f:(fun root -> task ?span_limit ~max_size ctx root)
-    (List.init (Dfg.node_count ctx.graph) Fun.id)
-
-let all ?pool ?span_limit ~max_size ctx =
-  check_args ?span_limit ~max_size ();
-  Obs.span "enumerate" @@ fun () ->
-  match use_pool pool with
-  | Some pool ->
-      let root_all ?span_limit ~max_size ctx root =
-        let acc = ref [] in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
-            acc := Antichain.of_nodes_unchecked nodes :: !acc);
-        List.rev !acc
-      in
-      List.concat (map_roots pool ?span_limit ~max_size ctx root_all)
-  | None ->
-      let acc = ref [] in
-      iter ?span_limit ~max_size ctx ~f:(fun a -> acc := a :: !acc);
-      List.rev !acc
-
-let count ?pool ?span_limit ~max_size ctx =
-  check_args ?span_limit ~max_size ();
-  Obs.span "enumerate" @@ fun () ->
-  match use_pool pool with
-  | Some pool ->
-      let root_count ?span_limit ~max_size ctx root =
-        let c = ref 0 in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ _ -> incr c);
-        !c
-      in
-      List.fold_left ( + ) 0 (map_roots pool ?span_limit ~max_size ctx root_count)
-  | None ->
-      let c = ref 0 in
-      iter_spanned ?span_limit ~max_size ctx ~f:(fun ~span:_ _ -> incr c);
-      !c
-
-let count_by_size ?pool ?span_limit ~max_size ctx =
-  check_args ?span_limit ~max_size ();
-  Obs.span "enumerate" @@ fun () ->
-  let counts = Array.make (max_size + 1) 0 in
-  (match use_pool pool with
-  | Some pool ->
-      let root_counts ?span_limit ~max_size ctx root =
-        let counts = Array.make (max_size + 1) 0 in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
-            let s = List.length nodes in
-            counts.(s) <- counts.(s) + 1);
-        counts
-      in
-      List.iter
-        (Array.iteri (fun s c -> counts.(s) <- counts.(s) + c))
-        (map_roots pool ?span_limit ~max_size ctx root_counts)
-  | None ->
-      iter_spanned ?span_limit ~max_size ctx ~f:(fun ~span:_ nodes ->
-          let s = List.length nodes in
-          counts.(s) <- counts.(s) + 1));
-  counts
-
+(* Root subtrees are independent, so each root's (span, size) counts are
+   one pool task; summing the per-root matrices in root order gives the
+   same totals whatever the worker count. *)
 let count_matrix ?pool ~max_size ~max_span ctx =
   check_args ~span_limit:max_span ~max_size ();
   Obs.span "enumerate" @@ fun () ->
+  let root_matrix root =
+    let m = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
+    walk_root ~span_limit:max_span ~max_size ctx root ~f:(fun ~span nodes ->
+        let s = List.length nodes in
+        m.(span).(s) <- m.(span).(s) + 1);
+    m
+  in
+  let roots = List.init (Dfg.node_count ctx.graph) Fun.id in
+  let per_root =
+    match pool with
+    | Some pool -> Pool.map pool ~f:root_matrix roots
+    | None -> List.map root_matrix roots
+  in
   let exact = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
-  (match use_pool pool with
-  | Some pool ->
-      let root_matrix ?span_limit ~max_size ctx root =
-        let span_limit = Option.value span_limit ~default:max_span in
-        let m = Array.make_matrix (span_limit + 1) (max_size + 1) 0 in
-        walk_root ~span_limit ~max_size ctx root ~f:(fun ~span nodes ->
-            let s = List.length nodes in
-            m.(span).(s) <- m.(span).(s) + 1);
-        m
-      in
-      List.iter
-        (Array.iteri (fun l ->
-             Array.iteri (fun s c -> exact.(l).(s) <- exact.(l).(s) + c)))
-        (map_roots pool ~span_limit:max_span ~max_size ctx root_matrix)
-  | None ->
-      iter_spanned ~span_limit:max_span ~max_size ctx ~f:(fun ~span nodes ->
-          let s = List.length nodes in
-          exact.(span).(s) <- exact.(span).(s) + 1));
+  List.iter
+    (Array.iteri (fun l ->
+         Array.iteri (fun s c -> exact.(l).(s) <- exact.(l).(s) + c)))
+    per_root;
   (* Prefix-sum over span so row l counts span <= l. *)
   let m = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
   for l = 0 to max_span do

@@ -10,10 +10,10 @@
     antichains appear in lexicographic order of their id lists.
 
     The search tree partitions by its root: every antichain belongs to
-    exactly one root subtree, the one of its minimum node id.  The
-    [?pool] entry points fan those subtrees out across a
-    {!Mps_exec.Pool} and merge per-root results in root order, so their
-    output is identical — element for element — to the sequential walk,
+    exactly one root subtree, the one of its minimum node id.
+    {!count_matrix} and {!Classify.compute} (through {!iter_root}) fan
+    those subtrees out across a {!Mps_exec.Pool} and merge per-root results
+    in root order, so their output is identical to the sequential walk,
     whatever the worker count.  Budgeted enumeration stays sequential (a
     budget cuts a prefix of the visit order, which is meaningless under
     reordering), hence [iter] takes no pool. *)
@@ -66,24 +66,9 @@ val iter_root :
     enumeration — {!Classify.compute} builds its parallel path on this.
     @raise Invalid_argument on bad limits or if [root] is out of range. *)
 
-val all :
-  ?pool:Mps_exec.Pool.t ->
-  ?span_limit:int ->
-  max_size:int ->
-  ctx ->
-  Antichain.t list
-(** Materialized [iter] — only for graphs known to be small.  The result
-    is in sequential enumeration order regardless of [pool]. *)
-
-val count : ?pool:Mps_exec.Pool.t -> ?span_limit:int -> max_size:int -> ctx -> int
-
-val count_by_size :
-  ?pool:Mps_exec.Pool.t -> ?span_limit:int -> max_size:int -> ctx -> int array
-(** Index s holds the number of antichains of size exactly s
-    (index 0 unused, kept 0). *)
-
 val count_matrix :
   ?pool:Mps_exec.Pool.t -> max_size:int -> max_span:int -> ctx -> int array array
 (** [m.(span_limit).(size)] = number of antichains of that exact size with
     span ≤ that limit — Table 5 in one pass.  Antichains with span beyond
-    [max_span] are not counted anywhere. *)
+    [max_span] are not counted anywhere.  [pool] counts the root subtrees
+    on its domains; the matrix is the same for every pool size. *)

@@ -17,7 +17,6 @@ module Config_space = Mps_montium.Config_space
 module Energy = Mps_montium.Energy
 module Simulator = Mps_montium.Simulator
 module Program = Mps_frontend.Program
-module Pool = Mps_exec.Pool
 module Obs = Mps_obs.Obs
 
 type options = {
@@ -30,7 +29,6 @@ type options = {
   priority : Mp.pattern_priority;
   cluster : bool;
   tile : Tile.t;
-  jobs : int;
 }
 
 let default_options =
@@ -44,7 +42,6 @@ let default_options =
     priority = Mp.F2;
     cluster = false;
     tile = Tile.default;
-    jobs = 1;
   }
 
 type t = {
@@ -65,8 +62,7 @@ type t = {
 
 let validate_options ~who options =
   if options.capacity < 1 then invalid_arg (who ^ ": capacity < 1");
-  if options.pdef < 1 then invalid_arg (who ^ ": pdef < 1");
-  if options.jobs < 1 then invalid_arg (who ^ ": jobs < 1")
+  if options.pdef < 1 then invalid_arg (who ^ ": pdef < 1")
 
 (* Selection + scheduling + configuration on an already-computed
    classification — the part of the flow every request after the first hits
@@ -137,19 +133,12 @@ let run ?pool ?(options = default_options) dfg =
   let ctx = Enumerate.make_ctx graph in
   (* The pipeline owns the pattern universe: classification interns every
      distinct pattern into it (per-domain scratch universes are merged
-     deterministically under [jobs > 1]), selection reuses its dominance
+     deterministically under a pool), selection reuses its dominance
      matrix, and the scheduler hash-conses Pdef through it. *)
   let universe = Universe.create () in
-  let classify_with pool =
+  let classify =
     Classify.compute ?pool ?span_limit:options.span_limit
       ?budget:options.enumeration_budget ~capacity:options.capacity ~universe ctx
-  in
-  let classify =
-    match pool with
-    | Some _ -> classify_with pool
-    | None when options.jobs > 1 ->
-        Pool.with_pool ~jobs:options.jobs (fun p -> classify_with (Some p))
-    | None -> classify_with None
   in
   classified_core ~options ~clustering ~eval:None ~features:None classify
 
@@ -200,14 +189,6 @@ let certify_classified ?pool ?(options = default_options) ?max_nodes ?bans
 let certify ?pool ?(options = default_options) ?max_nodes dfg =
   validate_options ~who:"Pipeline.certify" options;
   Obs.span "certify" @@ fun () ->
-  let with_pool f =
-    match pool with
-    | Some _ -> f pool
-    | None when options.jobs > 1 ->
-        Pool.with_pool ~jobs:options.jobs (fun p -> f (Some p))
-    | None -> f None
-  in
-  with_pool @@ fun pool ->
   let graph =
     if options.cluster then (Cluster.mac dfg).Cluster.clustered else dfg
   in

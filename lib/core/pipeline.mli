@@ -25,16 +25,12 @@ type options = {
   priority : Mps_scheduler.Multi_pattern.pattern_priority;
   cluster : bool;  (** Fuse multiply-accumulate pairs first. *)
   tile : Mps_montium.Tile.t;
-  jobs : int;
-      (** Worker domains for the antichain enumeration/classification
-          phase.  1 = sequential; the result is identical for any value
-          (see {!Mps_antichain.Classify.compute}). *)
 }
 
 val default_options : options
 (** capacity 5, pdef 4, span limit 1, a 5-million-antichain enumeration
     budget, paper selection params, [Paper] strategy, F2 priority, no
-    clustering, default tile, jobs 1. *)
+    clustering, default tile. *)
 
 type t = {
   options : options;
@@ -61,12 +57,13 @@ type t = {
 }
 
 val run : ?pool:Mps_exec.Pool.t -> ?options:options -> Mps_dfg.Dfg.t -> t
-(** Full flow on a bare DFG.  An explicit [pool] overrides [options.jobs]
-    (callers running many pipelines reuse one pool instead of respawning
-    domains per graph); otherwise [options.jobs > 1] creates a pool for
-    the duration of the call.
-    @raise Invalid_argument on nonsensical options (pdef, capacity or
-    jobs < 1). *)
+(** Full flow on a bare DFG.  [pool] runs the antichain
+    enumeration/classification phase on its domains (callers running many
+    pipelines reuse one pool instead of respawning domains per graph); the
+    result is identical with or without it, for any pool size (see
+    {!Mps_antichain.Classify.compute}).
+    @raise Invalid_argument on nonsensical options (pdef or
+    capacity < 1). *)
 
 val run_classified :
   ?options:options ->
@@ -113,7 +110,7 @@ val certify :
     [mpsched select --certify].  When [exact.proven] is set the gap is a
     true optimality gap over the exact search family; otherwise it is only
     an upper bound ([max_nodes] cut some subtree short).  Deterministic
-    for every [jobs]/[pool] value, like {!run}. *)
+    with or without [pool], for any pool size, like {!run}. *)
 
 val certify_classified :
   ?pool:Mps_exec.Pool.t ->

@@ -3,14 +3,14 @@ module Obs = Mps_obs.Obs
 (* Deterministic fixed-size domain pool.
 
    One mutex/condvar pair coordinates batch hand-off; inside a batch the
-   only shared state is two atomics (a cursor over chunk indices and a
+   only shared state is two atomics (a cursor over task indices and a
    completion counter), so workers never contend on the lock while there is
    work left.  Determinism comes for free from the result layout: task [i]
    writes slot [i], and the merge reads slots 0..n-1. *)
 
 type batch = {
-  run_chunk : int -> unit;  (* runs every item of chunk [ci]; never raises *)
-  chunks : int;
+  run_item : int -> unit;  (* runs task [i]; never raises *)
+  size : int;
   cursor : int Atomic.t;
   completed : int Atomic.t;
 }
@@ -20,7 +20,7 @@ type t = {
   mutable workers : unit Domain.t list;
   lock : Mutex.t;
   have_work : Condition.t;  (* signalled on new batch and on shutdown *)
-  work_done : Condition.t;  (* signalled when a batch's last chunk finishes *)
+  work_done : Condition.t;  (* signalled when a batch's last task finishes *)
   mutable current : batch option;
   mutable generation : int;  (* bumped per batch; workers key off it *)
   mutable stopping : bool;
@@ -30,15 +30,15 @@ type t = {
 let jobs t = t.jobs
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Pull chunks until the cursor runs off the end; wake the submitter when
-   the last chunk of the batch completes. *)
+(* Pull tasks until the cursor runs off the end; wake the submitter when
+   the last task of the batch completes. *)
 let drain t b =
   let rec go () =
-    let ci = Atomic.fetch_and_add b.cursor 1 in
-    if ci < b.chunks then begin
-      b.run_chunk ci;
+    let i = Atomic.fetch_and_add b.cursor 1 in
+    if i < b.size then begin
+      b.run_item i;
       let finished = 1 + Atomic.fetch_and_add b.completed 1 in
-      if finished = b.chunks then begin
+      if finished = b.size then begin
         Mutex.lock t.lock;
         Condition.broadcast t.work_done;
         Mutex.unlock t.lock
@@ -100,21 +100,9 @@ let with_pool ~jobs f =
 let check_open t = if t.closed then invalid_arg "Pool: used after shutdown"
 
 (* Run [run_item] on 0..size-1 across the pool, blocking until all done. *)
-let run_batch t ~chunk ~size run_item =
-  let chunks = (size + chunk - 1) / chunk in
+let run_batch t ~size run_item =
   let b =
-    {
-      run_chunk =
-        (fun ci ->
-          let lo = ci * chunk in
-          let hi = min size (lo + chunk) in
-          for i = lo to hi - 1 do
-            run_item i
-          done);
-      chunks;
-      cursor = Atomic.make 0;
-      completed = Atomic.make 0;
-    }
+    { run_item; size; cursor = Atomic.make 0; completed = Atomic.make 0 }
   in
   Mutex.lock t.lock;
   check_open t;
@@ -125,30 +113,19 @@ let run_batch t ~chunk ~size run_item =
   (* The submitting domain is a worker too. *)
   drain t b;
   Mutex.lock t.lock;
-  while Atomic.get b.completed < b.chunks do
+  while Atomic.get b.completed < b.size do
     Condition.wait t.work_done t.lock
   done;
   t.current <- None;
   Mutex.unlock t.lock
 
-(* Left-to-right by construction — the jobs=1 path must be exactly the
-   sequential loop, and Array.map's evaluation order is unspecified. *)
-let seq_map_array f tasks =
-  let n = Array.length tasks in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f tasks.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- f tasks.(i)
-    done;
-    out
-  end
-
-let map_array ?(chunk = 1) t ~f tasks =
-  if chunk < 1 then invalid_arg "Pool.map: chunk must be >= 1";
+let map t ~f xs =
   check_open t;
+  let tasks = Array.of_list xs in
   let n = Array.length tasks in
-  if t.jobs = 1 || n <= 1 then seq_map_array f tasks
+  (* The jobs=1 path is exactly the sequential loop: left to right (as
+     [List.init] guarantees), and a raise stops every later task. *)
+  if t.jobs = 1 || n <= 1 then List.init n (fun i -> f tasks.(i))
   else begin
     let results = Array.make n None in
     (* When the submitting domain is collecting observability data, each
@@ -165,7 +142,7 @@ let map_array ?(chunk = 1) t ~f tasks =
       | Some bufs -> Obs.Task.run_in bufs.(i) (fun () -> f tasks.(i))
     in
     Obs.span "pool" (fun () ->
-        run_batch t ~chunk ~size:n (fun i ->
+        run_batch t ~size:n (fun i ->
             let r = match run_task i with v -> Ok v | exception e -> Error e in
             results.(i) <- Some r);
         let failed =
@@ -174,19 +151,12 @@ let map_array ?(chunk = 1) t ~f tasks =
         match obs with
         | Some bufs when not failed -> Obs.Task.commit bufs
         | _ -> ());
-    (* Every slot is filled — run_batch returns only after all chunks
+    (* Every slot is filled — run_batch returns only after all tasks
        completed.  Raise the earliest failure in submission order, if any,
        so even the raised exception is independent of timing. *)
-    seq_map_array
-      (function
+    List.init n (fun i ->
+        match results.(i) with
         | Some (Ok v) -> v
         | Some (Error e) -> raise e
         | None -> assert false)
-      results
   end
-
-let map ?chunk t ~f xs =
-  Array.to_list (map_array ?chunk t ~f (Array.of_list xs))
-
-let map_reduce ?chunk t ~map:m ~reduce ~init xs =
-  List.fold_left reduce init (map ?chunk t ~f:m xs)

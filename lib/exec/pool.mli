@@ -8,11 +8,11 @@
     single contract:
 
     {b determinism} — for a pure [f], [map pool ~f xs] returns exactly
-    [List.map f xs], bit for bit, whatever the worker count or chunk size.
-    Tasks are handed out dynamically (an atomic cursor over the index
-    space, so an unbalanced task set still load-balances), but every
-    result is written to its submission-order slot and the merged output
-    never depends on completion order.  A pool with [jobs = 1] does not
+    [List.map f xs], bit for bit, whatever the worker count.  Tasks are
+    handed out one at a time (an atomic cursor over the index space, so an
+    unbalanced task set still load-balances), but every result is written
+    to its submission-order slot and the merged output never depends on
+    completion order.  A pool with [jobs = 1] does not
     even spawn domains: it runs the plain sequential loop, so the legacy
     code path {e is} the jobs=1 code path.
 
@@ -45,14 +45,11 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on the
     way out, exception or not. *)
 
-val map : ?chunk:int -> t -> f:('a -> 'b) -> 'a list -> 'b list
+val map : t -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map pool ~f xs] is [List.map f xs], computed on the pool's domains,
-    results in submission order.
-
-    [chunk] (default 1) groups that many consecutive indices per grab of
-    the shared cursor: raise it when items are tiny and uniform (cursor
-    contention dominates), keep 1 when item costs vary wildly (antichain
-    subtrees, portfolio strategies) so the dynamic schedule can balance.
+    results in submission order.  Callers that need a reduction fold the
+    returned list themselves, which keeps the fold on the submitting
+    domain and its order fixed.
 
     If one or more tasks raise, the exception of the {e earliest} task in
     submission order is re-raised — again independent of timing.  Unlike
@@ -66,16 +63,4 @@ val map : ?chunk:int -> t -> f:('a -> 'b) -> 'a list -> 'b list
     per-task buffer and the buffers are committed in submission order
     after the batch, inside a ["pool"] span — so telemetry, like results,
     is independent of worker count and timing.  If any task raised, the
-    whole batch's buffers are discarded before the exception is re-raised.
-    @raise Invalid_argument if [chunk < 1]. *)
-
-val map_array : ?chunk:int -> t -> f:('a -> 'b) -> 'a array -> 'b array
-(** Array counterpart of {!map}. *)
-
-val map_reduce :
-  ?chunk:int -> t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a list -> 'c
-(** [map_reduce pool ~map ~reduce ~init xs] folds the mapped results in
-    submission order: [List.fold_left reduce init (List.map map xs)].
-    The fold itself runs on the submitting domain, so [reduce] needs no
-    associativity or commutativity for the result to be deterministic. *)
+    whole batch's buffers are discarded before the exception is re-raised. *)

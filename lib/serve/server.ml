@@ -348,46 +348,22 @@ let execute sess (p : prepared) =
 
 let handle_line sess line = Json.to_line (execute sess (prepare line))
 
-let default_batch = 32
-
-let run ?(batch = default_batch) sess ic oc =
-  let batch = max 1 batch in
-  (* Read up to [batch] non-blank lines; blank lines are transport noise
-     (trailing newlines, manual testing), not requests. *)
-  let rec read_batch acc n =
-    if n = 0 then List.rev acc
-    else
-      match input_line ic with
-      | line ->
-          if String.trim line = "" then read_batch acc n
-          else read_batch (line :: acc) (n - 1)
-      | exception End_of_file -> List.rev acc
-  in
-  let process lines =
-    Obs.span "serve.batch" @@ fun () ->
-    Obs.observe "serve.batch.size" (List.length lines);
-    (* Parsing and graph resolution are pure, so they fan out; execution
-       mutates the warm session, so it runs sequentially in submission
-       order — which is exactly what keeps the response stream and every
-       counter byte-identical at any pool size. *)
-    let prepared =
-      match Session.pool sess with
-      | Some pool when List.length lines > 1 ->
-          C.Pool.map pool ~f:prepare lines
-      | _ -> List.map prepare lines
-    in
-    List.iter
-      (fun p ->
-        output_string oc (Json.to_line (execute sess p));
-        output_char oc '\n')
-      prepared;
-    flush oc
-  in
+(* One request at a time: read a line, answer it, flush.  A client that
+   waits for each response before sending the next request gets it at
+   once, and the session executes requests in arrival order, which is what
+   keeps the response stream and every counter byte-identical at any pool
+   size.  Blank lines are transport noise (trailing newlines, manual
+   testing), not requests. *)
+let run sess ic oc =
   let rec loop () =
-    match read_batch [] batch with
-    | [] -> ()
-    | lines ->
-        process lines;
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+        if String.trim line <> "" then begin
+          output_string oc (handle_line sess line);
+          output_char oc '\n';
+          flush oc
+        end;
         loop ()
   in
   loop ()
@@ -419,14 +395,14 @@ let listen_unix ~path =
   Unix.listen fd 16;
   fd
 
-let serve_connection ?batch sess fd =
+let serve_connection sess fd =
   let conn, _ = Unix.accept fd in
   let ic, oc = channels conn in
   (* A client that leaves without reading its responses turns the next
      write into EPIPE (or a read into ECONNRESET).  That ends this
      connection only: the session and everything it has cached stay up
      for the next client. *)
-  (try run ?batch sess ic oc with Sys_error _ -> ());
+  (try run sess ic oc with Sys_error _ -> ());
   close_connection (ic, oc)
 
 let connect_unix ~path =
@@ -438,12 +414,14 @@ let connect_unix ~path =
       Unix.close fd;
       raise e
 
-(* Half-close: deliver end-of-input to the peer while keeping our read
-   side open for its remaining responses. *)
-let shutdown_send oc =
-  flush oc;
-  try Unix.shutdown (Unix.descr_of_out_channel oc) Unix.SHUTDOWN_SEND
-  with Unix.Unix_error _ | Invalid_argument _ -> ()
+let send oc line =
+  match
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  with
+  | () -> Ok ()
+  | exception Sys_error e -> Error ("write failed: " ^ e)
 
 let recv ic =
   match input_line ic with
@@ -454,31 +432,24 @@ let recv ic =
       | Ok j -> Ok j
       | Error e -> Error ("bad frame: " ^ e))
 
+(* Send one request, read its response, then send the next: the server
+   answers each line as it arrives, so neither side ever has more than one
+   request and one response in flight, however long the request stream.
+   Blank request lines are skipped, as the server skips them. *)
 let forward (ic, oc) ~requests ~responses =
-  (* The server reads ahead in batches, so pipeline: send every request
-     first, half-close to mark the end, then drain the responses (one line
-     per non-blank request, in order). *)
-  let rec send_all n =
+  let rec loop () =
     match input_line requests with
-    | line ->
-        output_string oc line;
-        output_char oc '\n';
-        send_all (if String.trim line = "" then n else n + 1)
-    | exception End_of_file -> n
+    | exception End_of_file -> Ok ()
+    | line when String.trim line = "" -> loop ()
+    | line -> (
+        match Result.bind (send oc line) (fun () -> recv ic) with
+        | Ok j ->
+            output_string responses (Json.to_line j);
+            output_char responses '\n';
+            flush responses;
+            loop ()
+        | Error _ as e -> e)
   in
-  let sent = send_all 0 in
-  shutdown_send oc;
-  let rec drain k =
-    if k = 0 then Ok ()
-    else
-      match recv ic with
-      | Ok j ->
-          output_string responses (Json.to_line j);
-          output_char responses '\n';
-          flush responses;
-          drain (k - 1)
-      | Error _ as e -> e
-  in
-  let result = drain sent in
+  let result = loop () in
   close_connection (ic, oc);
   result

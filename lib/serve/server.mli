@@ -20,21 +20,19 @@
     {!Protocol.error_response}'s shape, and the session survives to
     serve the next line.
 
-    {2 Batching and determinism}
+    {2 One request at a time, and determinism}
 
-    {!run} reads up to [batch] lines, parses and resolves their graphs
-    in parallel across the session's pool (a pure fan-out through
-    {!Core.Pool.map}, results in submission order), then {e executes
-    them sequentially in submission order} against the warm session and
-    writes the responses in that same order.  Intra-request parallelism
+    {!run} reads one request line, executes it against the warm session
+    and writes and flushes its response before it reads the next, so an
+    interactive client gets each answer as soon as its request arrives.
+    Requests execute in arrival order; intra-request parallelism
     (classification, exact search, portfolio) uses the pool's
     jobs-deterministic phases, so the full response stream — and every
     counter — is byte-identical for any [--jobs] value.
 
-    Observability: each batch runs under a ["serve.batch"] span
-    (observing [serve.batch.size]), each request under a
-    ["serve.request"] span, with [serve.requests], [serve.errors],
-    [serve.warm] and [serve.cold] counters. *)
+    Observability: each request runs under a ["serve.request"] span, with
+    [serve.requests], [serve.errors], [serve.warm] and [serve.cold]
+    counters. *)
 
 val builtins : (string * (unit -> Core.Dfg.t)) list
 (** The built-in workload table — the full {!Core.Suite} corpus, in
@@ -44,18 +42,17 @@ val builtins : (string * (unit -> Core.Dfg.t)) list
 
 val resolve_source : Protocol.source -> (Core.Dfg.t, string) result
 (** A request's graph: built-in lookup, or DFG/DOT text through
-    {!Core.Dfg_parse.of_string}.  Pure — safe to fan out. *)
+    {!Core.Dfg_parse.of_string}. *)
 
 val handle_line : Session.t -> string -> string
 (** One request line to one response line (no trailing newline) — the
     whole protocol for callers that do their own transport (tests, the
     bench load generator). *)
 
-val run : ?batch:int -> Session.t -> in_channel -> out_channel -> unit
-(** The stdin/stdout service loop described above, until end of input.
-    Blank lines are skipped.  [batch] (default 32, clamped to ≥ 1) caps
-    how many requests are read ahead for parse fan-out; it never changes
-    any response, only pipelining. *)
+val run : Session.t -> in_channel -> out_channel -> unit
+(** The stdin/stdout service loop described above, until end of input:
+    read a line, skip it if blank, answer it, flush.  Blank lines get no
+    response. *)
 
 (** {2 Unix-domain sockets}
 
@@ -68,9 +65,9 @@ val listen_unix : path:string -> Unix.file_descr
 (** Binds and listens on a Unix-domain socket at [path], unlinking a
     stale file there first.  @raise Unix.Unix_error on failure. *)
 
-val serve_connection : ?batch:int -> Session.t -> Unix.file_descr -> unit
+val serve_connection : Session.t -> Unix.file_descr -> unit
 (** Blocks for the next connection on a listening socket, runs {!run} on
-    it until the client half-closes, then closes it.  A read or write
+    it until the client closes its side, then closes it.  A read or write
     failure on the connection (the client left before reading its
     responses) ends that connection only: the session, warm caches
     included, survives for the next one. *)
@@ -84,7 +81,9 @@ val forward :
   requests:in_channel ->
   responses:out_channel ->
   (unit, string) result
-(** The client loop: sends every line of [requests], half-closes, then
-    copies one response line per non-blank request to [responses] and
-    closes the connection.  [Error] when the server's stream ends early or
+(** The client loop: for each non-blank line of [requests], sends it,
+    waits for its response and copies that line to [responses]; then
+    closes the connection.  With only one request in flight, no request
+    stream is long enough to fill the socket buffers in both directions.
+    [Error] when a write fails, or the server's stream ends early or
     carries a line that is not JSON. *)

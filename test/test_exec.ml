@@ -1,6 +1,6 @@
 (* Tests for the deterministic domain pool (Mps_exec.Pool): submission-order
-   results, chunking, exception plumbing, pool reuse, and the qcheck
-   contract map pool f = List.map f for every jobs/chunk combination. *)
+   results, exception plumbing, pool reuse, and the qcheck contract
+   map pool f = List.map f for every jobs value. *)
 
 module Pool = Mps_exec.Pool
 
@@ -48,20 +48,6 @@ let test_map_unbalanced () =
         "matches sequential" true
         (Pool.map p ~f:work xs = List.map work xs))
 
-let test_chunking () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      let xs = List.init 101 Fun.id in
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk %d" chunk)
-            (List.map succ xs)
-            (Pool.map ~chunk p ~f:succ xs))
-        [ 1; 2; 7; 101; 1000 ];
-      Alcotest.check_raises "chunk 0 rejected"
-        (Invalid_argument "Pool.map: chunk must be >= 1") (fun () ->
-          ignore (Pool.map ~chunk:0 p ~f:succ xs)))
-
 let test_reuse_many_batches () =
   Pool.with_pool ~jobs:4 (fun p ->
       for round = 1 to 200 do
@@ -104,18 +90,6 @@ let test_sequential_pool_runs_inline () =
   Alcotest.(check (list int)) "tasks after the raise never ran" [ 2; 1; 0 ] !log;
   Pool.shutdown p
 
-let test_map_reduce () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      let xs = List.init 500 (fun i -> i + 1) in
-      (* A non-commutative reduce: order sensitivity is the point. *)
-      let got =
-        Pool.map_reduce p
-          ~map:(fun x -> string_of_int (x mod 10))
-          ~reduce:( ^ ) ~init:"" xs
-      in
-      let want = String.concat "" (List.map (fun x -> string_of_int (x mod 10)) xs) in
-      Alcotest.(check string) "ordered fold" want got)
-
 let test_with_pool_cleans_up () =
   match Pool.with_pool ~jobs:2 (fun _ -> failwith "body") with
   | _ -> Alcotest.fail "expected failure"
@@ -124,15 +98,12 @@ let test_with_pool_cleans_up () =
 let pool_props =
   let gen =
     QCheck2.Gen.(
-      triple
-        (oneofl [ 1; 2; 4; 8 ])
-        (1 -- 16)
-        (list_size (0 -- 80) (int_bound 10_000)))
+      pair (oneofl [ 1; 2; 4; 8 ]) (list_size (0 -- 80) (int_bound 10_000)))
   in
   [
-    qtest "pool: map = List.map for any jobs/chunk" gen (fun (jobs, chunk, xs) ->
+    qtest "pool: map = List.map for any jobs" gen (fun (jobs, xs) ->
         let f x = (x * 17) + (x mod 5) in
-        Pool.with_pool ~jobs (fun p -> Pool.map ~chunk p ~f xs) = List.map f xs);
+        Pool.with_pool ~jobs (fun p -> Pool.map p ~f xs) = List.map f xs);
   ]
 
 let () =
@@ -144,11 +115,9 @@ let () =
           Alcotest.test_case "use after shutdown" `Quick test_after_shutdown;
           Alcotest.test_case "map order" `Quick test_map_order;
           Alcotest.test_case "unbalanced tasks" `Quick test_map_unbalanced;
-          Alcotest.test_case "chunking" `Quick test_chunking;
           Alcotest.test_case "reuse across batches" `Quick test_reuse_many_batches;
           Alcotest.test_case "earliest exception wins" `Quick test_exception_earliest;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_sequential_pool_runs_inline;
-          Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce;
           Alcotest.test_case "with_pool cleanup" `Quick test_with_pool_cleans_up;
         ]
         @ pool_props );

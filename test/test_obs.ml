@@ -52,9 +52,9 @@ let test_nesting_well_formed () =
 
 let pipeline_counters jobs =
   let obs = Obs.create () in
-  let options = { Pipeline.default_options with Pipeline.jobs } in
   let (_ : Pipeline.t) =
-    Obs.run obs (fun () -> Pipeline.run ~options (Pg.fig2_3dft ()))
+    Mps_exec.Pool.with_pool ~jobs (fun pool ->
+        Obs.run obs (fun () -> Pipeline.run ~pool (Pg.fig2_3dft ())))
   in
   List.map
     (fun c ->

@@ -57,19 +57,12 @@ let seed_gen = QCheck2.Gen.(1 -- 1000)
 let enumeration_deterministic seed =
   let g = random_graph ~seed in
   let ctx = Enumerate.make_ctx g in
-  let seq_all = Enumerate.all ~span_limit:2 ~max_size:capacity ctx in
-  let seq_count = Enumerate.count ~max_size:capacity ctx in
-  let seq_by_size = Enumerate.count_by_size ~span_limit:1 ~max_size:capacity ctx in
   let seq_matrix = Enumerate.count_matrix ~max_size:capacity ~max_span:3 ctx in
   List.for_all
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          Enumerate.all ~pool ~span_limit:2 ~max_size:capacity ctx = seq_all
-          && Enumerate.count ~pool ~max_size:capacity ctx = seq_count
-          && Enumerate.count_by_size ~pool ~span_limit:1 ~max_size:capacity ctx
-             = seq_by_size
-          && Enumerate.count_matrix ~pool ~max_size:capacity ~max_span:3 ctx
-             = seq_matrix))
+          Enumerate.count_matrix ~pool ~max_size:capacity ~max_span:3 ctx
+          = seq_matrix))
     jobs_values
 
 let classification_deterministic seed =
@@ -120,8 +113,7 @@ let pipeline_deterministic seed =
   let seq = Core.Pipeline.run g in
   List.for_all
     (fun jobs ->
-      let options = { Core.Pipeline.default_options with Core.Pipeline.jobs } in
-      let par = Core.Pipeline.run ~options g in
+      let par = Pool.with_pool ~jobs (fun pool -> Core.Pipeline.run ~pool g) in
       let schedule_cycles t =
         List.init (Dfg.node_count g) (fun i ->
             Mps_scheduler.Schedule.cycle_of t.Core.Pipeline.schedule i)
@@ -136,7 +128,7 @@ let () =
     [
       ( "vs sequential",
         [
-          qtest "enumerate: all/count/by-size/matrix identical for jobs 1,2,4,8"
+          qtest "enumerate: count_matrix is identical for jobs 1,2,4,8"
             seed_gen enumeration_deterministic;
           qtest "classify: identical tables for jobs 1,2,4,8" seed_gen
             classification_deterministic;
