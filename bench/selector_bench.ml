@@ -1,32 +1,23 @@
-(* Selector bench: fit and gate the per-graph strategy auto-selection
-   (ROADMAP item 4) against the brute portfolio on the named corpus.
+(* Selector fit: the one gate on the per-graph strategy auto-selection.
 
-     dune exec bench/main.exe -- --fit-selector   (full corpus + huge
-               tier: fit the rule table, print it, rewrite
-               results/selector_rules.json)
-     dune exec bench/main.exe -- --selector [--smoke]
+     dune exec bench/main.exe -- --fit-selector
 
-   The --selector pass replays the full portfolio once per corpus
-   workload (the oracle: best cycles over every backend) and the auto
-   path once (features + one dispatched backend), both on the same
-   pre-computed classification — classification is shared by either
-   route, so the wall-clock comparison isolates what auto actually
-   saves.  Hard gates (exit 1):
+   Over the full corpus plus the huge tier, each workload is classified
+   once; the full portfolio runs on that classification (the oracle: every
+   backend's cycles) and so does auto with the compiled-in table.  The
+   portfolio costs are the examples [Auto.fit] refits the rule table from;
+   the table is printed with per-rule provenance, thresholds at the 12
+   significant digits the fit rounds to, so it can be pasted into
+   lib/select/auto.ml as is.  Hard gates (exit 1):
 
-     - results/selector_rules.json parses through Auto.load and equals
-       the compiled-in Auto.builtin_rules (the two ship in lockstep;
-       refit with --fit-selector when the corpus or features change);
+     - the refit equals the compiled-in Auto.builtin_rules (refit and
+       paste when the corpus, the features or the backends change);
      - on every workload auto's answer is some portfolio backend's exact
        pattern set and cycle count (never a novel schedule);
      - median regret over the corpus is <= 5% (regret: auto cycles vs
-       the portfolio's best, in percent);
-     - the summed portfolio wall time is >= 3x the summed auto wall
-       time (best of 3 trials each; the corpus graphs are small, so
-       single-shot timing is too noisy to gate on even in smoke mode).
+       the portfolio's best, in percent).
 
-   The line starting with '{' is machine-readable JSON; BENCH_selector.json
-   at the repo root is one committed full-mode capture.  Full mode also
-   rewrites results/selector_regret.csv. *)
+   Writes no file. *)
 
 module Enumerate = Core.Enumerate
 module Classify = Core.Classify
@@ -35,89 +26,29 @@ module Features = Core.Features
 module Auto = Core.Auto
 module Suite = Core.Suite
 module Pattern = Core.Pattern
-module Csv = Mps_util.Csv
 
 let capacity = Core.Paper_graphs.montium_capacity
 let pdef = 4
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let wall_min trials f =
-  let best = ref infinity in
-  for _ = 1 to trials do
-    let _, t = wall f in
-    if t < !best then best := t
-  done;
-  !best
 
 let classify g =
   Classify.compute ~span_limit:1 ~budget:5_000_000 ~capacity
     (Enumerate.make_ctx g)
 
-(* One corpus workload replayed both ways on one classification. *)
-type row = {
-  name : string;
-  backend : string;
-  rule_index : int;
-  auto_cycles : int;
-  best_backend : string;
-  best_cycles : int;
-  regret_percent : float;
-  portfolio_s : float;
-  auto_s : float;
-}
-
-let examples ~full () =
-  let huge = full in
-  List.map
-    (fun (e : Suite.entry) ->
-      let g = e.Suite.build () in
-      let cls = classify g in
-      let outcome = Portfolio.run ~pdef cls in
-      {
-        Auto.name = e.Suite.name;
-        example_features = Features.extract g;
-        costs =
-          List.map
-            (fun (en : Portfolio.entry) -> (en.Portfolio.strategy, en.Portfolio.cycles))
-            outcome.Portfolio.all;
-      })
-    (Suite.corpus ~full ~huge ())
-
-let fit () =
-  Printf.printf "\n=== Selector fit (full corpus + huge tier) ===\n%!";
-  let rules = Auto.fit (examples ~full:true ()) in
-  List.iteri
-    (fun i (r : Auto.rule) ->
-      let conds =
-        match r.Auto.conds with
-        | [] -> "otherwise"
-        | conds ->
-            String.concat " && "
-              (List.map
-                 (fun (c : Auto.cond) ->
-                   Printf.sprintf "%s %s %g" c.Auto.feature
-                     (match c.Auto.op with Auto.Le -> "<=" | Auto.Gt -> ">")
-                     c.Auto.threshold)
-                 conds)
-      in
-      Printf.printf "  %d. %-40s -> %-16s (%s)\n" i conds r.Auto.backend
-        r.Auto.provenance)
-    rules;
-  (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/selector_rules.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Mps_util.Json.to_string (Auto.to_json rules));
-      Out_channel.output_char oc '\n');
-  Printf.printf "wrote %s\n" path;
-  if rules <> Auto.builtin_rules then
-    Printf.printf
-      "NOTE: fitted table differs from the compiled-in Auto.builtin_rules —\n\
-      \      paste the new table into lib/select/auto.ml to keep the two in\n\
-      \      lockstep (bench --selector gates on it).\n"
+let print_rule i (r : Auto.rule) =
+  let conds =
+    match r.Auto.conds with
+    | [] -> "otherwise"
+    | conds ->
+        String.concat " && "
+          (List.map
+             (fun (c : Auto.cond) ->
+               Printf.sprintf "%s %s %.12g" c.Auto.feature
+                 (match c.Auto.op with Auto.Le -> "<=" | Auto.Gt -> ">")
+                 c.Auto.threshold)
+             conds)
+  in
+  Printf.printf "  %d. %-40s -> %-16s (%s)\n" i conds r.Auto.backend
+    r.Auto.provenance
 
 let median xs =
   match List.sort compare xs with
@@ -127,39 +58,19 @@ let median xs =
       if n mod 2 = 1 then List.nth sorted (n / 2)
       else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
 
-let run ?(smoke = false) () =
-  let full = not smoke in
-  let trials = 3 in
-  Printf.printf "\n=== Selector: auto vs full portfolio (%s corpus) ===\n"
-    (if full then "full" else "smoke");
+let fit () =
+  Printf.printf "\n=== Selector fit (full corpus + huge tier) ===\n%!";
   let failed = ref false in
-  (match Auto.load "results/selector_rules.json" with
-  | Error e ->
-      Printf.printf "REGRESSION: results/selector_rules.json unusable: %s\n" e;
-      failed := true
-  | Ok rules ->
-      if rules <> Auto.builtin_rules then begin
-        Printf.printf
-          "REGRESSION: results/selector_rules.json out of sync with \
-           Auto.builtin_rules (rerun bench --fit-selector and update auto.ml)\n";
-        failed := true
-      end);
-  Printf.printf "  %-12s %-16s %4s %5s %5s %7s %10s %10s\n" "graph" "backend"
-    "rule" "auto" "best" "regret%" "portfolio_s" "auto_s";
-  let rows =
+  Printf.printf "  %-12s %-16s %4s %5s %5s %7s\n" "graph" "backend" "rule"
+    "auto" "best" "regret%";
+  let runs =
     List.map
       (fun (e : Suite.entry) ->
+        let name = e.Suite.name in
         let g = e.Suite.build () in
         let cls = classify g in
         let outcome = Portfolio.run ~pdef cls in
         let auto = Auto.select ~pdef cls in
-        let portfolio_s =
-          wall_min trials (fun () -> ignore (Portfolio.run ~pdef cls))
-        in
-        let auto_s = wall_min trials (fun () -> ignore (Auto.select ~pdef cls)) in
-        let best = outcome.Portfolio.best in
-        (* Identity gate: auto's answer must be the dispatched backend's
-           exact portfolio result, pattern for pattern. *)
         (match
            List.find_opt
              (fun (en : Portfolio.entry) ->
@@ -168,7 +79,7 @@ let run ?(smoke = false) () =
          with
         | None ->
             Printf.printf "MISMATCH: %s auto picked %S, not a portfolio backend\n"
-              e.Suite.name auto.Auto.backend;
+              name auto.Auto.backend;
             failed := true
         | Some en ->
             if
@@ -178,90 +89,44 @@ let run ?(smoke = false) () =
               Printf.printf
                 "MISMATCH: %s auto's %s result diverges from the portfolio's \
                  (%d vs %d cycles)\n"
-                e.Suite.name auto.Auto.backend auto.Auto.cycles en.Portfolio.cycles;
+                name auto.Auto.backend auto.Auto.cycles en.Portfolio.cycles;
               failed := true
             end);
-        let regret_percent =
-          if best.Portfolio.cycles = 0 || best.Portfolio.cycles = max_int then 0.
+        let best = outcome.Portfolio.best.Portfolio.cycles in
+        let regret =
+          if best = 0 || best = max_int then 0.
           else
-            float_of_int (auto.Auto.cycles - best.Portfolio.cycles)
-            /. float_of_int best.Portfolio.cycles
-            *. 100.
+            float_of_int (auto.Auto.cycles - best) /. float_of_int best *. 100.
         in
-        let row =
+        Printf.printf "  %-12s %-16s %4d %5d %5d %7.1f\n%!" name
+          auto.Auto.backend auto.Auto.rule_index auto.Auto.cycles best regret;
+        let example =
           {
-            name = e.Suite.name;
-            backend = auto.Auto.backend;
-            rule_index = auto.Auto.rule_index;
-            auto_cycles = auto.Auto.cycles;
-            best_backend = best.Portfolio.strategy;
-            best_cycles = best.Portfolio.cycles;
-            regret_percent;
-            portfolio_s;
-            auto_s;
+            Auto.name;
+            example_features = Features.extract g;
+            costs =
+              List.map
+                (fun (en : Portfolio.entry) ->
+                  (en.Portfolio.strategy, en.Portfolio.cycles))
+                outcome.Portfolio.all;
           }
         in
-        Printf.printf "  %-12s %-16s %4d %5d %5d %7.1f %10.4f %10.4f\n" row.name
-          row.backend row.rule_index row.auto_cycles row.best_cycles
-          row.regret_percent row.portfolio_s row.auto_s;
-        row)
-      (Suite.corpus ~full ~huge:full ())
+        (example, regret))
+      (Suite.corpus ~full:true ~huge:true ())
   in
-  let med = median (List.map (fun r -> r.regret_percent) rows) in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let total_portfolio = sum (fun r -> r.portfolio_s) in
-  let total_auto = sum (fun r -> r.auto_s) in
-  let speedup = total_portfolio /. total_auto in
-  Printf.printf
-    "  median regret %.1f%%, portfolio %.4fs vs auto %.4fs (%.1fx saved)\n" med
-    total_portfolio total_auto speedup;
+  let rules = Auto.fit (List.map fst runs) in
+  Printf.printf "  refit rule table:\n";
+  List.iteri print_rule rules;
+  if rules <> Auto.builtin_rules then begin
+    Printf.printf
+      "REGRESSION: the refit differs from the compiled-in Auto.builtin_rules \
+       (paste the table above into lib/select/auto.ml)\n";
+    failed := true
+  end;
+  let med = median (List.map snd runs) in
+  Printf.printf "  median regret %.1f%%\n" med;
   if med > 5.0 then begin
     Printf.printf "REGRESSION: median regret %.1f%% over the 5%% gate\n" med;
     failed := true
   end;
-  if speedup < 3.0 then begin
-    Printf.printf
-      "REGRESSION: auto saves only %.1fx wall-clock, under the 3x gate\n" speedup;
-    failed := true
-  end;
-  if !failed then exit 1;
-  let json_rows =
-    String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"graph\":\"%s\",\"backend\":\"%s\",\"rule\":%d,\
-              \"auto_cycles\":%d,\"best_backend\":\"%s\",\"best_cycles\":%d,\
-              \"regret_percent\":%.1f,\"portfolio_s\":%.4f,\"auto_s\":%.4f}"
-             r.name r.backend r.rule_index r.auto_cycles r.best_backend
-             r.best_cycles r.regret_percent r.portfolio_s r.auto_s)
-         rows)
-  in
-  Printf.printf
-    "{\"bench\":\"selector\",\"smoke\":%b,\"median_regret_percent\":%.1f,\
-     \"portfolio_wall_s\":%.4f,\"auto_wall_s\":%.4f,\"speedup\":%.1f,\
-     \"workloads\":[%s]}\n"
-    smoke med total_portfolio total_auto speedup json_rows;
-  if full then begin
-    (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let csv =
-      Csv.create
-        ~header:
-          [ "workload"; "backend"; "rule"; "auto_cycles"; "best_backend";
-            "best_cycles"; "regret_percent"; "portfolio_s"; "auto_s" ]
-    in
-    List.iter
-      (fun r ->
-        Csv.add_row csv
-          [
-            r.name; r.backend; string_of_int r.rule_index;
-            string_of_int r.auto_cycles; r.best_backend;
-            string_of_int r.best_cycles;
-            Printf.sprintf "%.1f" r.regret_percent;
-            Printf.sprintf "%.4f" r.portfolio_s;
-            Printf.sprintf "%.4f" r.auto_s;
-          ])
-      rows;
-    Csv.save ~path:"results/selector_regret.csv" csv;
-    Printf.printf "wrote results/selector_regret.csv\n"
-  end
+  if !failed then exit 1

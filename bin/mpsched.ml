@@ -85,9 +85,7 @@ let or_fail = function
       prerr_endline ("mpsched: " ^ m);
       exit 1
 
-(* --strategy / --rules: the selector choice shared by select and
-   pipeline.  The rule table defaults to the compiled-in one; --rules
-   loads an alternative through the validating loader. *)
+(* --strategy: the selector choice shared by select and pipeline. *)
 
 let strategy_arg =
   Arg.(
@@ -98,28 +96,7 @@ let strategy_arg =
            the default) or $(b,auto) (per-graph dispatch of one portfolio \
            backend from the graph's feature vector).")
 
-let rules_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "rules" ] ~docv:"FILE"
-        ~doc:
-          "Rule-table JSON for $(b,--strategy auto), as written by \
-           $(b,bench --fit-selector); omitted, the compiled-in table is \
-           used.")
-
-let strategy_of strategy rules =
-  let loaded =
-    match rules with
-    | None -> None
-    | Some path -> (
-        match C.Auto.load path with
-        | Ok r -> Some r
-        | Error m -> or_fail (Error (Printf.sprintf "--rules %s: %s" path m)))
-  in
-  match C.Auto.strategy_of_string ?rules:loaded strategy with
-  | Ok st -> st
-  | Error m -> or_fail (Error m)
+let strategy_of s = or_fail (C.Auto.strategy_of_string s)
 
 (* -p PATTERN operands, validated against the machine capacity so an
    oversized spelling fails with a clear message instead of scheduling
@@ -275,10 +252,10 @@ let print_exact_stats (ct : C.Exact.certificate) =
     (List.length ct.C.Exact.bans)
 
 let select_cmd =
-  let run spec capacity span pdef strategy rules verbose certify jobs stats
+  let run spec capacity span pdef strategy verbose certify jobs stats
       trace_out =
     let g = or_fail (load_graph spec) in
-    let strategy = strategy_of strategy rules in
+    let strategy = strategy_of strategy in
     with_obs stats trace_out @@ fun () ->
     with_session jobs @@ fun sess ->
     let entry, _ = Session.intern sess g in
@@ -364,7 +341,7 @@ let select_cmd =
     (Cmd.info "select" ~doc:"Run the pattern selection algorithm (§5.2)")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg
-      $ strategy_arg $ rules_arg $ verbose $ certify $ jobs_arg $ stats_arg
+      $ strategy_arg $ verbose $ certify $ jobs_arg $ stats_arg
       $ trace_out_arg)
 
 (* --- exact --- *)
@@ -480,10 +457,9 @@ let schedule_cmd =
 (* --- pipeline --- *)
 
 let pipeline_cmd =
-  let run spec capacity span pdef strategy rules cluster jobs stats trace_out
-      =
+  let run spec capacity span pdef strategy cluster jobs stats trace_out =
     let g = or_fail (load_graph spec) in
-    let strategy = strategy_of strategy rules in
+    let strategy = strategy_of strategy in
     with_obs stats trace_out @@ fun () ->
     let options =
       {
@@ -513,7 +489,7 @@ let pipeline_cmd =
     (Cmd.info "pipeline" ~doc:"Full flow: select, schedule, configuration report")
     Term.(
       const run $ graph_arg $ capacity_arg $ span_arg $ pdef_arg
-      $ strategy_arg $ rules_arg $ cluster $ jobs_arg $ stats_arg
+      $ strategy_arg $ cluster $ jobs_arg $ stats_arg
       $ trace_out_arg)
 
 (* --- portfolio --- *)

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Repo gate: build, full test suite, odoc, CLI determinism across --jobs,
 # the observability no-perturbation gate, the serve smoke gate (golden
-# stream, error recovery, --jobs invariance, warm >= 3x cold), the delta
-# smoke gate (suffix replay leaves counters and the serve edit stream
-# byte-identical at any --jobs), the selector gate (auto smoke, counter
-# jobs-invariance, rules-file round-trip, regret/speedup in release), the
-# exact-search smoke gate, the benchmark determinism gate (same-seed counts
+# stream, error recovery, --jobs invariance), the delta smoke gate (suffix
+# replay leaves counters and the serve edit stream byte-identical at any
+# --jobs), the selector gate (auto smoke, counter jobs-invariance), the
+# selector fit in release (refit = compiled-in table, auto = portfolio
+# entry, regret <= 5%), the benchmark determinism gate (same-seed counts
 # and serve digest repeat, jobs 1 and nproc classifications agree), and
 # socket serve matching the stdin golden.
 #
@@ -146,11 +146,10 @@ if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then
 fi
 echo "  ok: serve edit stream at --jobs 4 matches the committed golden"
 
-say "selector: auto smoke, --stats jobs invariance, rules-file round-trip"
-# --strategy auto must dispatch a backend on the paper graphs, its
+say "selector: auto smoke, --stats jobs invariance"
+# --strategy auto must dispatch a backend on the paper graphs, and its
 # select.auto.* counter rows must be byte-identical at --jobs 1 and
-# --jobs 4, and loading the checked-in rule file must reproduce the
-# compiled-in table's decision exactly.
+# --jobs 4.
 dune exec --no-build bin/mpsched.exe -- select 3dft --strategy auto > "$tmp1"
 if ! grep -q '^backend:' "$tmp1"; then
   echo "FAIL: select --strategy auto printed no backend decision" >&2
@@ -178,49 +177,14 @@ if ! grep -q 'select\.auto\.requests' "$tmp1"; then
   exit 1
 fi
 echo "  ok: select.auto.* counters identical across --jobs"
-dune exec --no-build bin/mpsched.exe -- select 3dft --strategy auto > "$tmp1"
-dune exec --no-build bin/mpsched.exe -- select 3dft --strategy auto \
-  --rules results/selector_rules.json > "$tmp4"
-if ! cmp -s "$tmp1" "$tmp4"; then
-  echo "FAIL: --rules results/selector_rules.json diverges from builtin" >&2
-  diff "$tmp1" "$tmp4" >&2
-  exit 1
-fi
-echo "  ok: checked-in rule file loads and matches the compiled-in table"
 
-say "serve throughput benchmark (smoke: warm >= 3x cold at --jobs 4)"
-# Exits 1 if any generated request fails, the response stream differs
-# between --jobs 1 and --jobs 4, or the warm repeat-graph mix falls under
-# 3x the cold distinct-graph throughput at --jobs 4.
-dune exec --no-build bench/main.exe -- --serve --smoke
-
-say "exact search gate (smoke: oracle parity, gap >= 0, pruning power)"
-# Exits 1 if any pruning configuration disagrees on the optimum, a
-# certificate comes back unproven, the certified gap is negative, or
-# ban+dominance pruning falls under the 50% node-elimination gate.
-dune exec --no-build bench/main.exe -- --exact --smoke
-
-say "pattern-ops microbenchmark (smoke, release profile)"
-# Release profile: the dev profile's -opaque flag blocks cross-module
-# inlining, which is precisely what the matrix probe is measuring.  The
-# benchmark exits 1 if the matrix answers diverge from the direct multiset
-# walk or the speedup falls under 5x.
+say "selector fit (release profile): refit = Auto.builtin_rules"
+# Exits 1 unless the rule table refit over the full corpus and huge tier
+# equals the compiled-in Auto.builtin_rules, every auto answer is its
+# backend's portfolio entry verbatim (same pattern list, same cycles), and
+# median regret is at most 5%.
 dune build --profile release bench/main.exe
-dune exec --no-build --profile release bench/main.exe -- --pattern-ops --smoke
-
-say "eval-ops microbenchmark (smoke, release profile)"
-# Exits 1 if cold/warm/hit cycle counts disagree, the memo cache miscounts,
-# the warm context falls under 5x faster than the cold schedule path, or
-# the delta move stream falls under 3x faster than warm full re-evaluation
-# (with any hit/fallback/cache miscount on the stream also fatal).
-dune exec --no-build --profile release bench/main.exe -- --eval-ops --smoke
-
-say "selector regret gate (smoke, release profile)"
-# Exits 1 if the checked-in rule file diverges from the compiled-in table,
-# an auto decision is not its portfolio entry verbatim (same pattern list,
-# same cycles), median regret over the base corpus exceeds 5%, or auto
-# saves less than 3x the full portfolio's selection wall-clock.
-dune exec --no-build --profile release bench/main.exe -- --selector --smoke
+dune exec --no-build --profile release bench/main.exe -- --fit-selector
 
 say "benchmark determinism: same seed, same counts; jobs 1 = nproc"
 # Runs every benchmark workload twice with one seed and exits 1 unless the

@@ -2,7 +2,6 @@ module Pattern = Mps_pattern.Pattern
 module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
 module Obs = Mps_obs.Obs
-module Json = Mps_util.Json
 
 type op = Le | Gt
 
@@ -12,9 +11,9 @@ type rule = { conds : cond list; backend : string; provenance : string }
 
 type rules = rule list
 
-(* Fit on the bench corpus (huge tier included) by `bench --fit-selector`
-   (results/selector_rules.json is the serialized mirror; `bench
-   --selector` gates that the two agree).  Reading the table:
+(* Fit on the bench corpus (huge tier included) by `bench --fit-selector`,
+   which exits 1 unless its refit reproduces this table exactly.  Reading
+   the table:
    harvest:greedy wins the small kernels (its exhaustive greedy harvest
    is near-exact there); beam takes the mid-size band where local search
    recovers what one greedy pass misses; above that, the largest
@@ -46,13 +45,6 @@ let builtin_rules =
     { conds = []; backend = "eq8"; provenance = "default: huge-deep" };
   ]
 
-let op_to_string = function Le -> "le" | Gt -> "gt"
-
-let op_of_string = function
-  | "le" -> Ok Le
-  | "gt" -> Ok Gt
-  | s -> Error (Printf.sprintf "unknown op %S (want \"le\" or \"gt\")" s)
-
 let validate rules =
   let rec go i = function
     | [] -> Error "empty rule table"
@@ -82,84 +74,6 @@ let validate rules =
     | r :: rest -> ( match check_rule i r with Ok () -> check (i + 1) rest | Error e -> Error e)
   in
   check 0 rules
-
-let cond_to_json c =
-  Json.Obj
-    [
-      ("feature", Json.Str c.feature);
-      ("op", Json.Str (op_to_string c.op));
-      ("threshold", Json.Num c.threshold);
-    ]
-
-let to_json rules =
-  Json.Obj
-    [
-      ("version", Json.Num 1.0);
-      ("features", Json.Arr (List.map (fun n -> Json.Str n) Features.names));
-      ( "backends",
-        Json.Arr (List.map (fun n -> Json.Str n) Portfolio.strategy_names) );
-      ( "rules",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("if", Json.Arr (List.map cond_to_json r.conds));
-                   ("backend", Json.Str r.backend);
-                   ("provenance", Json.Str r.provenance);
-                 ])
-             rules) );
-    ]
-
-let ( let* ) = Result.bind
-
-let cond_of_json j =
-  match (Json.member "feature" j, Json.member "op" j, Json.member "threshold" j) with
-  | Some (Json.Str feature), Some (Json.Str op), Some (Json.Num threshold) ->
-      let* op = op_of_string op in
-      Ok { feature; op; threshold }
-  | _ -> Error "condition must be {\"feature\":str,\"op\":str,\"threshold\":num}"
-
-let rule_of_json j =
-  match (Json.member "if" j, Json.member "backend" j, Json.member "provenance" j) with
-  | Some (Json.Arr conds), Some (Json.Str backend), Some (Json.Str provenance) ->
-      let* conds =
-        List.fold_left
-          (fun acc c ->
-            let* acc = acc in
-            let* c = cond_of_json c in
-            Ok (c :: acc))
-          (Ok []) conds
-      in
-      Ok { conds = List.rev conds; backend; provenance }
-  | _ ->
-      Error "rule must be {\"if\":[cond,...],\"backend\":str,\"provenance\":str}"
-
-let of_json j =
-  match Json.member "rules" j with
-  | Some (Json.Arr rules) ->
-      let* rules =
-        List.fold_left
-          (fun acc r ->
-            let* acc = acc in
-            let* r = rule_of_json r in
-            Ok (r :: acc))
-          (Ok []) rules
-      in
-      validate (List.rev rules)
-  | Some _ -> Error "\"rules\" must be an array"
-  | None -> Error "missing \"rules\" member"
-
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text -> (
-      match Json.parse text with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok j -> (
-          match of_json j with
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok rules -> Ok rules))
 
 (* {1 Selection} *)
 
@@ -229,9 +143,9 @@ let select ?(rules = builtin_rules) ?features ?eval ?beam_width ~pdef classify =
 
 type strategy = Paper | Auto of rules
 
-let strategy_of_string ?(rules = builtin_rules) = function
+let strategy_of_string = function
   | "paper" | "eq8" -> Ok Paper
-  | "auto" -> Ok (Auto rules)
+  | "auto" -> Ok (Auto builtin_rules)
   | s -> Error (Printf.sprintf "unknown strategy %S (want \"eq8\" or \"auto\")" s)
 
 (* {1 Offline fitting} *)
@@ -253,6 +167,11 @@ let acceptable_backends tolerance ex =
       (fun (b, c) ->
         if c <> max_int && float_of_int c <= limit then Some b else None)
       ex.costs
+
+(* A threshold as [bench --fit-selector] prints it, 12 significant digits:
+   pasting the printed table into [builtin_rules] then gives back exactly
+   the fitted one, so the bench can gate on structural equality. *)
+let printed x = float_of_string (Printf.sprintf "%.12g" x)
 
 let fit ?(tolerance = 0.05) examples =
   if examples = [] then invalid_arg "Auto.fit: empty example list";
@@ -292,7 +211,8 @@ let fit ?(tolerance = 0.05) examples =
             in
             let thresholds =
               let rec mids = function
-                | a :: (b :: _ as rest) -> ((a +. b) /. 2.0) :: mids rest
+                | a :: (b :: _ as rest) ->
+                    printed ((a +. b) /. 2.0) :: mids rest
                 | _ -> []
               in
               mids values

@@ -12,12 +12,10 @@
     conditions all hold names the backend, and the table must end with an
     unconditional default so every graph matches something.  Each rule
     carries provenance — which corpus workloads it was fit on — so a
-    surprising decision can be traced to its evidence.  Tables are fit
+    surprising decision can be traced to its evidence.  The table is fit
     offline by {!fit} (driven by [bench --fit-selector] over the bench
-    corpus), compiled in as {!builtin_rules}, and mirrored as the
-    checked-in [results/selector_rules.json]; [--rules FILE] loads an
-    alternative table through {!load}, which enforces the same invariants
-    the codec does (known features, known backends, terminal default). *)
+    corpus) and compiled in as {!builtin_rules}, the one table auto
+    dispatches on. *)
 
 (** {1 Rule tables} *)
 
@@ -43,20 +41,11 @@ type rules = rule list
 val builtin_rules : rules
 (** The table fit on the bench corpus by [bench --fit-selector] and
     pasted in, so auto needs no file at startup and behaves identically
-    from any working directory.  [results/selector_rules.json] is its
-    serialized mirror; [bench --selector] gates that the two agree. *)
+    from any working directory.  [bench --fit-selector] exits 1 unless
+    its refit reproduces this table exactly. *)
 
 val validate : rules -> (rules, string) result
 (** The invariants above; [Error] names the offending rule. *)
-
-val to_json : rules -> Mps_util.Json.t
-val of_json : Mps_util.Json.t -> (rules, string) result
-(** Inverses on valid tables; [of_json] runs {!validate}. *)
-
-val load : string -> (rules, string) result
-(** Reads and parses a rule file written by {!to_json} (via
-    [bench --fit-selector]).  [Error] on IO, parse or validation
-    failure — never raises. *)
 
 (** {1 Selection} *)
 
@@ -91,7 +80,7 @@ val select :
     [--jobs].
 
     @raise Invalid_argument if [pdef < 1] or [rules] fails {!validate}
-    (pre-validated tables from {!load}/{!of_json} never do). *)
+    ({!builtin_rules} never does). *)
 
 (** {1 Strategy choice for the pipeline} *)
 
@@ -99,9 +88,9 @@ type strategy =
   | Paper  (** The faithful Eq. 8/9 heuristic — the default everywhere. *)
   | Auto of rules  (** Rule-table dispatch as above. *)
 
-val strategy_of_string : ?rules:rules -> string -> (strategy, string) result
-(** ["eq8"]/["paper"] or ["auto"] (using [rules], default
-    {!builtin_rules}) — the CLI/serve option spelling. *)
+val strategy_of_string : string -> (strategy, string) result
+(** ["eq8"]/["paper"] or ["auto"] (with {!builtin_rules}) — the CLI/serve
+    option spelling. *)
 
 (** {1 Offline fitting} *)
 
@@ -125,6 +114,8 @@ val fit : ?tolerance:float -> example list -> rules
     [Le] before [Gt], smaller threshold.  Covered examples are removed
     and the search repeats; when no pure rule exists (or nothing
     remains), an unconditional default closes the table with the backend
-    acceptable to most remaining (or all) examples.  Deterministic: no
-    randomness, all ties ordered.
+    acceptable to most remaining (or all) examples.  Thresholds are
+    rounded to 12 significant digits, the precision [bench --fit-selector]
+    prints, so a printed table pasted back in is exactly the fitted one.
+    Deterministic: no randomness, all ties ordered.
     @raise Invalid_argument on an empty example list. *)

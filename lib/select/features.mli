@@ -10,7 +10,7 @@
 
     Features are exposed two ways: as a typed record for code, and as a
     named [(string * float)] vector ({!to_assoc}) that the rule table's
-    conditions are written against — rule files name features by these
+    conditions are written against — rules name features by these
     strings, and {!get}/{!names} are the single source of truth for what
     exists. *)
 
@@ -63,8 +63,8 @@ val to_assoc : t -> (string * float) list
 
 val to_json : t -> Mps_util.Json.t
 (** The vector as a JSON object (scalars by name plus the width histogram
-    as an array of [[width, count]] pairs) — what the bench artifacts and
-    verbose CLI output print. *)
+    as an array of [[width, count]] pairs) — what serve's auto responses
+    carry. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line [name=value] rendering, {!names} order. *)

@@ -5,10 +5,10 @@
     the paper's figures, a DFT/FFT size sweep, DSP/linear-algebra kernels
     (DCT, matmul, FIR/IIR, Horner), and adversarial layered-random suites
     chosen to stress single features (width, depth, density, color mix).
-    [bench --fit-selector] fits the rule table on these, [bench
-    --selector] measures regret on the same names, and
-    [results/selector_regret.csv] quotes them row by row — keeping the
-    three in lockstep is the point of naming the corpus in one place.
+    [bench --fit-selector] fits the rule table and measures regret on
+    these, and perfbench and the serve builtins quote the same names —
+    keeping them in lockstep is the point of naming the corpus in one
+    place.
 
     Every entry is deterministic: generators are seeded, so a name always
     denotes the same graph. *)
@@ -22,7 +22,7 @@ type entry = {
 
 val corpus : ?full:bool -> ?huge:bool -> unit -> entry list
 (** The corpus in fixed, documented order.  The base list (default) is
-    sized for smoke gates; [full] appends the larger instances the
+    sized for quick runs; [full] appends the larger instances the
     offline fit also sees (bigger FFT/matmul, a direct DFT, wider random
     suites); [huge] appends the layered-random huge tier, where
     classification dominates wall-clock and [--jobs] scaling is

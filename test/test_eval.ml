@@ -9,7 +9,9 @@
    colors) on sets that do not cover the graph.  [Eval.cycles_delta] must
    return exactly what [Eval.cycles] returns on the moved set for any
    walk of swap and grow moves, with exact hit/fallback accounting, on
-   recording and non-recording contexts alike.  On top of that, the
+   recording and non-recording contexts alike, and on a deep pipeline it
+   must resume far into the schedule and step at most a third of the
+   cycles a full re-evaluation steps.  On top of that, the
    portfolio built on a shared context must stay byte-identical between
    --jobs 1 and --jobs 4. *)
 
@@ -233,6 +235,81 @@ let delta_off_is_all_fallbacks seed =
   let _, misses = Eval.cache_stats ev in
   h = 0 && s = 0 && f = misses && f > 0
 
+(* --- deep-pipeline delta stream -----------------------------------------
+
+   The random DAGs above are 4-6 layers deep, so no replay there resumes
+   far into a schedule.  This pipeline has 221 layers of two nodes, each
+   layer fully joined to the next: the first 212 layers are all color a,
+   the last nine cycle through c, d and e.  A set is "aa" plus one
+   single-color pattern per tail color, and a move resizes one of those
+   three, so the first divergent cycle is the first tail cycle, one past
+   the checkpoint ladder's 211.  A snake walk of the 5x5x5 size grid
+   makes 124 one-swap moves over 125 distinct sets. *)
+
+let deep_layers = 221
+let deep_tail = 9
+
+let deep_pipeline () =
+  let name l k = Printf.sprintf "n%d_%d" l k in
+  let color l =
+    let t = l - (deep_layers - deep_tail) in
+    Color.of_char (if t < 0 then 'a' else "cde".[t mod 3])
+  in
+  let layer l = List.init 2 (fun k -> (name l k, color l)) in
+  let joins l =
+    List.concat_map
+      (fun k -> [ (name (l - 1) 1, name l k); (name (l - 1) 0, name l k) ])
+      [ 0; 1 ]
+  in
+  Dfg.of_alist
+    (List.concat_map layer (List.init deep_layers Fun.id))
+    (List.concat_map joins (List.init (deep_layers - 1) (fun l -> l + 1)))
+
+(* Step [t] of the boustrophedon walk: consecutive triples differ in one
+   coordinate, by one size step. *)
+let snake t =
+  let i = t / 25 and jx = t mod 25 / 5 and kx = t mod 5 in
+  let j = if i mod 2 = 0 then jx else 4 - jx in
+  let k = if ((i * 5) + jx) mod 2 = 0 then kx else 4 - kx in
+  (i, j, k)
+
+let deep_delta_stream () =
+  let g = deep_pipeline () in
+  let slot c k = Pattern.of_string (String.make (k + 1) c) in
+  let set (i, j, k) =
+    [ Pattern.of_string "aa"; slot 'c' i; slot 'd' j; slot 'e' k ]
+  in
+  let walk = Array.init 125 snake in
+  let evf = Eval.make g in
+  let full = Array.map (fun v -> Eval.cycles evf (set v)) walk in
+  let ev = Eval.make ~delta:true g in
+  Alcotest.(check int) "first set" full.(0) (Eval.cycles ev (set walk.(0)));
+  for t = 1 to 124 do
+    let (pi, pj, pk), (ni, nj, nk) = (walk.(t - 1), walk.(t)) in
+    let removed, added =
+      if pi <> ni then (slot 'c' pi, slot 'c' ni)
+      else if pj <> nj then (slot 'd' pj, slot 'd' nj)
+      else (slot 'e' pk, slot 'e' nk)
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "move %d" t)
+      full.(t)
+      (Eval.cycles_delta ev ~removed ~prev:(set walk.(t - 1)) ~added)
+  done;
+  let hits, fallbacks, saved = Eval.delta_stats ev in
+  Alcotest.(check (triple int int int))
+    "delta hits, fallbacks, cycles saved" (124, 0, 26_164)
+    (hits, fallbacks, saved);
+  Alcotest.(check (pair int int)) "cache hits, misses" (0, 125)
+    (Eval.cache_stats ev);
+  (* The speed claim in work units: a full re-evaluation steps every cycle
+     of every set, the delta path only the cycles it did not save. *)
+  let full_steps = Array.fold_left ( + ) 0 full in
+  let delta_steps = full_steps - saved in
+  if 3 * delta_steps > full_steps then
+    Alcotest.failf "delta path stepped %d of %d cycles, over a third"
+      delta_steps full_steps
+
 (* The portfolio costs every strategy on one shared context after the
    fan-in; spreading the strategy work over domains must not move a
    single byte of the ranking. *)
@@ -276,6 +353,8 @@ let () =
             delta_accounting;
           qtest "a non-recording context answers identically, all fallbacks"
             seed_gen delta_off_is_all_fallbacks;
+          Alcotest.test_case "deep pipeline: 124 swaps resume past cycle 211"
+            `Quick deep_delta_stream;
         ] );
       ( "determinism",
         [

@@ -1,8 +1,9 @@
 (* Exact backend: the certifying branch-and-bound must agree with the
    exhaustive oracle wherever both terminate, never lose to the portfolio
    it is seeded from, be byte-identical at any --jobs (result, counters
-   and ban list alike), publish a sound ban list, and find the same
-   optimum with and without pruning.
+   and ban list alike), publish a sound ban list, find the same optimum
+   with and without pruning, and let ban and dominance pruning alone cut
+   the 3dft search tree by at least half.
 
    Costing note: a set's cycles are well-defined only relative to a
    pattern order (the list scheduler breaks score ties by position), so
@@ -16,10 +17,12 @@ module Eval = Mps_scheduler.Eval
 module Portfolio = Mps_select.Portfolio
 module Exact = Mps_select.Exact
 module Exhaustive = Mps_select.Exhaustive
+module Select = Mps_select.Select
 module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Pool = Mps_exec.Pool
 module Random_dag = Mps_workloads.Random_dag
+module Paper_graphs = Mps_workloads.Paper_graphs
 
 let qtest ?(count = 15) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -165,6 +168,45 @@ let pruning_preserves_optimum seed =
   a.Exact.optimal_cycles = b.Exact.optimal_cycles
   && a.Exact.stats.Exact.nodes_visited <= b.Exact.stats.Exact.nodes_visited
 
+(* Pruning power on 3dft (span 1, Pdef 4): ban and dominance pruning alone
+   visit at most half the nodes of the unpruned tree, every subset of at
+   most four of the 54 pool patterns (342,541 nodes, root included, so
+   the unpruned search itself need not run), and prove the same optimum
+   as full pruning seeded with the Eq. 8/9 heuristic, which that optimum
+   never loses to (gap >= 0). *)
+let pruning_power_3dft () =
+  let g = Paper_graphs.fig2_3dft () in
+  let cls =
+    Classify.compute ~span_limit:1 ~capacity:Paper_graphs.montium_capacity
+      (Enumerate.make_ctx g)
+  in
+  let pool = Classify.pattern_count cls in
+  Alcotest.(check int) "pool size" 54 pool;
+  let rec choose n k = if k = 0 then 1 else choose n (k - 1) * (n - k + 1) / k in
+  let unpruned =
+    List.fold_left (fun acc k -> acc + choose pool k) 0 [ 0; 1; 2; 3; 4 ]
+  in
+  let heuristic = Select.select ~pdef:4 cls in
+  let heuristic_cycles =
+    Eval.cycles (Eval.make g) (Exact.canonical_order cls heuristic)
+  in
+  let full = Exact.search ~seeds:[ heuristic ] ~pdef:4 cls in
+  let ban_dom =
+    Exact.search
+      ~pruning:{ Exact.no_pruning with prune_ban = true; prune_dominance = true }
+      ~pdef:4 cls
+  in
+  Alcotest.(check bool) "both proven" true
+    (full.Exact.proven && ban_dom.Exact.proven);
+  Alcotest.(check int) "full pruning optimum" 5 full.Exact.optimal_cycles;
+  Alcotest.(check bool) "gap >= 0" true
+    (heuristic_cycles >= full.Exact.optimal_cycles);
+  Alcotest.(check int) "ban+dominance optimum" 5 ban_dom.Exact.optimal_cycles;
+  let visited = ban_dom.Exact.stats.Exact.nodes_visited in
+  if 2 * visited > unpruned then
+    Alcotest.failf "ban+dominance visited %d of %d unpruned nodes, over half"
+      visited unpruned
+
 let () =
   Alcotest.run "exact backend"
     [
@@ -174,6 +216,8 @@ let () =
             exact_equals_exhaustive;
           qtest "pruning preserves the optimum" seed_gen
             pruning_preserves_optimum;
+          Alcotest.test_case "3dft: ban+dominance visit at most half the tree"
+            `Quick pruning_power_3dft;
         ] );
       ( "portfolio",
         [
