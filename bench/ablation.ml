@@ -12,7 +12,7 @@ module Enumerate = Core.Enumerate
 module Classify = Core.Classify
 module Select = Core.Select
 module Random_select = Core.Random_select
-module Greedy_cover = Core.Greedy_cover
+module Priority_variants = Core.Priority_variants
 module Exhaustive = Core.Exhaustive
 module Pattern_source = Core.Pattern_source
 module Mp = Core.Multi_pattern
@@ -142,7 +142,10 @@ let selector_battle () =
       let cls = Classify.compute ~span_limit:1 ~budget:3_000_000 ~capacity (Enumerate.make_ctx g) in
       let ev = Core.Eval.make g in
       let eq8 = Core.Eval.cycles ev (Select.select ~pdef:4 cls) in
-      let greedy = Core.Eval.cycles ev (Greedy_cover.select ~pdef:4 cls) in
+      let greedy =
+        Core.Eval.cycles ev
+          (Priority_variants.select Priority_variants.greedy_count ~pdef:4 cls)
+      in
       let fds =
         Core.Eval.cycles ev
           (Pattern_source.harvest ~method_:Pattern_source.Force_directed ~capacity
@@ -312,10 +315,10 @@ let clustering () =
 (* Priority-function variants (the paper's stated future work). *)
 let priority_variants () =
   section "Extension: selection priority variants (Pdef=4, span 1)";
-  let variants = Core.Priority_variants.all in
+  let variants = Priority_variants.all in
   let t =
     T.create
-      ~header:("workload" :: List.map (fun v -> v.Core.Priority_variants.name) variants)
+      ~header:("workload" :: List.map (fun v -> v.Priority_variants.name) variants)
       ()
   in
   List.iter
@@ -328,7 +331,7 @@ let priority_variants () =
         (name
         :: List.map
              (fun v ->
-               let pats = Core.Priority_variants.select v ~pdef:4 cls in
+               let pats = Priority_variants.select v ~pdef:4 cls in
                string_of_int (cycles_of pats g))
              variants))
     (workloads ());

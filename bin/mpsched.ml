@@ -49,10 +49,24 @@ let graph_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc)
 
+(* Integer options with a floor.  A value below it is refused while the
+   command line is parsed, with cmdliner's usage line and exit 124, just
+   as a non-integer is. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive_int = int_at_least 1
+
 let capacity_arg =
   Arg.(
     value
-    & opt int C.Paper_graphs.montium_capacity
+    & opt positive_int C.Paper_graphs.montium_capacity
     & info [ "C"; "capacity" ] ~docv:"C" ~doc:"Number of parallel ALUs (pattern size).")
 
 let span_arg =
@@ -66,7 +80,7 @@ let span_of = function Some s when s < 0 -> None | other -> other
 
 let pdef_arg =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "n"; "pdef" ] ~docv:"PDEF" ~doc:"Number of patterns to select.")
 
 let jobs_arg =
@@ -377,7 +391,7 @@ let exact_cmd =
   in
   let max_nodes =
     Arg.(
-      value & opt int 1_000_000
+      value & opt positive_int 1_000_000
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:
             "Node budget per root subtree; when hit the result degrades to \
@@ -588,7 +602,9 @@ let anneal_cmd =
       (if o.C.Annealing.improved then "improved on" else "matched")
   in
   let iterations =
-    Arg.(value & opt int 2000 & info [ "i"; "iterations" ] ~docv:"N" ~doc:"Annealing steps.")
+    Arg.(
+      value & opt (int_at_least 0) 2000
+      & info [ "i"; "iterations" ] ~docv:"N" ~doc:"Annealing steps.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   Cmd.v

@@ -1,13 +1,15 @@
 #!/bin/sh
-# Repo gate: build, full test suite, odoc, CLI determinism across --jobs,
-# the observability no-perturbation gate, the serve smoke gate (golden
-# stream, error recovery, --jobs invariance), the delta smoke gate (suffix
-# replay leaves counters and the serve edit stream byte-identical at any
-# --jobs), the selector gate (auto smoke, counter jobs-invariance), the
-# selector fit in release (refit = compiled-in table, auto = portfolio
-# entry, regret <= 5%), the benchmark determinism gate (same-seed counts
-# and serve digest repeat, jobs 1 and nproc classifications agree), and
-# socket serve matching the stdin golden.
+# Repo gate: build, full test suite, odoc, CLI determinism across --jobs
+# (portfolio 3dft and w5dft run every Fig. 7 selector, w5dft through
+# beam's delta-costed finalists), the observability no-perturbation gate,
+# the serve smoke gate (golden stream, error recovery, --jobs invariance),
+# the delta smoke gate (suffix replay leaves counters and the serve edit
+# stream byte-identical at any --jobs), the selector gate (auto smoke,
+# counter jobs-invariance), the selector fit in release (refit =
+# compiled-in table, auto = portfolio entry, regret <= 5%), the benchmark
+# determinism gate (same-seed counts and serve digest repeat, jobs 1 and
+# nproc classifications agree), and socket serve matching the stdin
+# golden.
 #
 #   ./check.sh          # the whole gate
 #   ./check.sh --fast   # build + tests only
@@ -44,7 +46,7 @@ say "CLI determinism: mpsched output must be byte-identical for any --jobs"
 tmp1=$(mktemp) tmp4=$(mktemp)
 for spec in "pipeline 3dft" "pipeline fig4" "pipeline w3dft" "pipeline w5dft" \
             "pipeline fft8" "antichains 3dft" \
-            "select w5dft" "patterns fft8" "portfolio 3dft" \
+            "select w5dft" "patterns fft8" "portfolio 3dft" "portfolio w5dft" \
             "exact 3dft" "select 3dft --certify"; do
   # shellcheck disable=SC2086
   dune exec --no-build bin/mpsched.exe -- $spec --jobs 1 > "$tmp1"

@@ -50,7 +50,6 @@ module Schedule_opt = Mps_scheduler.Schedule_opt
 (* Pattern selection — the paper's contribution (§5.2) *)
 module Select = Mps_select.Select
 module Random_select = Mps_select.Random_select
-module Greedy_cover = Mps_select.Greedy_cover
 module Exhaustive = Mps_select.Exhaustive
 module Exact = Mps_select.Exact
 module Pattern_source = Mps_select.Pattern_source

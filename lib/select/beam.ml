@@ -6,7 +6,6 @@ module Id = Mps_pattern.Pattern.Id
 module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
 module Obs = Mps_obs.Obs
-module Listx = Mps_util.Listx
 
 type outcome = {
   patterns : Pattern.t list;
@@ -25,16 +24,6 @@ type state = {
   heuristic : float;
 }
 
-let priority ~params ~cover ~freq ~size =
-  let open Select in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun n h ->
-      if h > 0 then
-        acc := !acc +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
-    freq;
-  !acc +. (params.alpha *. float_of_int (size * size))
-
 let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Beam.search: pdef must be >= 1";
   if width < 1 then invalid_arg "Beam.search: width must be >= 1";
@@ -42,12 +31,11 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   let g = Classify.graph classify in
   let capacity = Classify.capacity classify in
   let u = Classify.universe classify in
-  let n = Dfg.node_count g in
-  let all_colors = Color.Set.of_list (Dfg.colors g) in
+  let colors = Color.Set.of_list (Dfg.colors g) in
   let initial =
     {
       chosen = [];
-      cover = Array.make n 0;
+      cover = Array.make (Dfg.node_count g) 0;
       covered = Color.Set.empty;
       pool =
         Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
@@ -55,49 +43,40 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
       heuristic = 0.0;
     }
   in
+  (* One Fig. 7 step from [state], branching on the [width] best Eq. 8
+     scores among the candidates Eq. 9 admits instead of the single best. *)
   let extend step state =
-    let remaining_picks = pdef - step - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors state.covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) state.covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
     let apply pid freq score =
       let cover = Array.copy state.cover in
-      Array.iteri (fun k h -> cover.(k) <- cover.(k) + h) freq;
+      Select.add_cover cover freq;
       {
         chosen = pid :: state.chosen;
         cover;
         covered = Color.Set.union state.covered (Universe.color_set u pid);
-        pool =
-          List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_:pid)) state.pool;
+        pool = Select.delete_subpatterns u ~of_:pid state.pool;
         heuristic = state.heuristic +. score;
       }
+    in
+    let admits =
+      Select.color_condition u ~capacity ~colors ~covered:state.covered
+        ~remaining_picks:(pdef - step - 1)
     in
     let scored =
       List.filter_map
         (fun (id, freq) ->
-          if color_condition id then
+          if admits id then
             let s =
-              priority ~params ~cover:state.cover ~freq ~size:(Universe.size u id)
+              Select.priority ~params ~cover:state.cover ~freq ~size:(Universe.size u id)
             in
             Some (s, id, freq)
           else None)
         state.pool
     in
     match scored with
-    | [] ->
-        (* Fallback, exactly as Fig. 7: fabricate from uncovered colors. *)
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors state.covered) in
-        if uncovered = [] then [ { state with chosen = state.chosen } ]
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          [ apply pid (Array.make n 0) 0.0 ]
-        end
+    | [] -> (
+        match Select.fallback u ~capacity ~colors ~covered:state.covered with
+        | None -> [ state ]
+        | Some pid -> [ apply pid [||] 0.0 ] (* no antichains, no coverage *))
     | _ ->
         List.sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) scored
         |> List.filteri (fun i _ -> i < width)

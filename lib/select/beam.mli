@@ -5,8 +5,11 @@
     the dial between them: at each of the [pdef] steps it keeps the [width]
     best partial selections, scoring each candidate extension by Eq. 8's
     priority, and finally ranks the surviving complete sets by their actual
-    schedule length.  Width 1 reproduces the paper's algorithm (up to
-    final-schedule tie-breaking); modest widths recover most of the
+    schedule length.  A step is Fig. 7's, built from {!Select}'s pieces
+    (Eq. 8, the Eq. 9 condition, subpattern deletion, the fallback); only
+    the width-[k] keep, the dedupe of permuted selections and the finalist
+    costing are the beam's own.  Width 1 reproduces {!Select} exactly: the
+    same patterns in the same order.  Modest widths recover most of the
     exhaustive oracle's advantage at a tiny fraction of its cost. *)
 
 type outcome = {

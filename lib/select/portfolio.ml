@@ -20,44 +20,39 @@ type outcome = { best : entry; all : entry list }
    (beam, annealing) return the known cycle count; every other set is
    costed after the fan-in.  This registry is also the auto-selector's
    backend space ({!Auto}): dispatching one named thunk from here is what
-   guarantees auto returns some portfolio member's exact result. *)
-let strategies ?(beam_width = 4) ~pdef classify :
-    (string * (unit -> Pattern.t list * int option)) list =
-  let g = Classify.graph classify in
-  let capacity = Classify.capacity classify in
-  [ ("eq8", fun () -> (Select.select ~pdef classify, None)) ]
+   guarantees auto returns some portfolio member's exact result.  Names
+   and thunks come from this one list, so the two cannot drift apart. *)
+let registry :
+    (string * (beam_width:int -> pdef:int -> Classify.t -> Pattern.t list * int option))
+    list =
+  let variant v ~beam_width:_ ~pdef classify =
+    (Priority_variants.select v ~pdef classify, None)
+  in
+  let harvest method_ ~beam_width:_ ~pdef classify =
+    ( Pattern_source.harvest ~method_ ~capacity:(Classify.capacity classify) ~pdef
+        (Classify.graph classify),
+      None )
+  in
+  [ ("eq8", fun ~beam_width:_ ~pdef classify -> (Select.select ~pdef classify, None)) ]
   @ List.filter_map
       (fun v ->
         if v.Priority_variants.name = "paper" then None
-        else
-          Some
-            ( "variant:" ^ v.Priority_variants.name,
-              fun () -> (Priority_variants.select v ~pdef classify, None) ))
+        else Some ("variant:" ^ v.Priority_variants.name, variant v))
       Priority_variants.all
   @ [
-      ("greedy-count", fun () -> (Greedy_cover.select ~pdef classify, None));
-      ( "harvest:greedy",
-        fun () ->
-          ( Pattern_source.harvest ~method_:Pattern_source.Greedy ~capacity ~pdef
-              g,
-            None ) );
-      ( "harvest:fds",
-        fun () ->
-          ( Pattern_source.harvest ~method_:Pattern_source.Force_directed
-              ~capacity ~pdef g,
-            None ) );
+      ("greedy-count", variant Priority_variants.greedy_count);
+      ("harvest:greedy", harvest Pattern_source.Greedy);
+      ("harvest:fds", harvest Pattern_source.Force_directed);
       ( "beam",
-        fun () ->
+        fun ~beam_width ~pdef classify ->
           let b = Beam.search ~width:beam_width ~pdef classify in
           (b.Beam.patterns, Some b.Beam.cycles) );
     ]
 
-let strategy_names =
-  [
-    "eq8"; "variant:linear-size"; "variant:raw-count"; "variant:coverage-gap";
-    "variant:sqrt-damping"; "greedy-count"; "harvest:greedy"; "harvest:fds";
-    "beam";
-  ]
+let strategies ?(beam_width = 4) ~pdef classify =
+  List.map (fun (name, run) -> (name, fun () -> run ~beam_width ~pdef classify)) registry
+
+let strategy_names = List.map fst registry
 
 let cost_entry ectx (strategy, patterns, known) =
   let cycles =

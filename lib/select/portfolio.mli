@@ -7,9 +7,9 @@
     won — data the ablation aggregates into a win table.
 
     Strategies included: the paper's Eq. 8 heuristic, every
-    {!Priority_variants} variant, greedy-by-count, both schedule-harvest
-    methods, beam search, and (optionally, it needs a generator) simulated
-    annealing. *)
+    {!Priority_variants} variant, {!Priority_variants.greedy_count}, both
+    schedule-harvest methods, beam search, and (optionally, it needs a
+    generator) simulated annealing. *)
 
 type entry = {
   strategy : string;
@@ -39,7 +39,8 @@ val strategies :
 
 val strategy_names : string list
 (** The registry's names in registry order, without running anything —
-    what rule files are validated against. *)
+    what {!Auto} validates and fits rule tables against.  Built from the
+    same list as {!strategies}, so the two always agree. *)
 
 val run :
   ?pool:Mps_exec.Pool.t ->

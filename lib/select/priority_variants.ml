@@ -1,26 +1,12 @@
-module Listx = Mps_util.Listx
 module Dfg = Mps_dfg.Dfg
 module Color = Mps_dfg.Color
-module Pattern = Mps_pattern.Pattern
-module Universe = Mps_pattern.Universe
 module Classify = Mps_antichain.Classify
 
-type context = {
-  freq : int array;
-  count : int;
-  cover : int array;
-  size : int;
-  capacity : int;
-}
+type context = { freq : int array; count : int; cover : int array; size : int }
 
 type variant = { name : string; doc : string; score : context -> float }
 
-let balance ~damp ctx =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun n h -> if h > 0 then acc := !acc +. (float_of_int h /. damp ctx.cover.(n)))
-    ctx.freq;
-  !acc
+let size_bonus ctx = 20.0 *. float_of_int (ctx.size * ctx.size)
 
 let paper =
   {
@@ -28,8 +14,8 @@ let paper =
     doc = "Eq. 8: sum h/(cover+0.5) + 20*|p|^2";
     score =
       (fun ctx ->
-        balance ~damp:(fun c -> float_of_int c +. 0.5) ctx
-        +. (20.0 *. float_of_int (ctx.size * ctx.size)));
+        Select.priority ~params:Select.default_params ~cover:ctx.cover ~freq:ctx.freq
+          ~size:ctx.size);
   }
 
 let linear_size =
@@ -38,7 +24,7 @@ let linear_size =
     doc = "Eq. 8 with a linear size bonus";
     score =
       (fun ctx ->
-        balance ~damp:(fun c -> float_of_int c +. 0.5) ctx
+        Select.balance ~params:Select.default_params ~cover:ctx.cover ~freq:ctx.freq
         +. (20.0 *. float_of_int ctx.size));
   }
 
@@ -46,9 +32,7 @@ let raw_count =
   {
     name = "raw-count";
     doc = "antichain count + 20*|p|^2, no balancing";
-    score =
-      (fun ctx ->
-        float_of_int ctx.count +. (20.0 *. float_of_int (ctx.size * ctx.size)));
+    score = (fun ctx -> float_of_int ctx.count +. size_bonus ctx);
   }
 
 let coverage_gap =
@@ -61,7 +45,7 @@ let coverage_gap =
         Array.iteri
           (fun n h -> if h > 0 && ctx.cover.(n) = 0 then acc := !acc +. float_of_int h)
           ctx.freq;
-        !acc +. (20.0 *. float_of_int (ctx.size * ctx.size)));
+        !acc +. size_bonus ctx);
   }
 
 let sqrt_damping =
@@ -70,77 +54,32 @@ let sqrt_damping =
     doc = "Eq. 8 with 1/sqrt(cover+0.5) damping";
     score =
       (fun ctx ->
-        balance ~damp:(fun c -> sqrt (float_of_int c +. 0.5)) ctx
-        +. (20.0 *. float_of_int (ctx.size * ctx.size)));
+        let acc = ref 0.0 in
+        Array.iteri
+          (fun n h ->
+            if h > 0 then
+              acc := !acc +. (float_of_int h /. sqrt (float_of_int ctx.cover.(n) +. 0.5)))
+          ctx.freq;
+        !acc +. size_bonus ctx);
   }
 
 let all = [ paper; linear_size; raw_count; coverage_gap; sqrt_damping ]
 
-(* Fig. 7's loop, shared with Select but parameterized on the score.  The
-   fallback and color-number condition are identical. *)
+let greedy_count =
+  {
+    name = "greedy-count";
+    doc = "antichain count only: no balancing, no size bonus";
+    score = (fun ctx -> float_of_int ctx.count);
+  }
+
 let select variant ~pdef classify =
   if pdef < 1 then invalid_arg "Priority_variants.select: pdef must be >= 1";
   let g = Classify.graph classify in
-  let capacity = Classify.capacity classify in
-  let u = Classify.universe classify in
-  let n = Dfg.node_count g in
-  let all_colors = Color.Set.of_list (Dfg.colors g) in
-  let pool =
-    ref
-      (Classify.fold_ids (fun id ~count ~freq acc -> (id, count, freq) :: acc)
-         classify []
-      |> List.rev)
-  in
-  let cover = Array.make n 0 in
-  let covered = ref Color.Set.empty in
-  let selected = ref [] in
-  let stop = ref false in
-  let i = ref 0 in
-  while (not !stop) && !i < pdef do
-    let remaining_picks = pdef - !i - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors !covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) !covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
-    let best =
-      List.fold_left
-        (fun acc (id, count, freq) ->
-          if not (color_condition id) then acc
-          else begin
-            let s =
-              variant.score
-                { freq; count; cover; size = Universe.size u id; capacity }
-            in
-            match acc with
-            | Some (_, _, bs) when bs >= s -> acc
-            | _ when s > 0.0 -> Some (id, freq, s)
-            | _ -> acc
-          end)
-        None !pool
-    in
-    let delete_covered_by pid =
-      pool := List.filter (fun (q, _, _) -> not (Universe.subpattern u q ~of_:pid)) !pool
-    in
-    (match best with
-    | Some (pid, freq, _) ->
-        delete_covered_by pid;
-        Array.iteri (fun k h -> cover.(k) <- cover.(k) + h) freq;
-        covered := Color.Set.union !covered (Universe.color_set u pid);
-        selected := Universe.pattern u pid :: !selected
-    | None ->
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors !covered) in
-        if uncovered = [] then stop := true
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          delete_covered_by pid;
-          covered := Color.Set.union !covered (Universe.color_set u pid);
-          selected := Universe.pattern u pid :: !selected
-        end);
-    incr i
-  done;
-  List.rev !selected
+  let cover = Array.make (Dfg.node_count g) 0 in
+  (Select.run (Classify.universe classify) ~capacity:(Classify.capacity classify)
+     ~colors:(Color.Set.of_list (Dfg.colors g)) ~pdef
+     ~score:(fun ~size (count, freq) -> variant.score { freq; count; cover; size })
+     ~commit:(fun (_, freq) -> Select.add_cover cover freq)
+     (Classify.fold_ids (fun id ~count ~freq acc -> (id, (count, freq)) :: acc) classify []
+     |> List.rev))
+    .Select.patterns

@@ -28,120 +28,114 @@ let covers_all_colors g patterns =
   in
   List.for_all (fun c -> Color.Set.mem c covered) (Dfg.colors g)
 
-let priority_of ~params ~cover ~freq ~size_ =
-  let balance = ref 0.0 in
+let balance ~params ~cover ~freq =
+  let acc = ref 0.0 in
   Array.iteri
     (fun n h ->
       if h > 0 then
-        balance := !balance +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
+        acc := !acc +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
     freq;
-  !balance +. (params.alpha *. float_of_int (size_ * size_))
+  !acc
+
+let priority ~params ~cover ~freq ~size =
+  balance ~params ~cover ~freq +. (params.alpha *. float_of_int (size * size))
+
+let add_cover cover freq = Array.iteri (fun n h -> cover.(n) <- cover.(n) + h) freq
+
+let color_condition u ~capacity ~colors ~covered ~remaining_picks =
+  let missing = Color.Set.cardinal (Color.Set.diff colors covered) in
+  fun id ->
+    Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) covered)
+    >= missing - (capacity * remaining_picks)
+
+let fallback u ~capacity ~colors ~covered =
+  match Color.Set.elements (Color.Set.diff colors covered) with
+  | [] -> None
+  | uncovered ->
+      Some (Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered)))
+
+let delete_subpatterns u ~of_ pool =
+  List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_)) pool
+
+let run u ~capacity ~colors ~pdef ~score ~commit pool =
+  let rec go i pool covered steps =
+    if i >= pdef then List.rev steps
+    else begin
+      let admits =
+        color_condition u ~capacity ~colors ~covered ~remaining_picks:(pdef - i - 1)
+      in
+      let scored =
+        List.map
+          (fun (id, x) ->
+            (id, x, if admits id then score ~size:(Universe.size u id) x else 0.0))
+          pool
+      in
+      let best =
+        List.fold_left
+          (fun acc (id, x, f) ->
+            match acc with
+            | Some (_, _, bf) when bf >= f -> acc
+            | _ when f > 0.0 -> Some (id, x, f)
+            | _ -> acc)
+          None scored
+      in
+      let pick =
+        match best with
+        | Some (id, x, f) ->
+            commit x;
+            Some (id, f, false)
+        | None ->
+            (* No candidate works: fabricate from uncovered colors (up to
+               C).  With nothing uncovered and an empty viable pool, more
+               patterns cannot help; stop early. *)
+            Option.map (fun id -> (id, 0.0, true)) (fallback u ~capacity ~colors ~covered)
+      in
+      match pick with
+      | None -> List.rev steps
+      | Some (pid, priority, fallback) ->
+          let step =
+            {
+              chosen = Universe.pattern u pid;
+              priority;
+              fallback;
+              deleted =
+                List.filter_map
+                  (fun (q, _) ->
+                    if Universe.subpattern u q ~of_:pid then Some (Universe.pattern u q)
+                    else None)
+                  pool;
+              priorities = List.map (fun (id, _, f) -> (Universe.pattern u id, f)) scored;
+            }
+          in
+          go (i + 1)
+            (delete_subpatterns u ~of_:pid pool)
+            (Color.Set.union covered (Universe.color_set u pid))
+            (step :: steps)
+    end
+  in
+  let steps = go 0 pool Color.Set.empty [] in
+  { patterns = List.map (fun s -> s.chosen) steps; steps }
 
 let select_report ?(params = default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Select.select: pdef must be >= 1";
   Obs.span "select" @@ fun () ->
   let g = Classify.graph classify in
-  let capacity = Classify.capacity classify in
-  let u = Classify.universe classify in
-  let n = Dfg.node_count g in
-  let all_colors = Color.Set.of_list (Dfg.colors g) in
-  (* Candidate pool: every pattern with at least one antichain, as a
-     universe id with its (immutable) frequency vector. *)
-  let pool =
-    ref
+  let cover = Array.make (Dfg.node_count g) 0 in
+  let report =
+    run (Classify.universe classify) ~capacity:(Classify.capacity classify)
+      ~colors:(Color.Set.of_list (Dfg.colors g)) ~pdef
+      ~score:(fun ~size freq -> priority ~params ~cover ~freq ~size)
+      ~commit:(add_cover cover)
       (Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
       |> List.rev)
   in
-  let cover = Array.make n 0 in
-  let covered = ref Color.Set.empty in
-  let steps = ref [] in
-  let selected = ref [] in
-  let stop = ref false in
-  let i = ref 0 in
-  while (not !stop) && !i < pdef do
-    let remaining_picks = pdef - !i - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors !covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) !covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
-    let scored =
-      List.map
-        (fun (id, freq) ->
-          let f =
-            if color_condition id then
-              priority_of ~params ~cover ~freq ~size_:(Universe.size u id)
-            else 0.0
-          in
-          (id, freq, f))
-        !pool
-    in
-    let best =
-      List.fold_left
-        (fun acc (id, freq, f) ->
-          match acc with
-          | Some (_, _, bf) when bf >= f -> acc
-          | _ when f > 0.0 -> Some (id, freq, f)
-          | _ -> acc)
-        None scored
-    in
-    let priorities = List.map (fun (id, _, f) -> (Universe.pattern u id, f)) scored in
-    let delete_covered_by pid =
-      let deleted, kept =
-        List.partition (fun (q, _) -> Universe.subpattern u q ~of_:pid) !pool
-      in
-      pool := kept;
-      List.map (fun (q, _) -> Universe.pattern u q) deleted
-    in
-    (match best with
-    | Some (pid, freq, f) ->
-        let deleted = delete_covered_by pid in
-        Array.iteri (fun k h -> cover.(k) <- cover.(k) + h) freq;
-        covered := Color.Set.union !covered (Universe.color_set u pid);
-        selected := Universe.pattern u pid :: !selected;
-        steps :=
-          {
-            chosen = Universe.pattern u pid;
-            priority = f;
-            fallback = false;
-            deleted;
-            priorities;
-          }
-          :: !steps
-    | None ->
-        (* No candidate works: fabricate from uncovered colors (up to C).
-           With nothing uncovered and an empty viable pool, more patterns
-           cannot help; stop early. *)
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors !covered) in
-        if uncovered = [] then stop := true
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          let deleted = delete_covered_by pid in
-          covered := Color.Set.union !covered (Universe.color_set u pid);
-          selected := Universe.pattern u pid :: !selected;
-          steps :=
-            {
-              chosen = Universe.pattern u pid;
-              priority = 0.0;
-              fallback = true;
-              deleted;
-              priorities;
-            }
-            :: !steps
-        end);
-    incr i
-  done;
-  let steps = List.rev !steps in
+  let steps = report.steps in
   Obs.count "select.candidates" (Classify.pattern_count classify);
   Obs.count "select.steps" (List.length steps);
   Obs.count "select.fallbacks"
     (List.length (List.filter (fun s -> s.fallback) steps));
   Obs.count "select.deleted"
     (List.fold_left (fun acc s -> acc + List.length s.deleted) 0 steps);
-  { patterns = List.rev !selected; steps }
+  report
 
 let select ?params ~pdef classify = (select_report ?params ~pdef classify).patterns

@@ -5,7 +5,6 @@ module Universe = Mps_pattern.Universe
 module Classify = Mps_antichain.Classify
 module Enumerate = Mps_antichain.Enumerate
 module Eval = Mps_scheduler.Eval
-module Listx = Mps_util.Listx
 
 type kernel = {
   label : string;
@@ -56,83 +55,26 @@ let select ?(params = Select.default_params) ~pdef kernels =
           Hashtbl.replace entries_of id ((ki, freq) :: prev))
         k.classify ())
     kernels;
-  let pool =
-    ref
-      (Universe.sorted_ids u |> Array.to_list
-      |> List.map (fun id -> (id, Hashtbl.find entries_of id)))
-  in
   (* Per-kernel coverage vectors. *)
   let cover =
     List.map (fun k -> Array.make (Dfg.node_count k.graph) 0) kernels
     |> Array.of_list
   in
-  let covered = ref Color.Set.empty in
-  let selected = ref [] in
-  let stop = ref false in
-  let i = ref 0 in
-  while (not !stop) && !i < pdef do
-    let remaining_picks = pdef - !i - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors !covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) !covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
-    let score entries size_ =
-      List.fold_left
-        (fun acc (ki, freq) ->
-          let cv = cover.(ki) in
-          let balance = ref 0.0 in
-          Array.iteri
-            (fun n h ->
-              if h > 0 then
-                balance :=
-                  !balance +. (float_of_int h /. (float_of_int cv.(n) +. params.Select.epsilon)))
-            freq;
-          acc +. !balance)
-        (params.Select.alpha *. float_of_int (size_ * size_))
-        entries
-    in
-    let best =
-      List.fold_left
-        (fun acc (id, entries) ->
-          if not (color_condition id) then acc
-          else begin
-            let s = score entries (Universe.size u id) in
-            match acc with
-            | Some (_, _, bs) when bs >= s -> acc
-            | _ when s > 0.0 -> Some (id, entries, s)
-            | _ -> acc
-          end)
-        None !pool
-    in
-    let delete_covered_by pid =
-      pool := List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_:pid)) !pool
-    in
-    (match best with
-    | Some (pid, entries, _) ->
-        delete_covered_by pid;
-        List.iter
-          (fun (ki, freq) ->
-            Array.iteri (fun n h -> cover.(ki).(n) <- cover.(ki).(n) + h) freq)
-          entries;
-        covered := Color.Set.union !covered (Universe.color_set u pid);
-        selected := Universe.pattern u pid :: !selected
-    | None ->
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors !covered) in
-        if uncovered = [] then stop := true
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          delete_covered_by pid;
-          covered := Color.Set.union !covered (Universe.color_set u pid);
-          selected := Universe.pattern u pid :: !selected
-        end);
-    incr i
-  done;
-  let patterns = List.rev !selected in
+  (* Eq. 8 over the suite: the size bonus once, then each realizing
+     kernel's balancing addend against that kernel's own coverage. *)
+  let score ~size entries =
+    List.fold_left
+      (fun acc (ki, freq) -> acc +. Select.balance ~params ~cover:cover.(ki) ~freq)
+      (params.Select.alpha *. float_of_int (size * size))
+      entries
+  in
+  let patterns =
+    (Select.run u ~capacity ~colors:all_colors ~pdef ~score
+       ~commit:(List.iter (fun (ki, freq) -> Select.add_cover cover.(ki) freq))
+       (Universe.sorted_ids u |> Array.to_list
+       |> List.map (fun id -> (id, Hashtbl.find entries_of id))))
+      .Select.patterns
+  in
   let per_kernel_cycles =
     List.map
       (fun k -> (k.label, Eval.cycles (Eval.make k.graph) patterns))

@@ -5,13 +5,15 @@
     configuration table (paper §1).  This module extends Fig. 7 to that
     setting: one pattern set serving a whole kernel suite.
 
-    The priority of a candidate generalizes Eq. 8 by summing the balancing
-    term over every kernel (each kernel keeps its own coverage vector, so a
-    pattern that only helps kernels that are already well covered scores
-    low), and the color-number condition runs against the union of the
-    kernels' color sets.  Selection never looks at schedule lengths — like
-    the paper's algorithm it is purely structural — so it stays cheap even
-    for many kernels. *)
+    It is {!Select.run} — Fig. 7's loop — over the union of the kernels'
+    pattern pools with one score: Eq. 8's size bonus once, plus
+    {!Select.balance} for every kernel that realizes the candidate (each
+    kernel keeps its own coverage vector, so a pattern that only helps
+    kernels that are already well covered scores low).  The color-number
+    condition runs against the union of the kernels' color sets.  Selection
+    never looks at schedule lengths — like the paper's algorithm it is
+    purely structural — so it stays cheap even for many kernels.  With one
+    kernel it selects exactly what {!Select.select} does. *)
 
 type kernel = {
   label : string;

@@ -9,7 +9,7 @@ module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Select = Mps_select.Select
 module Random_select = Mps_select.Random_select
-module Greedy_cover = Mps_select.Greedy_cover
+module Priority_variants = Mps_select.Priority_variants
 module Exhaustive = Mps_select.Exhaustive
 module Pattern_source = Mps_select.Pattern_source
 module Mp = Mps_scheduler.Multi_pattern
@@ -188,7 +188,7 @@ let test_greedy_cover_valid () =
   let classify = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g) in
   List.iter
     (fun pdef ->
-      let pats = Greedy_cover.select ~pdef classify in
+      let pats = Priority_variants.(select greedy_count) ~pdef classify in
       Alcotest.(check bool) "covers colors" true (Select.covers_all_colors g pats);
       let r = Mp.schedule ~patterns:pats g in
       Alcotest.(check bool) "schedulable" true (Schedule.cycles r.schedule >= 5))

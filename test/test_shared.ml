@@ -47,15 +47,32 @@ let test_shared_basics () =
         (Schedule.cycles (Mp.schedule ~patterns:o.Shared.patterns k.Shared.graph).Mp.schedule))
     kernels o.Shared.per_kernel_cycles
 
+let test_shared_pinned () =
+  (* The suite's jointly selected set and its per-kernel cycles. *)
+  let o = Shared.select ~pdef:4 (suite ()) in
+  Alcotest.(check (list string)) "patterns" [ "acccc"; "abbcc"; "aabbb"; "aaacc" ]
+    (List.map Pattern.to_string o.Shared.patterns);
+  Alcotest.(check (list (pair string int))) "cycles"
+    [ ("3dft", 6); ("w5dft", 10); ("fir", 7) ]
+    o.Shared.per_kernel_cycles;
+  Alcotest.(check int) "total" 23 o.Shared.total_cycles
+
 let test_shared_single_kernel_consistent () =
-  (* With one kernel, shared selection degenerates to the paper's. *)
-  let g = Pg.fig2_3dft () in
-  let k = Shared.kernel ~span_limit:1 ~label:"3dft" g in
-  let o = Shared.select ~pdef:3 [ k ] in
-  let solo = Select.select ~pdef:3 k.Shared.classify in
-  Alcotest.(check (list string)) "same patterns"
-    (List.map Pattern.to_string solo)
-    (List.map Pattern.to_string o.Shared.patterns)
+  (* With one kernel, shared selection degenerates to the paper's: same
+     patterns in the same order on every base-corpus graph but dct8 (the
+     slowest to classify), at pdef 1-6. *)
+  List.iter
+    (fun (label, graph) ->
+      if label <> "dct8" then begin
+        let k = Shared.kernel ~span_limit:1 ~label graph in
+        for pdef = 1 to 6 do
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s pdef=%d" label pdef)
+            (List.map Pattern.to_string (Select.select ~pdef k.Shared.classify))
+            (List.map Pattern.to_string (Shared.select ~pdef [ k ]).Shared.patterns)
+        done
+      end)
+    (Mps_workloads.Suite.graphs ())
 
 let test_shared_beats_borrowed_patterns () =
   (* A set tuned for one kernel, used on a foreign kernel suite, should not
@@ -108,6 +125,7 @@ let () =
       ( "shared-selection",
         [
           Alcotest.test_case "basics" `Quick test_shared_basics;
+          Alcotest.test_case "three-kernel suite pinned" `Quick test_shared_pinned;
           Alcotest.test_case "single kernel = paper" `Quick
             test_shared_single_kernel_consistent;
           Alcotest.test_case "beats borrowed patterns" `Quick

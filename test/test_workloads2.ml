@@ -188,15 +188,30 @@ let test_beam_matches_or_beats_heuristic () =
         (Schedule.cycles (Mp.schedule ~patterns:beam.Beam.patterns g).Mp.schedule))
     [ 1; 2; 3; 4 ]
 
+(* Every base-corpus graph but dct8 (the slowest to classify), each
+   classified once for all the identities below. *)
+let corpus =
+  lazy
+    (Mps_workloads.Suite.graphs ()
+    |> List.filter (fun (name, _) -> name <> "dct8")
+    |> List.map (fun (name, g) -> (name, classify_of g)))
+
+(* [other] picks exactly Select's patterns, in Select's order, on every
+   corpus graph at pdef 1-6. *)
+let agrees_with_select other =
+  List.iter
+    (fun (name, cls) ->
+      for pdef = 1 to 6 do
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s pdef=%d" name pdef)
+          (List.map Pattern.to_string (Select.select ~pdef cls))
+          (List.map Pattern.to_string (other ~pdef cls))
+      done)
+    (Lazy.force corpus)
+
 let test_beam_width1_equals_heuristic_sets () =
   (* Width 1 follows the same greedy trajectory as Select. *)
-  let g = Pg.fig2_3dft () in
-  let cls = classify_of g in
-  let heuristic = Select.select ~pdef:3 cls in
-  let beam = Beam.search ~width:1 ~pdef:3 cls in
-  Alcotest.(check (list string)) "same pattern multiset"
-    (List.sort compare (List.map Pattern.to_string heuristic))
-    (List.sort compare (List.map Pattern.to_string beam.Beam.patterns))
+  agrees_with_select (fun ~pdef cls -> (Beam.search ~width:1 ~pdef cls).Beam.patterns)
 
 let test_beam_args () =
   let cls = classify_of (Pg.fig4_small ()) in
@@ -222,18 +237,7 @@ let test_variants_all_cover () =
         Pv.all)
     [ ("3dft", Pg.fig2_3dft ()); ("fig4", Pg.fig4_small ()) ]
 
-let test_paper_variant_agrees_with_select () =
-  let g = Pg.fig2_3dft () in
-  let cls = classify_of g in
-  List.iter
-    (fun pdef ->
-      let a = Select.select ~pdef cls in
-      let b = Pv.select Pv.paper ~pdef cls in
-      Alcotest.(check (list string))
-        (Printf.sprintf "pdef=%d" pdef)
-        (List.map Pattern.to_string a)
-        (List.map Pattern.to_string b))
-    [ 1; 2; 3; 4; 5 ]
+let test_paper_variant_agrees_with_select () = agrees_with_select (Pv.select Pv.paper)
 
 (* --- portfolio --- *)
 
