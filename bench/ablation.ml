@@ -1,7 +1,7 @@
 (* Ablation studies over the design choices the paper calls out: the F2
    refinement of the pattern priority (§4.2), the span limit (§5.1), the
    alpha size bonus and balancing denominator (§5.2), and the selection
-   algorithm against cheaper pattern sources and the exhaustive oracle. *)
+   algorithm against cheaper pattern sources and the certified optimum. *)
 
 module T = Mps_util.Ascii_table
 module Rng = Mps_util.Rng
@@ -12,8 +12,7 @@ module Enumerate = Core.Enumerate
 module Classify = Core.Classify
 module Select = Core.Select
 module Random_select = Core.Random_select
-module Priority_variants = Core.Priority_variants
-module Exhaustive = Core.Exhaustive
+module Exact = Core.Exact
 module Pattern_source = Core.Pattern_source
 module Mp = Core.Multi_pattern
 module Schedule = Core.Schedule
@@ -133,7 +132,7 @@ let selector_battle () =
   let t =
     T.create
       ~header:
-        [ "workload"; "eq.8 selected"; "greedy count"; "fds harvest"; "greedy harvest"; "random" ]
+        [ "workload"; "eq.8 selected"; "fds harvest"; "greedy harvest"; "random" ]
       ()
   in
   let rng = Rng.create ~seed:7 in
@@ -142,10 +141,6 @@ let selector_battle () =
       let cls = Classify.compute ~span_limit:1 ~budget:3_000_000 ~capacity (Enumerate.make_ctx g) in
       let ev = Core.Eval.make g in
       let eq8 = Core.Eval.cycles ev (Select.select ~pdef:4 cls) in
-      let greedy =
-        Core.Eval.cycles ev
-          (Priority_variants.select Priority_variants.greedy_count ~pdef:4 cls)
-      in
       let fds =
         Core.Eval.cycles ev
           (Pattern_source.harvest ~method_:Pattern_source.Force_directed ~capacity
@@ -163,15 +158,15 @@ let selector_battle () =
       in
       T.add_row t
         [
-          name; string_of_int eq8; string_of_int greedy; string_of_int fds;
-          string_of_int gh; Printf.sprintf "%.1f" rand;
+          name; string_of_int eq8; string_of_int fds; string_of_int gh;
+          Printf.sprintf "%.1f" rand;
         ])
     (workloads ());
   T.print t
 
-(* Heuristic vs exhaustive oracle on the small instances. *)
+(* Heuristic vs the certified optimum on the small instances. *)
 let oracle_gap () =
-  section "Ablation: heuristic vs exhaustive oracle (small graphs)";
+  section "Ablation: heuristic vs exact optimum (small graphs)";
   let t =
     T.create ~header:[ "workload"; "pdef"; "heuristic"; "oracle"; "sets tried" ] ()
   in
@@ -179,15 +174,15 @@ let oracle_gap () =
     (fun (name, g, pdef, span_limit) ->
       let cls = Classify.compute ?span_limit ~budget:3_000_000 ~capacity (Enumerate.make_ctx g) in
       let h = cycles_of (Select.select ~pdef cls) g in
-      let o = Exhaustive.search ~pdef cls in
+      let o = Exact.search ~pdef cls in
       T.add_row t
         [
           name;
           string_of_int pdef;
           string_of_int h;
-          string_of_int o.Exhaustive.best_cycles
-          ^ (if o.Exhaustive.truncated then "(truncated)" else "");
-          string_of_int o.Exhaustive.evaluated;
+          string_of_int o.Exact.optimal_cycles
+          ^ (if o.Exact.proven then "" else "(unproven)");
+          string_of_int o.Exact.stats.Exact.evaluated;
         ])
     [
       ("fig4", Pg.fig4_small (), 2, None);
@@ -309,31 +304,6 @@ let clustering () =
           string_of_int (Dfg.node_count c.Cluster.clustered);
           string_of_int clustered;
         ])
-    (workloads ());
-  T.print t
-
-(* Priority-function variants (the paper's stated future work). *)
-let priority_variants () =
-  section "Extension: selection priority variants (Pdef=4, span 1)";
-  let variants = Priority_variants.all in
-  let t =
-    T.create
-      ~header:("workload" :: List.map (fun v -> v.Priority_variants.name) variants)
-      ()
-  in
-  List.iter
-    (fun (name, g) ->
-      let cls =
-        Classify.compute ~span_limit:1 ~budget:3_000_000 ~capacity
-          (Enumerate.make_ctx g)
-      in
-      T.add_row t
-        (name
-        :: List.map
-             (fun v ->
-               let pats = Priority_variants.select v ~pdef:4 cls in
-               string_of_int (cycles_of pats g))
-             variants))
     (workloads ());
   T.print t
 
@@ -478,38 +448,6 @@ let shared_tables () =
     kernels;
   T.print t
 
-(* Multi-tile mapping: tiles x hop-latency sweep. *)
-let multi_tile_sweep () =
-  section "Extension: multi-tile mapping (level-sliced pipeline over the NoC)";
-  let t =
-    T.create
-      ~header:[ "workload"; "tiles"; "hop"; "makespan"; "single tile"; "cut edges" ]
-      ()
-  in
-  List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun (tiles, hop_latency) ->
-          let options =
-            { Core.Multi_tile.default_options with Core.Multi_tile.tiles; hop_latency }
-          in
-          let m = Core.Multi_tile.map ~options g in
-          T.add_row t
-            [
-              name;
-              string_of_int tiles;
-              string_of_int hop_latency;
-              string_of_int m.Core.Multi_tile.makespan;
-              string_of_int m.Core.Multi_tile.single_tile_cycles;
-              string_of_int m.Core.Multi_tile.cut_edges;
-            ])
-        [ (2, 0); (2, 2); (2, 8); (3, 2) ])
-    [
-      ("fft8", Program.dfg (Dft.radix2_fft ~n:8));
-      ("dct8", Program.dfg (Kernels.dct8 ()));
-    ];
-  T.print t
-
 (* Fixed-point precision sweep on the DSP kernels. *)
 let precision_sweep () =
   section "Extension: 16-bit fixed-point precision (max abs error vs float)";
@@ -543,61 +481,6 @@ let precision_sweep () =
     kernels;
   T.print t;
   print_endline "('!' marks runs where an intermediate saturated)"
-
-(* Strength reduction: moving work off the multiplier column. *)
-let strength_reduction () =
-  section "Extension: strength reduction (mul-by-2^k -> shift) before selection";
-  let t =
-    T.create
-      ~header:[ "kernel"; "muls before"; "muls after"; "cycles before"; "cycles after" ]
-      ()
-  in
-  let count prog ch =
-    let g = Program.dfg prog in
-    List.length
-      (List.filter
-         (fun i -> Core.Color.to_char (Dfg.color g i) = ch)
-         (Dfg.nodes g))
-  in
-  (* Integer kernels with power-of-two coefficients: dyadic FIR and a
-     wavelet-style lifting step. *)
-  let dyadic_fir =
-    let x i = Mps_frontend.Expr.var (Printf.sprintf "x%d" i) in
-    List.init 4 (fun out ->
-        let terms =
-          List.mapi
-            (fun k c ->
-              let idx = out + 3 - k in
-              Mps_frontend.Expr.(const c * x idx))
-            [ 8.0; 4.0; 4.0; 8.0 ]
-        in
-        ( Printf.sprintf "y%d" out,
-          match terms with
-          | first :: rest -> List.fold_left Mps_frontend.Expr.( + ) first rest
-          | [] -> assert false ))
-  in
-  let lifting =
-    let x i = Mps_frontend.Expr.var (Printf.sprintf "s%d" i) in
-    List.init 4 (fun i ->
-        let a = x (2 * i) and b = x ((2 * i) + 1) in
-        ( Printf.sprintf "d%d" i,
-          Mps_frontend.Expr.(b - (const 2.0 * a) + (const 16.0 * b)) ))
-  in
-  List.iter
-    (fun (name, bindings) ->
-      let plain = Mps_frontend.Lower.lower bindings in
-      let reduced = Core.Strength.program bindings in
-      let cycles prog = select_cycles ~span_limit:(Some 1) ~pdef:4 (Program.dfg prog) in
-      T.add_row t
-        [
-          name;
-          string_of_int (count plain 'c');
-          string_of_int (count reduced 'c');
-          string_of_int (cycles plain);
-          string_of_int (cycles reduced);
-        ])
-    [ ("dyadic-fir", dyadic_fir); ("lifting", lifting) ];
-  T.print t
 
 (* Portfolio: which strategy wins where? *)
 let portfolio_wins () =
@@ -659,14 +542,11 @@ let run_all () =
   oracle_gap ();
   scheduler_and_search_gap ();
   rebalance_ablation ();
-  priority_variants ();
   beam_sweep ();
   random_workload_sweep ();
   pipelining ();
   shared_tables ();
-  multi_tile_sweep ();
   precision_sweep ();
-  strength_reduction ();
   portfolio_wins ();
   clustering ();
   pdef_sweep ()

@@ -85,7 +85,7 @@ let pdef_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt (int_at_least 0) 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Worker domains for the parallel phases (enumeration, \
@@ -96,6 +96,7 @@ let jobs_arg =
 let or_fail = function
   | Ok x -> x
   | Error m ->
+      flush stdout;
       prerr_endline ("mpsched: " ^ m);
       exit 1
 
@@ -123,7 +124,6 @@ let parse_patterns ~capacity specs =
    subcommand funnels through here, so 'byte-identical output for any
    --jobs' is checked by diffing the CLI itself (check.sh does). *)
 let with_jobs jobs f =
-  if jobs < 0 then or_fail (Error "--jobs must be >= 0");
   let jobs = if jobs = 0 then C.Pool.default_jobs () else jobs in
   if jobs = 1 then f None
   else C.Pool.with_pool ~jobs (fun pool -> f (Some pool))
@@ -158,21 +158,39 @@ let trace_out_arg =
           "Write a Chrome trace-event JSON file (open in Perfetto or \
            chrome://tracing; validate with $(b,mpsched tracecheck)).")
 
+(* Every phase subcommand runs through here, so this is also the one place
+   that reports an instance no pattern set can schedule (the -p patterns
+   miss a graph color, or C·Pdef is below the color count): in serve's
+   words and with exit 1, never as an uncaught exception. *)
 let with_obs stats trace_out f =
-  if (not stats) && trace_out = None then f ()
-  else begin
-    let obs = C.Obs.create () in
-    let r = C.Obs.run obs f in
-    if stats then prerr_string (C.Obs.summary_table obs);
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (C.Obs.chrome_trace obs)));
-    r
-  end
+  let run () =
+    if (not stats) && trace_out = None then f ()
+    else begin
+      let obs = C.Obs.create () in
+      let r = C.Obs.run obs f in
+      if stats then prerr_string (C.Obs.summary_table obs);
+      (match trace_out with
+      | None -> ()
+      | Some path ->
+          let oc = open_out path in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> output_string oc (C.Obs.chrome_trace obs)));
+      r
+    end
+  in
+  match run () with
+  | r -> r
+  | exception C.Eval.Unschedulable colors ->
+      or_fail
+        (Error
+           (Printf.sprintf "patterns cannot cover colors: %s"
+              (String.concat ", " (List.map C.Color.to_string colors))))
+
+(* A cycle count, or "unschedulable" for the max_int every search reports
+   when its pattern set cannot schedule the graph. *)
+let cycles_text c =
+  if c = max_int then "unschedulable" else Printf.sprintf "%d cycles" c
 
 (* --- levels --- *)
 
@@ -310,8 +328,7 @@ let select_cmd =
         Printf.printf "backend: %s  (rule %d: %s)\n" o.C.Auto.backend
           o.C.Auto.rule_index o.C.Auto.rule.C.Auto.provenance;
         Printf.printf "patterns: %s\n" (pattern_list o.C.Auto.patterns);
-        if o.C.Auto.cycles = max_int then print_endline "unschedulable"
-        else Printf.printf "%d cycles\n" o.C.Auto.cycles;
+        print_endline (cycles_text o.C.Auto.cycles);
         if verbose then Format.printf "%a@." C.Features.pp o.C.Auto.features);
     if certify then begin
       let options =
@@ -324,9 +341,9 @@ let select_cmd =
       in
       let cert, _ = Session.certify sess g ~options () in
       let ct = cert.C.Pipeline.exact in
-      Printf.printf "heuristic: %s  %d cycles\n"
+      Printf.printf "heuristic: %s  %s\n"
         (pattern_list cert.C.Pipeline.heuristic)
-        cert.C.Pipeline.heuristic_cycles;
+        (cycles_text cert.C.Pipeline.heuristic_cycles);
       if ct.C.Exact.optimal_cycles = max_int then
         print_endline "exact:     no schedulable pattern set in the family"
       else
@@ -434,20 +451,16 @@ let schedule_cmd =
     in
     (* With no -p the selection algorithm picks Pdef first, so a bare
        "mpsched schedule GRAPH" runs the paper's whole flow. *)
-    match Session.schedule sess entry ~options ~trace ~patterns:explicit () with
-    | exception C.Multi_pattern.Unschedulable colors ->
-        or_fail
-          (Error
-             (Printf.sprintf "patterns cannot cover colors: %s"
-                (String.concat ", " (List.map C.Color.to_string colors))))
-    | pats, r, _ ->
-        if patterns = [] then
-          Printf.printf "patterns: %s\n"
-            (String.concat " " (List.map C.Pattern.to_string pats));
-        if trace then
-          Format.printf "%a@." (C.Multi_pattern.pp_trace g) r.C.Eval.trace;
-        Format.printf "%a@." (C.Schedule.pp g) r.C.Eval.schedule;
-        Printf.printf "%d cycles\n" (C.Schedule.cycles r.C.Eval.schedule)
+    let pats, r, _ =
+      Session.schedule sess entry ~options ~trace ~patterns:explicit ()
+    in
+    if patterns = [] then
+      Printf.printf "patterns: %s\n"
+        (String.concat " " (List.map C.Pattern.to_string pats));
+    if trace then
+      Format.printf "%a@." (C.Multi_pattern.pp_trace g) r.C.Eval.trace;
+    Format.printf "%a@." (C.Schedule.pp g) r.C.Eval.schedule;
+    Printf.printf "%d cycles\n" (C.Schedule.cycles r.C.Eval.schedule)
   in
   let patterns =
     Arg.(
@@ -536,8 +549,8 @@ let portfolio_cmd =
               ])
           o.C.Portfolio.all;
         C.Ascii_table.print t;
-        Printf.printf "winner: %s (%d cycles)\n" o.C.Portfolio.best.C.Portfolio.strategy
-          o.C.Portfolio.best.C.Portfolio.cycles)
+        Printf.printf "winner: %s (%s)\n" o.C.Portfolio.best.C.Portfolio.strategy
+          (cycles_text o.C.Portfolio.best.C.Portfolio.cycles))
   in
   Cmd.v
     (Cmd.info "portfolio"
@@ -554,19 +567,13 @@ let optimal_cmd =
     if patterns = [] then or_fail (Error "need at least one -p PATTERN");
     let pats = parse_patterns ~capacity patterns in
     with_obs stats trace_out @@ fun () ->
-    match C.Optimal.schedule ~max_states ~patterns:pats g with
-    | exception C.Multi_pattern.Unschedulable colors ->
-        or_fail
-          (Error
-             (Printf.sprintf "patterns cannot cover colors: %s"
-                (String.concat ", " (List.map C.Color.to_string colors))))
-    | o ->
-        Format.printf "%a@." (C.Schedule.pp g) o.C.Optimal.schedule;
-        Printf.printf "%d cycles (%s, %d states explored); list heuristic: %d\n"
-          o.C.Optimal.cycles
-          (if o.C.Optimal.proven_optimal then "proven optimal" else "state cap hit")
-          o.C.Optimal.explored_states
-          (C.Multi_pattern.cycles ~patterns:pats g)
+    let o = C.Optimal.schedule ~max_states ~patterns:pats g in
+    Format.printf "%a@." (C.Schedule.pp g) o.C.Optimal.schedule;
+    Printf.printf "%d cycles (%s, %d states explored); list heuristic: %d\n"
+      o.C.Optimal.cycles
+      (if o.C.Optimal.proven_optimal then "proven optimal" else "state cap hit")
+      o.C.Optimal.explored_states
+      (C.Multi_pattern.cycles ~patterns:pats g)
   in
   let patterns =
     Arg.(
@@ -575,7 +582,7 @@ let optimal_cmd =
   in
   let max_states =
     Arg.(
-      value & opt int 1_000_000
+      value & opt positive_int 1_000_000
       & info [ "max-states" ] ~docv:"N" ~doc:"Branch-and-bound state cap.")
   in
   Cmd.v
@@ -597,8 +604,8 @@ let anneal_cmd =
     let o = C.Annealing.search ~iterations rng ~pdef cls in
     Printf.printf "patterns: %s\n"
       (String.concat " " (List.map C.Pattern.to_string o.C.Annealing.patterns));
-    Printf.printf "%d cycles after %d schedule evaluations (%s the heuristic)\n"
-      o.C.Annealing.cycles o.C.Annealing.evaluations
+    Printf.printf "%s after %d schedule evaluations (%s the heuristic)\n"
+      (cycles_text o.C.Annealing.cycles) o.C.Annealing.evaluations
       (if o.C.Annealing.improved then "improved on" else "matched")
   in
   let iterations =

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo gate: build, full test suite, odoc, CLI determinism across --jobs
-# (portfolio 3dft and w5dft run every Fig. 7 selector, w5dft through
-# beam's delta-costed finalists), the observability no-perturbation gate,
+# Repo gate: build, full test suite, odoc (where installed), CLI
+# determinism across --jobs (portfolio 3dft and w5dft run every portfolio
+# backend: eq8, harvest:greedy and beam, w5dft through beam's
+# delta-costed finalists), the observability no-perturbation gate,
 # the serve smoke gate (golden stream, error recovery, --jobs invariance),
 # the delta smoke gate (suffix replay leaves counters and the serve edit
 # stream byte-identical at any --jobs), the selector gate (auto smoke,
@@ -40,7 +41,13 @@ dune runtest
 [ "$1" = "--fast" ] && exit 0
 
 say "dune build @doc (odoc must stay warning-clean enough to build)"
-dune build @doc
+# Without odoc on PATH dune builds no docs and the alias passes vacuously,
+# so say so instead of reporting a check that never ran.
+if command -v odoc >/dev/null 2>&1; then
+  dune build @doc
+else
+  echo "  skipped: odoc is not installed, so no documentation was built"
+fi
 
 say "CLI determinism: mpsched output must be byte-identical for any --jobs"
 tmp1=$(mktemp) tmp4=$(mktemp)

@@ -1,4 +1,4 @@
-(** Exhaustive antichain enumeration under size and span limits (§5.1).
+(** Enumeration of every antichain under size and span limits (§5.1).
 
     "The pattern generation method finds all antichains of size C first" —
     in fact all sizes 1..C are needed (patterns may contain dummies), and

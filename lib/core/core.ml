@@ -45,18 +45,15 @@ module Optimal = Mps_scheduler.Optimal
 module Loop_graph = Mps_scheduler.Loop_graph
 module Modulo = Mps_scheduler.Modulo
 module Pipeline_code = Mps_scheduler.Pipeline_code
-module Schedule_opt = Mps_scheduler.Schedule_opt
 
 (* Pattern selection — the paper's contribution (§5.2) *)
 module Select = Mps_select.Select
 module Random_select = Mps_select.Random_select
-module Exhaustive = Mps_select.Exhaustive
 module Exact = Mps_select.Exact
 module Pattern_source = Mps_select.Pattern_source
 module Annealing = Mps_select.Annealing
 module Beam = Mps_select.Beam
 module Shared = Mps_select.Shared
-module Priority_variants = Mps_select.Priority_variants
 module Portfolio = Mps_select.Portfolio
 module Features = Mps_select.Features
 module Auto = Mps_select.Auto
@@ -67,7 +64,6 @@ module Expr = Mps_frontend.Expr
 module Program = Mps_frontend.Program
 module Lower = Mps_frontend.Lower
 module Rebalance = Mps_frontend.Rebalance
-module Strength = Mps_frontend.Strength
 module Program_text = Mps_frontend.Program_text
 
 (* Clustering phase ([3]) *)
@@ -93,7 +89,6 @@ module Simulator = Mps_montium.Simulator
 module Config_space = Mps_montium.Config_space
 module Energy = Mps_montium.Energy
 module Register_file = Mps_montium.Register_file
-module Multi_tile = Mps_montium.Multi_tile
 module Fixed_point = Mps_montium.Fixed_point
 module Codegen = Mps_montium.Codegen
 module Listing_vm = Mps_montium.Listing_vm

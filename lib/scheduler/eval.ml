@@ -287,10 +287,10 @@ type step_result = Step_ok | Step_done | Step_stuck of Color.t list
 (* One cycle of Fig. 3 on the dense arrays: score S(p̄, CL) for every
    pattern, commit the first best, free successors, merge the rank-sorted
    freed nodes into the surviving candidates.  Equivalent to one iteration
-   of the trace/release-free branch of [schedule] below: the candidate
-   array is kept rank-sorted, which equals the per-cycle
-   [Node_priority.sort] of the list version because ranks are a total
-   order and the candidate sets match. *)
+   of [schedule] below without trace rows: the candidate array is kept
+   rank-sorted, which equals the per-cycle [Node_priority.sort] of the
+   list version because ranks are a total order and the candidate sets
+   match. *)
 let step t tabled ~f1 cu =
   let ncand = cu.cu_ncand in
   agg_add cu.cu_ready ncand;
@@ -470,9 +470,10 @@ let finish e =
 (* [ids] are key-arena ids, in the caller's pattern order.  The key MUST
    preserve that order: list position decides score ties in the scheduler,
    so two orderings of the same multiset can legitimately produce
-   different schedules (harvest:greedy vs variant:raw-count on dct8 — 24
-   vs 25 cycles — caught by the auto-selector's identity gate).  An
-   earlier revision sorted here and made those orderings collide. *)
+   different schedules (two selectors that picked one multiset on dct8 in
+   different orders cost 24 vs 25 cycles — caught by the auto-selector's
+   identity gate).  An earlier revision sorted here and made those
+   orderings collide. *)
 let key_of_ids priority ids =
   (match priority with F1 -> 0 | F2 -> 1)
   :: List.map Pattern.Id.to_int ids
@@ -679,11 +680,11 @@ let cycles_delta_ids ?priority ?removed t ~prev ~added =
 
 (* The list scheduler of Fig. 3, verbatim from the original
    [Multi_pattern.schedule] (which now wraps it): list-based candidate
-   handling, optional trace rows and release constraints, declared-pattern
-   table.  Kept list-shaped on purpose — this path runs once per schedule
-   the user actually looks at, and its output is the reference the fast
-   path is tested against. *)
-let schedule ?(priority = F2) ?(trace = false) ?release t ~patterns =
+   handling, optional trace rows, declared-pattern table.  Kept
+   list-shaped on purpose — this path runs once per schedule the user
+   actually looks at, and its output is the reference the fast path is
+   tested against. *)
+let schedule ?(priority = F2) ?(trace = false) t ~patterns =
   if patterns = [] then invalid_arg "Multi_pattern.schedule: no patterns";
   Obs.span "schedule" @@ fun () ->
   (* Hash-cons Pdef through the caller's universe when given: the declared
@@ -697,13 +698,6 @@ let schedule ?(priority = F2) ?(trace = false) ?release t ~patterns =
   in
   let g = t.graph in
   let n = t.n in
-  (match release with
-  | Some r when Array.length r <> n ->
-      invalid_arg "Multi_pattern.schedule: release array length mismatch"
-  | _ -> ());
-  let released i c =
-    match release with None -> true | Some r -> r.(i) <= c
-  in
   let prio = t.prio in
   let node_color = t.node_color in
   let tabled =
@@ -748,71 +742,61 @@ let schedule ?(priority = F2) ?(trace = false) ?release t ~patterns =
     | F2 -> Node_priority.sum_values prio selected
   in
   while !cl <> [] do
-    (* Release-blocked candidates sit out this cycle; if nothing is ready
-       the tile idles one cycle (values still in flight on the NoC). *)
-    let ready = List.filter (fun i -> released i !cycle) !cl in
-    Obs.observe "schedule.ready" (List.length ready);
-    if ready = [] then begin
-      Obs.count "schedule.idle_cycles" 1;
-      chosen_patterns := List.hd patterns :: !chosen_patterns;
-      incr cycle
-    end
-    else begin
-      let sorted = Node_priority.sort prio ready in
-      let per_pattern =
-        List.map (fun ((p, _, _) as tp) -> (p, selected_set tp sorted)) tabled
+    Obs.observe "schedule.ready" (List.length !cl);
+    let sorted = Node_priority.sort prio !cl in
+    let per_pattern =
+      List.map (fun ((p, _, _) as tp) -> (p, selected_set tp sorted)) tabled
+    in
+    (* Single pass keeps the first strictly-best pattern — same
+       tie-breaking as before, without indexing back into the list. *)
+    let _, best_idx, _, chosen_pattern, chosen_set =
+      List.fold_left
+        (fun (idx, best_idx, best_score, bp, bsel) (p, sel) ->
+          let sc = score sel in
+          if sc > best_score then (idx + 1, idx, sc, p, sel)
+          else (idx + 1, best_idx, best_score, bp, bsel))
+        (0, -1, min_int, Pattern.empty, [])
+        per_pattern
+    in
+    if chosen_set = [] then begin
+      let colors =
+        List.sort_uniq Color.compare (List.map (Dfg.color g) sorted)
       in
-      (* Single pass keeps the first strictly-best pattern — same
-         tie-breaking as before, without indexing back into the list. *)
-      let _, best_idx, _, chosen_pattern, chosen_set =
-        List.fold_left
-          (fun (idx, best_idx, best_score, bp, bsel) (p, sel) ->
-            let sc = score sel in
-            if sc > best_score then (idx + 1, idx, sc, p, sel)
-            else (idx + 1, best_idx, best_score, bp, bsel))
-          (0, -1, min_int, Pattern.empty, [])
-          per_pattern
-      in
-      if chosen_set = [] then begin
-        let colors =
-          List.sort_uniq Color.compare (List.map (Dfg.color g) sorted)
-        in
-        raise (Unschedulable colors)
-      end;
-      chosen_patterns := chosen_pattern :: !chosen_patterns;
-      Obs.observe "schedule.placed" (List.length chosen_set);
-      if trace then
-        rows :=
-          {
-            row_cycle = !cycle + 1;
-            row_candidates = sorted;
-            row_selected = per_pattern;
-            row_chosen = best_idx;
-          }
-          :: !rows;
-      List.iter
+      raise (Unschedulable colors)
+    end;
+    chosen_patterns := chosen_pattern :: !chosen_patterns;
+    Obs.observe "schedule.placed" (List.length chosen_set);
+    if trace then
+      rows :=
+        {
+          row_cycle = !cycle + 1;
+          row_candidates = sorted;
+          row_selected = per_pattern;
+          row_chosen = best_idx;
+        }
+        :: !rows;
+    List.iter
+      (fun i ->
+        cycle_of.(i) <- !cycle;
+        List.iter
+          (fun s -> unscheduled_preds.(s) <- unscheduled_preds.(s) - 1)
+          (Dfg.succs g i))
+      chosen_set;
+    (* Refill: drop the scheduled nodes, add the newly ready ones.  A node
+       freed this cycle becomes a candidate for the next cycle only, which
+       the strict per-cycle commit already guarantees. *)
+    let remaining = List.filter (fun i -> cycle_of.(i) < 0) !cl in
+    let freed =
+      List.concat_map
         (fun i ->
-          cycle_of.(i) <- !cycle;
-          List.iter
-            (fun s -> unscheduled_preds.(s) <- unscheduled_preds.(s) - 1)
+          List.filter
+            (fun s -> unscheduled_preds.(s) = 0 && cycle_of.(s) < 0)
             (Dfg.succs g i))
-        chosen_set;
-      (* Refill: drop the scheduled nodes, add the newly ready ones.  A node
-         freed this cycle becomes a candidate for the next cycle only, which
-         the strict per-cycle commit already guarantees. *)
-      let remaining = List.filter (fun i -> cycle_of.(i) < 0) !cl in
-      let freed =
-        List.concat_map
-          (fun i ->
-            List.filter
-              (fun s -> unscheduled_preds.(s) = 0 && cycle_of.(s) < 0)
-              (Dfg.succs g i))
-          chosen_set
-        |> List.sort_uniq Int.compare
-      in
-      cl := remaining @ freed;
-      incr cycle
-    end
+        chosen_set
+      |> List.sort_uniq Int.compare
+    in
+    cl := remaining @ freed;
+    incr cycle
   done;
   (* Each cycle declares the pattern the algorithm committed, so the
      configuration table of the schedule is exactly the allowed patterns it

@@ -13,7 +13,7 @@
     maintenance, no trace rows, no schedule construction) and memoizes the
     result per pattern set, so re-costing an already-seen set is a hash
     lookup.  {!schedule} is the full-fidelity path over the same context —
-    trace rows, release constraints, declared-pattern table — and is what
+    trace rows and the declared-pattern table — and is what
     {!Multi_pattern.schedule} now wraps, so both paths share one
     implementation of the paper's algorithm and stay byte-identical.
 
@@ -151,13 +151,12 @@ val cycles_delta_ids :
 val schedule :
   ?priority:pattern_priority ->
   ?trace:bool ->
-  ?release:int array ->
   t ->
   patterns:Mps_pattern.Pattern.t list ->
   result
 (** The full-fidelity scheduler on the shared context: everything
-    {!Multi_pattern.schedule} documents (trace rows, [release] idling,
-    declared-pattern table, hash-consing through the context's universe).
+    {!Multi_pattern.schedule} documents (trace rows, declared-pattern
+    table, hash-consing through the context's universe).
     Never consults the memo cache — a schedule is as order-sensitive as
     the paper's algorithm, and callers wanting speed use {!cycles}. *)
 

@@ -19,8 +19,8 @@ type trace_row = Eval.trace_row = {
 
 type result = Eval.result = { schedule : Schedule.t; trace : trace_row list }
 
-let schedule ?priority ?trace ?release ?universe ~patterns g =
-  Eval.schedule ?priority ?trace ?release (Eval.make ?universe g) ~patterns
+let schedule ?priority ?trace ?universe ~patterns g =
+  Eval.schedule ?priority ?trace (Eval.make ?universe g) ~patterns
 
 let cycles ?priority ~patterns g =
   if patterns = [] then invalid_arg "Multi_pattern.schedule: no patterns";

@@ -36,7 +36,6 @@ type result = Eval.result = {
 val schedule :
   ?priority:pattern_priority ->
   ?trace:bool ->
-  ?release:int array ->
   ?universe:Mps_pattern.Universe.t ->
   patterns:Mps_pattern.Pattern.t list ->
   Mps_dfg.Dfg.t ->
@@ -49,15 +48,7 @@ val schedule :
     patterns are interned and the schedule's per-cycle declared patterns
     all share the arena's canonical copies.  Purely a sharing/speed knob —
     the resulting schedule is identical with or without it.
-
-    [release], when given, holds a per-node earliest start cycle (values
-    ≤ 0 mean unconstrained) — the hook multi-tile mapping uses for values
-    arriving over the network; with no positive entries the behaviour is
-    exactly the paper's algorithm.  When every current candidate is
-    release-blocked the scheduler idles to the next release (an empty
-    cycle running the first pattern).
-    @raise Invalid_argument if [patterns] is empty or [release] has the
-    wrong length.
+    @raise Invalid_argument if [patterns] is empty.
     @raise Unschedulable as documented above. *)
 
 val cycles :

@@ -1,7 +1,7 @@
 (** Simulated-annealing pattern-set search.
 
     Sits between the paper's one-pass heuristic ({!Select}) and the
-    exhaustive oracle ({!Exhaustive}): a local search over Pdef-subsets of
+    certified optimum ({!Exact}): a local search over Pdef-subsets of
     the candidate pool whose objective is the {e actual} schedule length
     under the multi-pattern scheduler.  The search starts from the
     heuristic's answer, so it can only match or improve it; each move swaps

@@ -100,7 +100,7 @@ let match_rule rules features =
   in
   go 0 rules
 
-let select ?(rules = builtin_rules) ?features ?eval ?beam_width ~pdef classify =
+let select ?(rules = builtin_rules) ?features ?eval ~pdef classify =
   if pdef < 1 then invalid_arg "Auto.select: pdef must be >= 1";
   (match validate rules with
   | Ok _ -> ()
@@ -117,7 +117,7 @@ let select ?(rules = builtin_rules) ?features ?eval ?beam_width ~pdef classify =
   in
   let rule_index, rule = match_rule rules features in
   let thunk =
-    match List.assoc_opt rule.backend (Portfolio.strategies ?beam_width ~pdef classify) with
+    match List.assoc_opt rule.backend (Portfolio.strategies ~pdef classify) with
     | Some t -> t
     | None -> assert false (* validate: backend is a strategy_names member *)
   in

@@ -65,7 +65,6 @@ val select :
   ?rules:rules ->
   ?features:Features.t ->
   ?eval:Mps_scheduler.Eval.t ->
-  ?beam_width:int ->
   pdef:int ->
   Mps_antichain.Classify.t ->
   outcome

@@ -171,9 +171,15 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
       Obs.count "beam.evaluated" !evaluated;
       { patterns; cycles; evaluated_sets = !evaluated }
   | None ->
-      (* Only possible when every finalist was empty/unschedulable; fall
-         back to the paper's heuristic, which guarantees coverage. *)
+      (* Every finalist was empty or unschedulable.  Fall back to the
+         paper's heuristic; Eq. 9 cannot guarantee coverage when C·Pdef is
+         below the color count, so its set costs max_int when it cannot
+         schedule either, as every other backend's does. *)
       let patterns = Select.select ~params ~pdef classify in
-      let cycles = Eval.cycles ectx patterns in
+      let cycles =
+        match Eval.cycles ectx patterns with
+        | c -> c
+        | exception Eval.Unschedulable _ -> max_int
+      in
       Obs.count "beam.evaluated" (!evaluated + 1);
       { patterns; cycles; evaluated_sets = !evaluated + 1 }

@@ -310,9 +310,10 @@ let search ?pool ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
           end
     end
   in
-  (* Completion, mirroring Exhaustive.search: fill the missing colors with
-     one fabricated pattern when a slot is free and they fit — except when
-     the fabrication coincides with a pool pattern (see the header note). *)
+  (* Completion, as the brute-force oracle does it: fill the missing
+     colors with one fabricated pattern when a slot is free and they fit —
+     except when the fabrication coincides with a pool pattern (see the
+     header note). *)
   let consider s pat_rev covered nchosen =
     let uncovered = Color.Set.diff all_colors covered in
     if Color.Set.is_empty uncovered then evaluate s (List.rev pat_rev)

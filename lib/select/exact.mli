@@ -1,9 +1,10 @@
 (** Exact pattern selection by certifying branch-and-bound.
 
-    {!Exhaustive.search} answers "what is the best pattern set?" by brute
-    force, which caps it at toy instances.  This backend answers the same
-    question — over exactly the same search family, so the two agree
-    wherever both terminate — with a branch-and-bound over the candidate
+    A brute-force search answers "what is the best pattern set?" by
+    enumerating every set, which caps it at toy instances.  This backend
+    answers the same question — over exactly the same search family, so
+    the two agree wherever both terminate (the test suite keeps such an
+    oracle and checks it) — with a branch-and-bound over the candidate
     pool in canonical id order, pruned by four sound rules:
 
     - {b span}: a structural lower bound (critical path, slot pressure,
@@ -91,8 +92,8 @@ val pool_order : Mps_pattern.Pattern.t -> Mps_pattern.Pattern.t -> int
     ties.  A proper subpattern is strictly smaller than its dominator, so
     this is a linear extension of the proper-subpattern lattice — every
     dominator precedes every pattern it dominates, which is what makes the
-    dominance prune fire on {e every} chosen-dominator pair.
-    {!Exhaustive.search} enumerates in the same order. *)
+    dominance prune fire on {e every} chosen-dominator pair.  The test
+    suite's brute-force oracle enumerates in the same order. *)
 
 val canonical_order :
   Mps_antichain.Classify.t ->
@@ -121,7 +122,8 @@ val search :
     ban-listed), so the reported optimum is the minimum over the search
     family {e and} the seeds: with seeds, the exact answer can only tie or
     beat them, which is what certification reports as the gap.  Without
-    seeds the search family is exactly {!Exhaustive.search}'s.
+    seeds the search family is exactly the brute-force oracle's: pool
+    subsets of size ≤ pdef, plus one fabricated fallback.
 
     [bans] (default none) is a {e warm-start ban list} from a previous
     [search] over the same family — same graph, classification parameters,

@@ -51,14 +51,15 @@ let harvest ~method_ ~capacity ~pdef g =
             (n - 1) rest
   in
   let budget =
-    (* Leave one slot free when the frequent bags cannot cover the colors. *)
+    (* Leave one slot free when the frequent bags cannot cover the colors;
+       at pdef 1 that slot is the whole table. *)
     let covered_by k =
       List.fold_left
         (fun acc id -> Color.Set.union acc (Universe.color_set u id))
         Color.Set.empty
         (List.filteri (fun i _ -> i < k) ranked)
     in
-    if Color.Set.subset all_colors (covered_by pdef) then pdef else max 1 (pdef - 1)
+    if Color.Set.subset all_colors (covered_by pdef) then pdef else pdef - 1
   in
   let kept, covered = pick [] Color.Set.empty budget ranked in
   let kept = List.map (Universe.pattern u) kept in

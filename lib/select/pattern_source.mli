@@ -16,5 +16,7 @@ val harvest :
   pdef:int ->
   Mps_dfg.Dfg.t ->
   Mps_pattern.Pattern.t list
-(** At most [pdef] patterns covering all graph colors.
+(** At most [pdef] patterns.  When the [pdef] most frequent bags miss a
+    graph color, the last pattern is built from the uncovered colors (up
+    to [capacity] of them) instead.
     @raise Invalid_argument if [pdef < 1] or [capacity < 1]. *)

@@ -22,35 +22,22 @@ type outcome = { best : entry; all : entry list }
    backend space ({!Auto}): dispatching one named thunk from here is what
    guarantees auto returns some portfolio member's exact result.  Names
    and thunks come from this one list, so the two cannot drift apart. *)
-let registry :
-    (string * (beam_width:int -> pdef:int -> Classify.t -> Pattern.t list * int option))
-    list =
-  let variant v ~beam_width:_ ~pdef classify =
-    (Priority_variants.select v ~pdef classify, None)
-  in
-  let harvest method_ ~beam_width:_ ~pdef classify =
-    ( Pattern_source.harvest ~method_ ~capacity:(Classify.capacity classify) ~pdef
-        (Classify.graph classify),
-      None )
-  in
-  [ ("eq8", fun ~beam_width:_ ~pdef classify -> (Select.select ~pdef classify, None)) ]
-  @ List.filter_map
-      (fun v ->
-        if v.Priority_variants.name = "paper" then None
-        else Some ("variant:" ^ v.Priority_variants.name, variant v))
-      Priority_variants.all
-  @ [
-      ("greedy-count", variant Priority_variants.greedy_count);
-      ("harvest:greedy", harvest Pattern_source.Greedy);
-      ("harvest:fds", harvest Pattern_source.Force_directed);
-      ( "beam",
-        fun ~beam_width ~pdef classify ->
-          let b = Beam.search ~width:beam_width ~pdef classify in
-          (b.Beam.patterns, Some b.Beam.cycles) );
-    ]
+let registry : (string * (pdef:int -> Classify.t -> Pattern.t list * int option)) list =
+  [
+    ("eq8", fun ~pdef classify -> (Select.select ~pdef classify, None));
+    ( "harvest:greedy",
+      fun ~pdef classify ->
+        ( Pattern_source.harvest ~method_:Pattern_source.Greedy
+            ~capacity:(Classify.capacity classify) ~pdef (Classify.graph classify),
+          None ) );
+    ( "beam",
+      fun ~pdef classify ->
+        let b = Beam.search ~pdef classify in
+        (b.Beam.patterns, Some b.Beam.cycles) );
+  ]
 
-let strategies ?(beam_width = 4) ~pdef classify =
-  List.map (fun (name, run) -> (name, fun () -> run ~beam_width ~pdef classify)) registry
+let strategies ~pdef classify =
+  List.map (fun (name, run) -> (name, fun () -> run ~pdef classify)) registry
 
 let strategy_names = List.map fst registry
 
@@ -67,7 +54,7 @@ let cost_entry ectx (strategy, patterns, known) =
   in
   { strategy; patterns; cycles }
 
-let run ?pool ?beam_width ?annealing ~pdef classify =
+let run ?pool ?annealing ~pdef classify =
   if pdef < 1 then invalid_arg "Portfolio.run: pdef must be >= 1";
   Obs.span "portfolio" @@ fun () ->
   let tasks : (unit -> string * Pattern.t list * int option) list =
@@ -76,7 +63,7 @@ let run ?pool ?beam_width ?annealing ~pdef classify =
         fun () ->
           let patterns, known = thunk () in
           (name, patterns, known))
-      (strategies ?beam_width ~pdef classify)
+      (strategies ~pdef classify)
     @
     match annealing with
     | None -> []

@@ -1,15 +1,17 @@
 (** Portfolio selection: run every pattern-set strategy, keep the winner.
 
-    The library ships half a dozen selectors with different cost/quality
-    points; when one kernel's mapping matters more than selection time, the
-    right move is simply to try them all and schedule-test each result.
-    The portfolio does that deterministically and reports which strategy
-    won — data the ablation aggregates into a win table.
+    The library ships selectors with different cost/quality points; when
+    one kernel's mapping matters more than selection time, the right move
+    is simply to try them all and schedule-test each result.  The
+    portfolio does that deterministically and reports which strategy won
+    — data the ablation aggregates into a win table.
 
-    Strategies included: the paper's Eq. 8 heuristic, every
-    {!Priority_variants} variant, {!Priority_variants.greedy_count}, both
-    schedule-harvest methods, beam search, and (optionally, it needs a
-    generator) simulated annealing. *)
+    Strategies included: the paper's Eq. 8 heuristic ([eq8]), the greedy
+    schedule harvest ([harvest:greedy], {!Pattern_source}), beam search
+    ([beam]), and (optionally, it needs a generator) simulated annealing.
+    A new selector joins the registry only by reaching a lower cycle
+    count than all three somewhere; on the measured corpus none of the
+    removed ones did (DESIGN.md §16). *)
 
 type entry = {
   strategy : string;
@@ -23,7 +25,6 @@ type outcome = {
 }
 
 val strategies :
-  ?beam_width:int ->
   pdef:int ->
   Mps_antichain.Classify.t ->
   (string * (unit -> Mps_pattern.Pattern.t list * int option)) list
@@ -35,7 +36,7 @@ val strategies :
 
     This is also the backend space of the auto-selector ({!Auto}): auto
     dispatches exactly one named thunk from here, so its answer is always
-    some portfolio member's exact result.  [beam_width] defaults to 4. *)
+    some portfolio member's exact result. *)
 
 val strategy_names : string list
 (** The registry's names in registry order, without running anything —
@@ -44,13 +45,12 @@ val strategy_names : string list
 
 val run :
   ?pool:Mps_exec.Pool.t ->
-  ?beam_width:int ->
   ?annealing:Mps_util.Rng.t * int ->
   pdef:int ->
   Mps_antichain.Classify.t ->
   outcome
-(** [beam_width] defaults to 4; [annealing] is (generator, iterations) and
-    is skipped when absent.  Ties go to the earlier (cheaper) strategy.
+(** [annealing] is (generator, iterations) and is skipped when absent.
+    Ties go to the earlier (cheaper) strategy.
 
     [pool] evaluates the strategies on the pool's domains, one task per
     strategy.  Every strategy is deterministic given its inputs (the

@@ -19,8 +19,9 @@
 
     This module owns Fig. 7 once: {!run} is the loop, and Eq. 8, Eq. 9,
     subpattern deletion and the fallback are exposed as the pieces it is
-    built from.  {!Priority_variants} and {!Shared} run the same loop with
-    another score; {!Beam} branches on the same pieces. *)
+    built from.  {!Shared} runs the same loop with another score, so a
+    new priority function is one [score] argument; {!Beam} branches on the
+    same pieces. *)
 
 type params = { epsilon : float; alpha : float }
 

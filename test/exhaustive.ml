@@ -3,6 +3,7 @@ module Color = Mps_dfg.Color
 module Pattern = Mps_pattern.Pattern
 module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
+module Exact = Mps_select.Exact
 
 type outcome = {
   best : Pattern.t list;

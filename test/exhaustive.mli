@@ -1,4 +1,5 @@
-(** Exhaustive pattern-set oracle for small instances.
+(** Exhaustive pattern-set oracle for small instances, kept with the
+    tests as the independent check on [Mps_select.Exact].
 
     Enumerates every way of choosing [pdef] patterns from the candidate
     pool (plus, when needed, fabricated coverage patterns), schedules the

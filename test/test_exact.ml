@@ -16,7 +16,6 @@ module Pattern = Mps_pattern.Pattern
 module Eval = Mps_scheduler.Eval
 module Portfolio = Mps_select.Portfolio
 module Exact = Mps_select.Exact
-module Exhaustive = Mps_select.Exhaustive
 module Select = Mps_select.Select
 module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify

@@ -1,11 +1,12 @@
 (* Unit and property tests for the utility kernel: PRNG, multisets, bitsets,
-   heaps, list chunking, statistics, table rendering. *)
+   heaps, list chunking, statistics, table rendering, the CSV writer. *)
 
 module Rng = Mps_util.Rng
 module Bitset = Mps_util.Bitset
 module Mstats = Mps_util.Mstats
 module Ascii_table = Mps_util.Ascii_table
 module Listx = Mps_util.Listx
+module Csv = Mps_util.Csv
 module Cms = Mps_util.Multiset.Make (Char)
 module Int_heap = Mps_util.Heap.Make (Int)
 
@@ -357,6 +358,29 @@ let test_table_render () =
     (Invalid_argument "Ascii_table.add_row: row width mismatch") (fun () ->
       Ascii_table.add_row t [ "only-one" ])
 
+(* --- csv --- *)
+
+let test_csv_basic () =
+  let t = Csv.create ~header:[ "name"; "value" ] in
+  Csv.add_row t [ "plain"; "1" ];
+  Csv.add_row t [ "with,comma"; "2" ];
+  Csv.add_row t [ "with\"quote"; "3" ];
+  Alcotest.(check string) "rendering"
+    "name,value\nplain,1\n\"with,comma\",2\n\"with\"\"quote\",3\n"
+    (Csv.render t);
+  Alcotest.check_raises "width check" (Invalid_argument "Csv.add_row: row width mismatch")
+    (fun () -> Csv.add_row t [ "too"; "many"; "fields" ])
+
+let test_csv_save () =
+  let t = Csv.of_table_rows ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "3"; "4" ] ] in
+  let path = Filename.temp_file "mpsched" ".csv" in
+  Csv.save ~path t;
+  let ic = open_in path in
+  let content = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "file content" "a,b\n1,2\n3,4\n" content
+
 let () =
   Alcotest.run "util"
     [
@@ -395,4 +419,9 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ("ascii-table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+      ( "csv",
+        [
+          Alcotest.test_case "quoting" `Quick test_csv_basic;
+          Alcotest.test_case "save" `Quick test_csv_save;
+        ] );
     ]

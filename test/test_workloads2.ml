@@ -1,5 +1,5 @@
 (* Second workload wave (image convolution, bitonic sorting, CORDIC) and
-   the extended selectors (beam search, priority variants). *)
+   the extended selectors (beam search, the portfolio). *)
 
 module Dfg = Mps_dfg.Dfg
 module Levels = Mps_dfg.Levels
@@ -9,7 +9,6 @@ module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Select = Mps_select.Select
 module Beam = Mps_select.Beam
-module Pv = Mps_select.Priority_variants
 module Mp = Mps_scheduler.Multi_pattern
 module Schedule = Mps_scheduler.Schedule
 module Program = Mps_frontend.Program
@@ -189,55 +188,30 @@ let test_beam_matches_or_beats_heuristic () =
     [ 1; 2; 3; 4 ]
 
 (* Every base-corpus graph but dct8 (the slowest to classify), each
-   classified once for all the identities below. *)
+   classified once for all the corpus-wide properties below. *)
 let corpus =
   lazy
     (Mps_workloads.Suite.graphs ()
     |> List.filter (fun (name, _) -> name <> "dct8")
     |> List.map (fun (name, g) -> (name, classify_of g)))
 
-(* [other] picks exactly Select's patterns, in Select's order, on every
-   corpus graph at pdef 1-6. *)
-let agrees_with_select other =
+let test_beam_width1_equals_heuristic_sets () =
+  (* Width 1 follows the same greedy trajectory as Select: the same
+     patterns in the same order on every corpus graph at pdef 1-6. *)
   List.iter
     (fun (name, cls) ->
       for pdef = 1 to 6 do
         Alcotest.(check (list string))
           (Printf.sprintf "%s pdef=%d" name pdef)
           (List.map Pattern.to_string (Select.select ~pdef cls))
-          (List.map Pattern.to_string (other ~pdef cls))
+          (List.map Pattern.to_string (Beam.search ~width:1 ~pdef cls).Beam.patterns)
       done)
     (Lazy.force corpus)
-
-let test_beam_width1_equals_heuristic_sets () =
-  (* Width 1 follows the same greedy trajectory as Select. *)
-  agrees_with_select (fun ~pdef cls -> (Beam.search ~width:1 ~pdef cls).Beam.patterns)
 
 let test_beam_args () =
   let cls = classify_of (Pg.fig4_small ()) in
   Alcotest.check_raises "width 0" (Invalid_argument "Beam.search: width must be >= 1")
     (fun () -> ignore (Beam.search ~width:0 ~pdef:2 cls))
-
-(* --- priority variants --- *)
-
-let test_variants_all_cover () =
-  List.iter
-    (fun (name, g) ->
-      let cls = classify_of g in
-      List.iter
-        (fun v ->
-          let pats = Pv.select v ~pdef:4 cls in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s covers on %s" v.Pv.name name)
-            true
-            (Select.covers_all_colors g pats);
-          (* schedulable *)
-          let c = Schedule.cycles (Mp.schedule ~patterns:pats g).Mp.schedule in
-          Alcotest.(check bool) "positive length" true (c > 0))
-        Pv.all)
-    [ ("3dft", Pg.fig2_3dft ()); ("fig4", Pg.fig4_small ()) ]
-
-let test_paper_variant_agrees_with_select () = agrees_with_select (Pv.select Pv.paper)
 
 (* --- portfolio --- *)
 
@@ -272,6 +246,76 @@ let test_portfolio_never_worse_than_eq8 () =
   let eq8 = List.find (fun e -> e.Portfolio.strategy = "eq8") o.Portfolio.all in
   Alcotest.(check bool) "portfolio <= eq8" true
     (o.Portfolio.best.Portfolio.cycles <= eq8.Portfolio.cycles)
+
+(* The portfolio's best cycles at pdef 2, 4 and 6, recorded when the
+   registry still held nine backends.  Pruning the registry to the three
+   that ever reached the minimum must leave every value in place. *)
+let portfolio_best_pinned =
+  [
+    ("3dft", [ 7; 6; 5 ]);
+    ("fig4", [ 3; 3; 3 ]);
+    ("w3dft", [ 4; 4; 4 ]);
+    ("w5dft", [ 11; 10; 10 ]);
+    ("fft8", [ 13; 12; 12 ]);
+    ("mm222", [ 3; 3; 3 ]);
+    ("fir8", [ 13; 12; 12 ]);
+    ("iir4", [ 14; 14; 14 ]);
+    ("horner16", [ 32; 32; 32 ]);
+    ("adv-wide", [ 5; 5; 5 ]);
+    ("adv-deep", [ 24; 24; 24 ]);
+    ("adv-dense", [ 9; 8; 8 ]);
+    ("adv-mono", [ 5; 5; 5 ]);
+    ("adv-rainbow", [ 5; 5; 5 ]);
+  ]
+
+let test_portfolio_best_pinned () =
+  Alcotest.(check (list string)) "corpus"
+    (List.map fst portfolio_best_pinned)
+    (List.map fst (Lazy.force corpus));
+  List.iter
+    (fun (name, cls) ->
+      List.iter2
+        (fun pdef want ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s pdef=%d" name pdef)
+            want
+            (Portfolio.run ~pdef cls).Portfolio.best.Portfolio.cycles)
+        [ 2; 4; 6 ]
+        (List.assoc name portfolio_best_pinned))
+    (Lazy.force corpus)
+
+(* Pdef is the size of the configuration table: no backend, and so no
+   auto answer, may hand back more patterns than that. *)
+let test_at_most_pdef_patterns () =
+  List.iter
+    (fun (name, cls) ->
+      for pdef = 1 to 6 do
+        let check who patterns =
+          Alcotest.(check bool)
+            (Printf.sprintf "%s on %s pdef=%d: %d patterns" who name pdef
+               (List.length patterns))
+            true
+            (List.length patterns <= pdef)
+        in
+        List.iter
+          (fun (strategy, run) -> check strategy (fst (run ())))
+          (Portfolio.strategies ~pdef cls);
+        check "auto" (Mps_select.Auto.select ~pdef cls).Mps_select.Auto.patterns
+      done)
+    (Lazy.force corpus)
+
+(* 3dft has three colors, so one-slot patterns cannot cover them in two
+   picks: every finalist is unschedulable, and the searches say so with
+   max_int instead of raising. *)
+let test_uncoverable_is_max_int () =
+  let cls =
+    Classify.compute ~span_limit:1 ~capacity:1 (Enumerate.make_ctx (Pg.fig2_3dft ()))
+  in
+  Alcotest.(check int) "beam" max_int (Beam.search ~pdef:2 cls).Beam.cycles;
+  let o = Portfolio.run ~pdef:2 cls in
+  List.iter
+    (fun e -> Alcotest.(check int) e.Portfolio.strategy max_int e.Portfolio.cycles)
+    o.Portfolio.all
 
 let () =
   Alcotest.run "workloads2"
@@ -308,10 +352,14 @@ let () =
           Alcotest.test_case "never worse than eq8" `Quick
             test_portfolio_never_worse_than_eq8;
         ] );
-      ( "priority-variants",
+      (* What the pruned three-backend registry must still guarantee. *)
+      ( "portfolio-pruning",
         [
-          Alcotest.test_case "all variants cover" `Quick test_variants_all_cover;
-          Alcotest.test_case "paper variant = Select" `Quick
-            test_paper_variant_agrees_with_select;
+          Alcotest.test_case "best cycles pinned on corpus" `Quick
+            test_portfolio_best_pinned;
+          Alcotest.test_case "at most pdef patterns" `Quick
+            test_at_most_pdef_patterns;
+          Alcotest.test_case "uncoverable costs max_int" `Quick
+            test_uncoverable_is_max_int;
         ] );
     ]
