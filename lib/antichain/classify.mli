@@ -15,7 +15,16 @@
     Patterns are interned into a {!Mps_pattern.Universe}: buckets are keyed
     by dense pattern id, and the universe's memoized facts (spelling, size,
     color set) and dominance matrix are shared with every later phase that
-    consumes the classification. *)
+    consumes the classification.
+
+    The classification is a sink of {!Enumerate.walk_root}: no antichain is
+    built as a list or a pattern.  The pattern of each depth is an id,
+    stepped from its prefix's id by the new node's color through a table
+    filled on first use; a miss interns the pattern built from its sorted
+    colors, so interned patterns are canonical values.  The last level
+    arrives in bulk, as one set of admissible leaves per prefix: each leaf
+    bumps its own pattern's count and h, and the prefix's nodes are
+    credited once per color. *)
 
 type t
 
@@ -43,8 +52,8 @@ val compute :
     patterns); ids handed out here stay valid.  Ids are assigned in
     first-visit enumeration order, identically for every [pool] size.
 
-    [pool] fans the enumeration's root subtrees out across domains
-    ({!Enumerate.iter_root}); per-root tables intern into per-domain
+    [pool] fans the enumeration's root subtrees out across domains, one
+    {!Enumerate.walk_root} per task; per-root tables intern into per-root
     scratch universes, and both tables and universes are merged in root
     (= submission) order, so the classification — counts, frequency
     vectors, kept-antichain order, total, and universe id assignment — is

@@ -43,9 +43,29 @@ let mem t i =
   check t i;
   t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+(* SWAR over the 62 low bits, plus the sign bit (bit 62) on its own: the
+   masks are the usual 64-bit ones cut to 62 bits, and the byte sums fit the
+   7 bits the multiply leaves above bit 56. *)
+let popcount w =
+  let x = w land max_int in
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  ((x * 0x0101010101010101) lsr 56) + if w < 0 then 1 else 0
+
+(* De Bruijn multiplication: [w land (-w)] isolates the lowest set bit 2^k,
+   and the top 6 bits of 2^k * debruijn (mod 2^63) differ for every k in
+   0..62, so a 64-entry table maps them back to k. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let debruijn_index =
+  let t = Array.make 64 (-1) in
+  for k = 0 to word_bits - 1 do
+    t.(((1 lsl k) * debruijn) lsr (word_bits - 6)) <- k
+  done;
+  t
+
+let lowest_bit w = debruijn_index.(((w land -w) * debruijn) lsr (word_bits - 6))
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
@@ -98,11 +118,6 @@ let subset a b =
   done;
   !ok
 
-let lowest_bit w =
-  (* Index of the least significant set bit of a nonzero word. *)
-  let rec go w i = if w land 1 = 1 then i else go (w lsr 1) (i + 1) in
-  go w 0
-
 let first_from t i =
   if i >= t.universe then None
   else begin
@@ -119,14 +134,13 @@ let first_from t i =
   end
 
 let iter f t =
-  let rec go i =
-    match first_from t i with
-    | None -> ()
-    | Some j ->
-        f j;
-        go (j + 1)
-  in
-  go 0
+  for wi = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(wi) in
+    while !w <> 0 do
+      f ((wi * word_bits) + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
+  done
 
 let fold f t acc =
   let acc = ref acc in
@@ -134,6 +148,8 @@ let fold f t acc =
   !acc
 
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
+
+let to_words t = Array.copy t.words
 
 let of_list n elems =
   let t = create n in

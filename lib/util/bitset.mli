@@ -55,9 +55,26 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 
 val first_from : t -> int -> int option
-(** [first_from t i] is the smallest member ≥ [i], if any.  The enumerator
-    uses it to walk candidates in increasing order without scanning bits one
-    by one. *)
+(** [first_from t i] is the smallest member ≥ [i], if any. *)
+
+(** {2 Words}
+
+    The antichain walker keeps its candidate sets as bare word arrays and
+    visits members word by word with these. *)
+
+val word_bits : int
+(** Members per word: element [i] is bit [i mod word_bits] of word
+    [i / word_bits]. *)
+
+val to_words : t -> int array
+(** A fresh copy of the set's words; bits past the universe are zero. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the least significant set bit of the
+    nonzero word [w], in constant time.  [w land (w - 1)] then clears it. *)
+
+val popcount : int -> int
+(** Number of set bits of a word, in constant time. *)
 
 val of_list : int -> int list -> t
 (** [of_list universe elems]. *)

@@ -140,25 +140,35 @@ let test_enumerate_args () =
     (Invalid_argument "Enumerate.iter: negative span_limit") (fun () ->
       Enumerate.iter ~span_limit:(-1) ~max_size:2 ctx ~f:ignore)
 
-let test_enumerate_lex_order_and_validity () =
-  let g = Pg.fig2_3dft () in
-  let ctx = Enumerate.make_ctx g in
+(* The walk is depth first in increasing id order, so consecutive
+   antichains strictly increase as id lists ([List.compare]: a prefix
+   before its extensions) — the order a budget cuts. *)
+let check_increasing ?span_limit ?budget ~max_size ctx =
   let r = Enumerate.ctx_reachability ctx in
-  let prev = ref [] in
-  let all_valid = ref true in
-  let in_order = ref true in
-  Enumerate.iter ~max_size:3 ctx ~f:(fun a ->
-      let nodes = Antichain.nodes a in
-      if not (Reachability.is_antichain r nodes) then all_valid := false;
-      if compare !prev nodes >= 0 && !prev <> [] && List.length !prev = List.length nodes
-      then
-        (* lexicographic only within the walk of one root; global order is
-           by first element then extension order, which compare captures
-           when lengths align — a weak but useful sanity check *)
-        ignore nodes;
-      prev := nodes);
-  Alcotest.(check bool) "all emitted sets are antichains" true !all_valid;
-  Alcotest.(check bool) "ordering sanity" true !in_order
+  let prev = ref [] and visits = ref [] in
+  (match
+     Enumerate.iter ?span_limit ?budget ~max_size ctx ~f:(fun a ->
+         let nodes = Antichain.nodes a in
+         if not (Reachability.is_antichain r nodes) then
+           Alcotest.failf "not an antichain: %s"
+             (String.concat "," (List.map string_of_int nodes));
+         if !prev <> [] && List.compare Int.compare !prev nodes >= 0 then
+           Alcotest.failf "out of order: %s after %s"
+             (String.concat "," (List.map string_of_int nodes))
+             (String.concat "," (List.map string_of_int !prev));
+         prev := nodes;
+         visits := nodes :: !visits)
+   with
+  | () | (exception Enumerate.Budget_exhausted) -> ());
+  List.rev !visits
+
+let test_enumerate_lex_order_and_validity () =
+  List.iter
+    (fun name ->
+      match Mps_workloads.Suite.find name with
+      | Some e -> ignore (check_increasing ~max_size:5 (Enumerate.make_ctx (e.build ())))
+      | None -> Alcotest.failf "no corpus graph %s" name)
+    [ "3dft"; "fig4"; "w5dft"; "iir4" ]
 
 let test_theorem1_on_schedule () =
   (* Schedule an antichain into one cycle (greedily around it) and confirm
@@ -210,6 +220,13 @@ let enum_props =
         let ctx = Enumerate.make_ctx g in
         iter_count ~span_limit:1 ~max_size:3 ctx
         = brute_force g ~max_size:3 ~span_limit:(Some 1));
+    qtest "visits strictly increase; a budget keeps their prefix"
+      QCheck2.Gen.(pair small_dag_gen (0 -- 300))
+      (fun (g, budget) ->
+        let ctx = Enumerate.make_ctx g in
+        let all = check_increasing ~span_limit:1 ~max_size:4 ctx in
+        let cut = check_increasing ~span_limit:1 ~budget ~max_size:4 ctx in
+        cut = List.filteri (fun i _ -> i < budget) all);
     qtest "count matrix rows are monotone in span" small_dag_gen (fun g ->
         let ctx = Enumerate.make_ctx g in
         let m = Enumerate.count_matrix ~max_size:4 ~max_span:3 ctx in
@@ -243,6 +260,90 @@ let enum_props =
         freq_total = !size_total);
   ]
 
+(* --- differential: the walker against the list-based reference ---
+
+   [Classify.compute] steps pattern ids per color, takes the last level in
+   bulk and fans roots out over a pool; [Classify_ref] classifies every
+   antichain on its own.  Both must agree on everything a classification
+   exposes: counts, h vectors, the universe's ids in order (a pattern
+   interned for an antichain the budget cut shows up as a stray row), the
+   kept antichains in order, the total and the truncation flag. *)
+
+let spans = [ None; Some 0; Some 1; Some 2 ]
+let budgets = [ None; Some 0; Some 1; Some 7; Some 50; Some 500 ]
+
+(* The reference is computed with kept antichains; a classification that
+   keeps none must match it with those lists emptied. *)
+let without_kept r =
+  let drop (s, c, h, _) = (s, c, h, []) in
+  { r with Classify_ref.rows = List.map drop r.Classify_ref.rows }
+
+let agrees pool ?span_limit ?budget ~capacity ctx =
+  let expect =
+    Classify_ref.compute ?span_limit ?budget ~keep_antichains:true ~capacity ctx
+  in
+  List.for_all
+    (fun (pool, keep_antichains) ->
+      Classify_ref.of_classify
+        (Classify.compute ?pool ?span_limit ?budget ~keep_antichains ~capacity ctx)
+      = if keep_antichains then expect else without_kept expect)
+    [ (None, true); (None, false); (Some pool, true); (Some pool, false) ]
+
+let shaped_dag_gen =
+  (* The shapes test_parallel draws: 4-6 layers of width 3-5. *)
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let layers = 4 + (seed mod 3) and width = 3 + (seed mod 3) in
+        let params = { Random_dag.default_params with layers; width } in
+        Random_dag.generate ~params ~seed ())
+      (1 -- 1000))
+
+let test_differential_random () =
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (oneof [ small_dag_gen; shaped_dag_gen ])
+        (1 -- 5) (oneofl spans) (oneofl budgets))
+  in
+  Mps_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:300 ~name:"classify = reference" gen
+           (fun (g, capacity, span_limit, budget) ->
+             agrees pool ?span_limit ?budget ~capacity (Enumerate.make_ctx g))))
+
+(* Every corpus graph of at most 80 nodes under the whole settings grid; an
+   unbudgeted setting only where the reference stays quick. *)
+let test_differential_corpus () =
+  Mps_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (name, g) ->
+          let ctx = Enumerate.make_ctx g in
+          for capacity = 1 to 5 do
+            List.iter
+              (fun span_limit ->
+                List.iter
+                  (fun budget ->
+                    let small () =
+                      Classify.total_antichains
+                        (Classify.compute ?span_limit ~capacity ctx)
+                      <= 20_000
+                    in
+                    if (budget <> None || small ())
+                       && not (agrees pool ?span_limit ?budget ~capacity ctx)
+                    then
+                      Alcotest.failf
+                        "%s: C %d, span %s, budget %s differs from the reference"
+                        name capacity
+                        (match span_limit with None -> "none" | Some l -> string_of_int l)
+                        (match budget with None -> "none" | Some b -> string_of_int b))
+                  budgets)
+              spans
+          done)
+        (List.filter
+           (fun (_, g) -> Dfg.node_count g <= 80)
+           (Mps_workloads.Suite.graphs ())))
+
 let () =
   Alcotest.run "antichain"
     [
@@ -265,4 +366,11 @@ let () =
             test_theorem1_on_schedule;
         ]
         @ enum_props );
+      ( "differential",
+        [
+          Alcotest.test_case "random DAGs, every setting" `Quick
+            test_differential_random;
+          Alcotest.test_case "corpus graphs, every setting" `Quick
+            test_differential_corpus;
+        ] );
     ]

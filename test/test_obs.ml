@@ -68,6 +68,24 @@ let test_counters_jobs_invariant () =
   Alcotest.(check bool) "some counters recorded" true (seq <> []);
   Alcotest.(check (list string)) "jobs 4 = jobs 1" seq (pipeline_counters 4)
 
+(* The classification counters at jobs 1, pinned to the values the
+   list-based walk reported on Fig. 2: the bulk last level recomputes
+   [enumerate.pruned] from popcounts, so a jobs-4 = jobs-1 comparison alone
+   would not notice it drifting. *)
+let test_classify_counters_pinned () =
+  let rows = pipeline_counters 1 in
+  List.iter
+    (fun expect ->
+      let name = List.hd (String.split_on_char '/' expect) in
+      Alcotest.(check (option string))
+        name (Some expect)
+        (List.find_opt (fun row -> List.hd (String.split_on_char '/' row) = name) rows))
+    [
+      "classify.antichains/sum/1/3430/3430/3430";
+      "classify.patterns/sum/1/54/54/54";
+      "enumerate.pruned/sum/14/1496/12/381";
+    ]
+
 let test_chrome_trace_roundtrip () =
   let obs = Obs.create () in
   let (_ : Pipeline.t) =
@@ -269,6 +287,8 @@ let () =
             test_nesting_well_formed;
           Alcotest.test_case "counters independent of jobs" `Quick
             test_counters_jobs_invariant;
+          Alcotest.test_case "classification counters pinned" `Quick
+            test_classify_counters_pinned;
           Alcotest.test_case "chrome trace round-trips" `Quick
             test_chrome_trace_roundtrip;
         ] );

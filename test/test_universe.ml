@@ -201,6 +201,30 @@ let test_classify_external_universe () =
         (Universe.find u p <> None))
     (Classify.patterns c)
 
+(* Interned patterns are canonical values: the walker builds each pattern
+   from its sorted colors, so an id's pattern is structurally equal (under
+   polymorphic [=], not just [Pattern.equal]) to the one its spelling
+   parses to, whichever prefix or domain interned it first.  Selection
+   compares pattern lists with [=], so this is what keeps its output the
+   same at every --jobs. *)
+let test_classified_patterns_canonical () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (name, g) ->
+          let ctx = Enumerate.make_ctx g in
+          List.iter
+            (fun pool ->
+              let u = Universe.create () in
+              ignore (Classify.compute ?pool ~universe:u ~span_limit:1 ~capacity:5 ctx);
+              Universe.iter
+                (fun id p ->
+                  if p <> Pattern.of_string (Universe.to_string u id) then
+                    Alcotest.failf "%s: %s is not built from its sorted colors" name
+                      (Universe.to_string u id))
+                u)
+            [ None; Some pool ])
+        (Mps_workloads.Suite.graphs ()))
+
 let () =
   Alcotest.run "universe"
     [
@@ -218,5 +242,7 @@ let () =
             test_parallel_classify_determinism;
           Alcotest.test_case "external universe" `Quick
             test_classify_external_universe;
+          Alcotest.test_case "interned patterns are canonical" `Quick
+            test_classified_patterns_canonical;
         ] );
     ]

@@ -192,6 +192,31 @@ let test_bitset_first_from () =
   Alcotest.(check (option int)) "from 71" (Some 199) (Bitset.first_from s 71);
   Alcotest.(check (option int)) "past end" None (Bitset.first_from s 200)
 
+(* The word primitives against a bit-by-bit loop: every single-bit word
+   (the sign bit included) and arbitrary words of either sign. *)
+let naive_bits w =
+  List.filter (fun k -> w land (1 lsl k) <> 0) (List.init Bitset.word_bits Fun.id)
+
+let test_bitset_word_primitives () =
+  for k = 0 to Bitset.word_bits - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "lowest_bit 2^%d" k)
+      k
+      (Bitset.lowest_bit (1 lsl k));
+    Alcotest.(check int) (Printf.sprintf "popcount 2^%d" k) 1 (Bitset.popcount (1 lsl k))
+  done;
+  Alcotest.(check int) "popcount -1" Bitset.word_bits (Bitset.popcount (-1));
+  Alcotest.(check int) "popcount 0" 0 (Bitset.popcount 0)
+
+let word_props =
+  [
+    qtest ~count:500 "bitset: lowest_bit and popcount = bit loop"
+      QCheck2.Gen.(map2 (fun a b -> (a lsl 31) lxor b) int int)
+      (fun w ->
+        Bitset.popcount w = List.length (naive_bits w)
+        && (w = 0 || Bitset.lowest_bit w = List.hd (naive_bits w)));
+  ]
+
 let int_list_gen = QCheck2.Gen.(list_size (0 -- 30) (0 -- 99))
 
 let bitset_props =
@@ -404,8 +429,9 @@ let () =
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "full and ops" `Quick test_bitset_full_and_ops;
           Alcotest.test_case "first_from" `Quick test_bitset_first_from;
+          Alcotest.test_case "word primitives" `Quick test_bitset_word_primitives;
         ]
-        @ bitset_props @ bitset_model_props );
+        @ word_props @ bitset_props @ bitset_model_props );
       ( "heap",
         [
           Alcotest.test_case "sorts" `Quick test_heap_sorts;
