@@ -339,7 +339,10 @@ let select_cmd =
           pdef;
         }
       in
-      let cert, _ = Session.certify sess g ~options () in
+      let cert, _ =
+        try Session.certify sess g ~options ()
+        with Invalid_argument m -> or_fail (Error m)
+      in
       let ct = cert.C.Pipeline.exact in
       Printf.printf "heuristic: %s  %s\n"
         (pattern_list cert.C.Pipeline.heuristic)
@@ -395,7 +398,10 @@ let exact_cmd =
     let pruning =
       if no_prune then C.Exact.no_pruning else C.Exact.all_pruning
     in
-    let ct, _ = Session.exact sess entry ~options ~pruning ~max_nodes () in
+    let ct, _ =
+      try Session.exact sess entry ~options ~pruning ~max_nodes ()
+      with Invalid_argument m -> or_fail (Error m)
+    in
     if ct.C.Exact.optimal_cycles = max_int then
       print_endline "no schedulable pattern set in the family"
     else begin

@@ -124,13 +124,13 @@ fi
 echo "  ok: serve stream matches the committed golden"
 
 say "delta smoke: suffix replay must not perturb any observable stream"
-# The delta-evaluation path (annealing swap moves, beam one-move finalists,
-# exact incumbent re-costing, serve edits) commits its counters in
-# submission order, so the eval.* counter rows of --stats must be
-# byte-identical at --jobs 1 and --jobs 4, with the delta path actually
-# taken (eval.delta.hits present).  The serve golden stream above already
-# carries warm "edit" requests; replay it at --jobs 4 to prove the edit
-# path is jobs-invariant too.
+# Every Eval caller commits its counters in submission order, so the eval.*
+# counter rows of --stats must be byte-identical at --jobs 1 and --jobs 4
+# (exact 3dft), and the delta-evaluation path (annealing swap moves, beam
+# one-move finalists, serve edits) must actually be taken (eval.delta.hits
+# present in anneal 3dft).  The serve golden stream above already carries
+# warm "edit" requests; replay it at --jobs 4 to prove the edit path is
+# jobs-invariant too.
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 1 \
   2>&1 >/dev/null | grep '| eval\.' > "$tmp1"
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 4 \
@@ -140,8 +140,10 @@ if ! cmp -s "$tmp1" "$tmp4"; then
   diff "$tmp1" "$tmp4" >&2
   exit 1
 fi
+dune exec --no-build bin/mpsched.exe -- anneal 3dft --stats \
+  2>&1 >/dev/null | grep '| eval\.' > "$tmp1"
 if ! grep -q 'eval\.delta\.hits' "$tmp1"; then
-  echo "FAIL: exact search never took the delta path (no eval.delta.hits)" >&2
+  echo "FAIL: annealing never took the delta path (no eval.delta.hits)" >&2
   cat "$tmp1" >&2
   exit 1
 fi

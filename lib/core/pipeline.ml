@@ -149,7 +149,7 @@ type certification = {
   gap_percent : float;
 }
 
-let certified_core ?pool ~options ?max_nodes ?bans classify =
+let certified_core ~options ?max_nodes ?bans classify =
   let graph = Classify.graph classify in
   let heuristic =
     Select.select ~params:options.selection ~pdef:options.pdef classify
@@ -159,7 +159,7 @@ let certified_core ?pool ~options ?max_nodes ?bans classify =
      gap is never negative.  Both sides are costed canonically (see
      Exact.canonical_order). *)
   let exact =
-    Exact.search ?pool ~priority:options.priority ?max_nodes
+    Exact.search ~priority:options.priority ?max_nodes
       ~seeds:[ heuristic ] ?bans ~pdef:options.pdef classify
   in
   let heuristic_cycles =
@@ -180,11 +180,10 @@ let certified_core ?pool ~options ?max_nodes ?bans classify =
   in
   { heuristic; heuristic_cycles; exact; gap_percent }
 
-let certify_classified ?pool ?(options = default_options) ?max_nodes ?bans
-    classify =
+let certify_classified ?(options = default_options) ?max_nodes ?bans classify =
   validate_options ~who:"Pipeline.certify_classified" options;
   Obs.span "certify" @@ fun () ->
-  certified_core ?pool ~options ?max_nodes ?bans classify
+  certified_core ~options ?max_nodes ?bans classify
 
 let certify ?pool ?(options = default_options) ?max_nodes dfg =
   validate_options ~who:"Pipeline.certify" options;
@@ -197,7 +196,7 @@ let certify ?pool ?(options = default_options) ?max_nodes dfg =
       ?budget:options.enumeration_budget ~capacity:options.capacity
       (Enumerate.make_ctx graph)
   in
-  certified_core ?pool ~options ?max_nodes classify
+  certified_core ~options ?max_nodes classify
 
 type mapped = {
   program : Program.t;

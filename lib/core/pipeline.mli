@@ -109,11 +109,11 @@ val certify :
     with it, on one shared classification — the evidence behind
     [mpsched select --certify].  When [exact.proven] is set the gap is a
     true optimality gap over the exact search family; otherwise it is only
-    an upper bound ([max_nodes] cut some subtree short).  Deterministic
+    an upper bound ([max_nodes] cut some subtree short).  [pool] runs the
+    classification; the exact search itself is sequential.  Deterministic
     with or without [pool], for any pool size, like {!run}. *)
 
 val certify_classified :
-  ?pool:Mps_exec.Pool.t ->
   ?options:options ->
   ?max_nodes:int ->
   ?bans:Mps_select.Exact.ban_entry list ->

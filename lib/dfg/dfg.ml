@@ -156,6 +156,10 @@ let succs g id =
   ignore (node g id);
   Array.to_list g.succ_arr.(id)
 
+let succ_array g id =
+  ignore (node g id);
+  g.succ_arr.(id)
+
 let preds g id =
   ignore (node g id);
   Array.to_list g.pred_arr.(id)

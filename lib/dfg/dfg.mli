@@ -72,6 +72,11 @@ val find_opt : t -> string -> int option
 val succs : t -> int -> int list
 (** Direct successors, increasing id order. *)
 
+val succ_array : t -> int -> int array
+(** {!succs} without the copy: the graph's own successor array, for inner
+    loops that must not allocate.  Read it only — never mutate it, or
+    every later query of the graph sees the change. *)
+
 val preds : t -> int -> int list
 (** Direct predecessors, increasing id order. *)
 

@@ -291,7 +291,7 @@ type step_result = Step_ok | Step_done | Step_stuck of Color.t list
    rank-sorted, which equals the per-cycle [Node_priority.sort] of the
    list version because ranks are a total order and the candidate sets
    match. *)
-let step t tabled ~f1 cu =
+let step t (tabled : (int array * int * int) array) ~f1 cu =
   let ncand = cu.cu_ncand in
   agg_add cu.cu_ready ncand;
   (* Keep the first best.  The two selection buffers swap roles so the
@@ -299,35 +299,35 @@ let step t tabled ~f1 cu =
   let best_len = ref 0 and best_score = ref min_int in
   let cur = ref t.sel_a and best = ref t.sel_b in
   let rank = t.rank and value = t.value and node_color = t.node_color in
-  List.iter
-    (fun ((table : int array), size, _mask) ->
-      Array.blit table 0 t.scratch 0 t.ncolors;
-      let slots = ref size in
-      let len = ref 0 in
-      let score = ref 0 in
-      let k = ref 0 in
-      let sel = !cur in
-      while !slots > 0 && !k < ncand do
-        let i = t.cand.(!k) in
-        let c = node_color.(i) in
-        if t.scratch.(c) > 0 then begin
-          t.scratch.(c) <- t.scratch.(c) - 1;
-          decr slots;
-          sel.(!len) <- i;
-          incr len;
-          if not f1 then score := !score + value.(i)
-        end;
-        incr k
-      done;
-      let sc = if f1 then !len else !score in
-      if sc > !best_score then begin
-        best_score := sc;
-        best_len := !len;
-        let tmp = !cur in
-        cur := !best;
-        best := tmp
-      end)
-    tabled;
+  for p = 0 to Array.length tabled - 1 do
+    let table, size, _mask = tabled.(p) in
+    Array.blit table 0 t.scratch 0 t.ncolors;
+    let slots = ref size in
+    let len = ref 0 in
+    let score = ref 0 in
+    let k = ref 0 in
+    let sel = !cur in
+    while !slots > 0 && !k < ncand do
+      let i = t.cand.(!k) in
+      let c = node_color.(i) in
+      if t.scratch.(c) > 0 then begin
+        t.scratch.(c) <- t.scratch.(c) - 1;
+        decr slots;
+        sel.(!len) <- i;
+        incr len;
+        if not f1 then score := !score + value.(i)
+      end;
+      incr k
+    done;
+    let sc = if f1 then !len else !score in
+    if sc > !best_score then begin
+      best_score := sc;
+      best_len := !len;
+      let tmp = !cur in
+      cur := !best;
+      best := tmp
+    end
+  done;
   if !best_len = 0 then begin
     let cols = ref [] in
     for k = ncand - 1 downto 0 do
@@ -344,15 +344,16 @@ let step t tabled ~f1 cu =
     done;
     let nfreed = ref 0 in
     for k = 0 to blen - 1 do
-      List.iter
-        (fun s ->
-          let d = t.preds.(s) - 1 in
-          t.preds.(s) <- d;
-          if d = 0 then begin
-            t.freed.(!nfreed) <- s;
-            incr nfreed
-          end)
-        (Dfg.succs t.graph sel.(k))
+      let succ = Dfg.succ_array t.graph sel.(k) in
+      for j = 0 to Array.length succ - 1 do
+        let s = succ.(j) in
+        let d = t.preds.(s) - 1 in
+        t.preds.(s) <- d;
+        if d = 0 then begin
+          t.freed.(!nfreed) <- s;
+          incr nfreed
+        end
+      done
     done;
     rank_sort rank t.freed !nfreed;
     (* Merge the surviving candidates (skipping the just-committed ones)
@@ -496,7 +497,7 @@ let cycles_keys ?(priority = F2) t ids =
   | None ->
       t.misses <- t.misses + 1;
       Obs.count "eval.cache.misses" 1;
-      let tabled = List.map (table_for t) ids in
+      let tabled = Array.of_list (List.map (table_for t) ids) in
       let e =
         Obs.span "schedule" (fun () -> evaluate t tabled ~f1:(priority = F1))
       in
@@ -546,7 +547,7 @@ let delta_keys ?(priority = F2) t ~prev move =
   | None -> (
       t.misses <- t.misses + 1;
       Obs.count "eval.cache.misses" 1;
-      let tabled = List.map (table_for t) ids in
+      let tabled = Array.of_list (List.map (table_for t) ids) in
       let f1 = priority = F1 in
       let fallback () =
         t.d_fallbacks <- t.d_fallbacks + 1;

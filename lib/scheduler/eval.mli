@@ -78,7 +78,7 @@ val make : ?universe:Mps_pattern.Universe.t -> ?delta:bool -> Mps_dfg.Dfg.t -> t
     the engine state — so {!cycles_delta} can resume a memoized run
     mid-schedule instead of starting over.  Recording costs an O(n) copy
     per checkpoint and a mask OR per cycle, so it is opt-in: move-loop
-    searches (annealing, beam, exact, serve edits) turn it on, one-shot
+    searches (annealing, beam, serve edits) turn it on, one-shot
     costing does not.  On graphs with more than 62 colors the masks do not
     fit a single int and the flag is silently ignored ({!cycles_delta}
     then always takes the full-evaluation fallback). *)

@@ -10,19 +10,17 @@
    by list position, so without this rule the same multiset could cost
    differently depending on which branch reached it first; with it, the
    cost of a set is well-defined and the minimum over the family is the
-   same for every traversal order, worker count, and for the exhaustive
-   oracle (which applies the same rule). *)
+   same for every traversal order and for the exhaustive oracle (which
+   applies the same rule). *)
 
 module Dfg = Mps_dfg.Dfg
-module Color = Mps_dfg.Color
 module Levels = Mps_dfg.Levels
 module Pattern = Mps_pattern.Pattern
 module Universe = Mps_pattern.Universe
 module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
-module Pool = Mps_exec.Pool
 module Obs = Mps_obs.Obs
-module Listx = Mps_util.Listx
+module Bitset = Mps_util.Bitset
 
 type pruning = {
   prune_span : bool;
@@ -58,110 +56,6 @@ type certificate = {
   proven : bool;
 }
 
-(* Root subtrees are explored in fixed-size batches so the incumbent
-   refreshes at deterministic points: the batch layout — and therefore
-   every number in the certificate — is independent of the worker count. *)
-let batch_size = 8
-
-type session = {
-  ev : Eval.t;
-  tbl : (string, bound) Hashtbl.t;
-  (* The last set actually costed through [ev] (never a ban-table skip):
-     its evaluation is memoized with replay data, so a sibling set one
-     positional move away is delta-costed against it. *)
-  mutable last : Pattern.t list option;
-  mutable ban_rev : ban_entry list;
-  mutable visited : int;
-  mutable p_span : int;
-  mutable p_color : int;
-  mutable p_ban : int;
-  mutable p_dom : int;
-  mutable eval_count : int;
-  mutable inc : int;
-  mutable best : Pattern.t list option;
-  mutable capped : bool;
-}
-
-(* One root subtree's exploration: its local best, if it beat the
-   incumbent it started from, plus accounting and new ban entries. *)
-type task_result = {
-  t_best : (int * Pattern.t list) option;
-  t_stats : stats;
-  t_bans : ban_entry list;
-  t_capped : bool;
-}
-
-let make_session ev inc =
-  {
-    ev;
-    tbl = Hashtbl.create 64;
-    last = None;
-    ban_rev = [];
-    visited = 0;
-    p_span = 0;
-    p_color = 0;
-    p_ban = 0;
-    p_dom = 0;
-    eval_count = 0;
-    inc;
-    best = None;
-    capped = false;
-  }
-
-let stats_of_session s =
-  {
-    nodes_visited = s.visited;
-    pruned_span = s.p_span;
-    pruned_color = s.p_color;
-    pruned_ban = s.p_ban;
-    pruned_dominance = s.p_dom;
-    evaluated = s.eval_count;
-  }
-
-let add_stats a b =
-  {
-    nodes_visited = a.nodes_visited + b.nodes_visited;
-    pruned_span = a.pruned_span + b.pruned_span;
-    pruned_color = a.pruned_color + b.pruned_color;
-    pruned_ban = a.pruned_ban + b.pruned_ban;
-    pruned_dominance = a.pruned_dominance + b.pruned_dominance;
-    evaluated = a.evaluated + b.evaluated;
-  }
-
-let emit_counters s =
-  Obs.count "exact.nodes.visited" s.visited;
-  Obs.count "exact.pruned.span" s.p_span;
-  Obs.count "exact.pruned.color" s.p_color;
-  Obs.count "exact.pruned.ban" s.p_ban;
-  Obs.count "exact.pruned.dominance" s.p_dom;
-  Obs.count "exact.evaluated" s.eval_count
-
-let key_of set =
-  String.concat "|" (List.sort String.compare (List.map Pattern.to_string set))
-
-(* Is [set] exactly one positional move away from [prev]: one in-place
-   replacement at a single index (a swap), or [prev] with one pattern
-   appended (a grow)?  Only such moves are delta-costed, because the delta
-   path builds the moved set by in-place replacement / appending — for a
-   positional single-diff that reconstruction IS the canonical chosen
-   order (chosen sets never hold duplicate patterns), so the
-   cost-canonicalization contract in the header note is preserved. *)
-let positional_move prev set =
-  let eq a b = Pattern.compare a b = 0 in
-  let rec go swap p s =
-    match (p, s) with
-    | [], [] -> swap
-    | [], [ a ] -> ( match swap with None -> Some (`Grow a) | Some _ -> None)
-    | x :: p', y :: s' ->
-        if eq x y then go swap p' s'
-        else (
-          match swap with
-          | None -> go (Some (`Swap (x, y))) p' s'
-          | Some _ -> None)
-    | _ -> None
-  in
-  go None prev set
-
 (* The canonical candidate order: descending size, spelling to break ties.
    A proper subpattern is strictly smaller, so this is a linear extension
    of the proper-subpattern lattice — every dominator precedes every
@@ -192,29 +86,138 @@ let canonical_order classify set =
   Array.iteri (fun i p -> Hashtbl.replace h (Pattern.to_string p) i) pool;
   order_by (fun p -> Hashtbl.find_opt h (Pattern.to_string p)) set
 
-let search ?pool ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
+(* --- the covering bound ------------------------------------------------- *)
+
+(* Work buffers of the covering decision: up to [max_rows] pattern rows
+   of [nc] per-color multiplicities, row [r] at [r * nc].  [resid] holds
+   the residual demand per depth of the search over rows, [smax] and
+   [ssize] the per-color and per-size maxima of rows [r..], all in the
+   same layout, so a decision allocates nothing. *)
+type cover = {
+  nc : int;
+  rows : int array;
+  smax : int array;
+  ssize : int array;
+  resid : int array;
+}
+
+let make_cover ~ncolors ~max_rows =
+  let cells = (max_rows + 1) * ncolors in
+  {
+    nc = ncolors;
+    rows = Array.make cells 0;
+    smax = Array.make cells 0;
+    ssize = Array.make (max_rows + 1) 0;
+    resid = Array.make cells 0;
+  }
+
+(* A lower bound on Σ x_q over rows [r..] for the residual demand at depth
+   [r]: per color against the best remaining multiplicity, and the total
+   against the largest remaining row.  [max_int] when a color still in
+   demand is in no remaining row, 0 when nothing is left. *)
+let cover_need cv r =
+  let base = r * cv.nc in
+  let lb = ref 0 and total = ref 0 in
+  for c = 0 to cv.nc - 1 do
+    let d = cv.resid.(base + c) in
+    if d > 0 then begin
+      total := !total + d;
+      let m = cv.smax.(base + c) in
+      if m = 0 then lb := max_int
+      else if !lb < max_int then lb := max !lb ((d + m - 1) / m)
+    end
+  done;
+  if !lb = max_int || !total = 0 then !lb
+  else max !lb ((!total + cv.ssize.(r) - 1) / cv.ssize.(r))
+
+(* Depth-first over x_r, largest first, between bounds from what the rows
+   after [r] can supply in [budget − x_r] cycles at most: x_r need not
+   exceed what row [r] alone would take to meet its colors; it must reach
+   what those rows fall short of on a color, or in slots, that row [r]
+   has more of; and it must leave them the cycles a color row [r] lacks
+   needs.  On the last row the bound is exact. *)
+let rec cover_from cv nrows r budget =
+  let need = cover_need cv r in
+  if need > budget then false
+  else if need = 0 || r = nrows - 1 then true
+  else begin
+    let nc = cv.nc in
+    let base = r * nc and next = (r + 1) * nc in
+    let lo = ref 0 and hi = ref 0 and cap = ref budget in
+    let total = ref 0 and size = ref 0 in
+    for c = 0 to nc - 1 do
+      let d = cv.resid.(base + c) and m = cv.rows.(base + c) in
+      size := !size + m;
+      if d > 0 then begin
+        total := !total + d;
+        let rest = cv.smax.(next + c) in
+        if m > 0 then hi := max !hi ((d + m - 1) / m);
+        if m > rest then begin
+          let short = d - (budget * rest) in
+          if short > 0 then lo := max !lo ((short + m - rest - 1) / (m - rest))
+        end
+        else if m = 0 then cap := min !cap (budget - ((d + rest - 1) / rest))
+      end
+    done;
+    let rest = cv.ssize.(r + 1) in
+    if !size > rest then begin
+      let short = !total - (budget * rest) in
+      if short > 0 then lo := max !lo ((short + !size - rest - 1) / (!size - rest))
+    end;
+    let x = ref (min !hi !cap) and found = ref false in
+    while (not !found) && !x >= !lo do
+      for c = 0 to nc - 1 do
+        cv.resid.(next + c) <- cv.resid.(base + c) - (!x * cv.rows.(base + c))
+      done;
+      if cover_from cv nrows (r + 1) (budget - !x) then found := true
+      else decr x
+    done;
+    !found
+  end
+
+(* Rows [0..nrows-1] and the demand at depth 0 are filled in.  A budget
+   past the total demand decides like the total demand (one row per
+   demanded color, one cycle per node, is then a solution if any is),
+   which keeps every product in [cover_from] small. *)
+let cover_decide cv nrows budget =
+  let nc = cv.nc in
+  let demand = ref 0 in
+  for c = 0 to nc - 1 do
+    demand := !demand + max 0 cv.resid.(c)
+  done;
+  let budget = min budget !demand in
+  Array.fill cv.smax (nrows * nc) nc 0;
+  cv.ssize.(nrows) <- 0;
+  for r = nrows - 1 downto 0 do
+    let size = ref 0 in
+    for c = 0 to nc - 1 do
+      let m = cv.rows.((r * nc) + c) in
+      size := !size + m;
+      cv.smax.((r * nc) + c) <- max m cv.smax.(((r + 1) * nc) + c)
+    done;
+    cv.ssize.(r) <- max !size cv.ssize.(r + 1)
+  done;
+  budget >= 0 && cover_from cv nrows 0 budget
+
+let coverable rows counts cycles =
+  let nc = Array.length counts and nrows = Array.length rows in
+  Array.iter
+    (fun row ->
+      if Array.length row <> nc then
+        invalid_arg "Exact.coverable: a row's length differs from counts'")
+    rows;
+  let cv = make_cover ~ncolors:nc ~max_rows:nrows in
+  Array.iteri (fun r row -> Array.blit row 0 cv.rows (r * nc) nc) rows;
+  Array.blit counts 0 cv.resid 0 nc;
+  cover_decide cv nrows cycles
+
+(* --- the search --------------------------------------------------------- *)
+
+let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
     ?(seeds = []) ?(bans = []) ~pdef classify =
   Obs.span "exact" @@ fun () ->
   if pdef < 1 then invalid_arg "Exact.search: pdef must be >= 1";
   if max_nodes < 1 then invalid_arg "Exact.search: max_nodes must be >= 1";
-  (* Warm start from a previous certificate's ban list: every prior entry
-     is a proven fact about its set (cost in canonical order, or
-     infeasibility), so a completion that hits the table is pruned without
-     re-evaluation, and the cheapest prior [Cost] set opens as the
-     incumbent.  The table is filled before the fan-out and only read
-     afterwards, so sharing it across worker domains is safe. *)
-  let prior = Hashtbl.create (2 * List.length bans + 1) in
-  let prior_best =
-    List.fold_left
-      (fun acc e ->
-        let k = key_of e.banned in
-        if not (Hashtbl.mem prior k) then Hashtbl.replace prior k e.bound;
-        match (e.bound, acc) with
-        | Cost c, None -> Some (c, e.banned)
-        | Cost c, Some (bc, _) when c < bc -> Some (c, e.banned)
-        | _ -> acc)
-      None bans
-  in
   let g = Classify.graph classify in
   let capacity = Classify.capacity classify in
   let u = Classify.universe classify in
@@ -222,256 +225,306 @@ let search ?pool ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   Array.sort (fun i j -> pool_order (Universe.pattern u i) (Universe.pattern u j)) ids;
   let np = Array.length ids in
   let pats = Array.map (Universe.pattern u) ids in
-  let csets = Array.map Pattern.color_set pats in
   let sizes = Array.map Pattern.size pats in
-  let all_colors = Color.Set.of_list (Dfg.colors g) in
-  let colors_arr = Array.of_list (Color.Set.elements all_colors) in
-  let ncolors = Array.length colors_arr in
+  (* Colors are dense indices into the sorted graph colors, and a set of
+     colors is an int mask over them. *)
+  let color_counts = Array.of_list (Dfg.color_counts g) in
+  let colors_arr = Array.map fst color_counts in
+  let node_count_by_color = Array.map snd color_counts in
+  let nc = Array.length colors_arr in
+  if nc > Sys.int_size then
+    invalid_arg
+      (Printf.sprintf
+         "Exact.search: the graph has %d colors, at most %d are supported" nc
+         Sys.int_size);
+  let all_mask = if nc = Sys.int_size then -1 else (1 lsl nc) - 1 in
   let n_nodes = Dfg.node_count g in
-  let node_count_by_color =
-    let a = Array.make (max 1 ncolors) 0 in
-    List.iter
-      (fun n ->
-        let c = Dfg.color g n in
-        Array.iteri
-          (fun i ci -> if Color.compare c ci = 0 then a.(i) <- a.(i) + 1)
-          colors_arr)
-      (Dfg.nodes g);
-    a
+  (* Per-color multiplicities of pool pattern [i], at [i * nc]. *)
+  let pmult = Array.make (np * nc) 0 in
+  let cmask = Array.make np 0 in
+  Array.iteri
+    (fun i p ->
+      Array.iteri
+        (fun c col ->
+          let m = Pattern.count p col in
+          pmult.((i * nc) + c) <- m;
+          if m > 0 then cmask.(i) <- cmask.(i) lor (1 lsl c))
+        colors_arr)
+    pats;
+  (* Every pattern the search meets is interned in a private universe: the
+     pool first, in pool order, so a pool pattern's id is its index, then
+     foreign patterns (fabrications, seed and prior members outside the
+     pool) from [np] up as they are met.  A set is a list of ids in its
+     canonical costing order, which the evaluation context costs as is;
+     its ban key is the same ids sorted. *)
+  let xu = Universe.create ~expected:(2 * np) () in
+  Array.iter (fun p -> ignore (Universe.intern xu p)) pats;
+  let pool_index p =
+    match Universe.find xu p with
+    | Some id when Pattern.Id.to_int id < np -> Some (Pattern.Id.to_int id)
+    | _ -> None
   in
-  let pmult =
-    Array.map (fun p -> Array.map (fun c -> Pattern.count p c) colors_arr) pats
+  let key_of_ids ids = List.sort Pattern.Id.compare ids in
+  (* [subs.(j)]: the pool patterns [j] properly dominates, all after [j]
+     in pool order. *)
+  let subs =
+    Array.init np (fun j ->
+        let row = Bitset.create np in
+        for i = j + 1 to np - 1 do
+          if Universe.proper_subpattern u ids.(i) ~of_:ids.(j) then Bitset.add row i
+        done;
+        row)
   in
-  let pool_index =
-    let h = Hashtbl.create (2 * np) in
-    Array.iteri (fun i p -> Hashtbl.replace h (Pattern.to_string p) i) pats;
-    fun p -> Hashtbl.find_opt h (Pattern.to_string p)
-  in
-  (* Dominance, restricted to the pool and materialized before the fan-out
-     so worker domains never touch the universe's lazily-extended matrix:
-     [dom.(j).(i)] iff pool pattern [i] is a proper subpattern of [j]. *)
-  let dom = Array.make_matrix (max 1 np) (max 1 np) false in
-  for j = 0 to np - 1 do
-    for i = 0 to np - 1 do
-      if i <> j then dom.(j).(i) <- Universe.proper_subpattern u ids.(i) ~of_:ids.(j)
-    done
-  done;
   (* Suffix aggregates over the candidate order: what patterns i.. can
      still contribute in colors, size, and per-color multiplicity. *)
-  let suffix_colors = Array.make (np + 1) Color.Set.empty in
+  let suffix_mask = Array.make (np + 1) 0 in
   let suffix_maxsize = Array.make (np + 1) 0 in
-  let suffix_maxmult = Array.init (np + 1) (fun _ -> Array.make (max 1 ncolors) 0) in
+  let suffix_maxmult = Array.make ((np + 1) * nc) 0 in
   for i = np - 1 downto 0 do
-    suffix_colors.(i) <- Color.Set.union csets.(i) suffix_colors.(i + 1);
+    suffix_mask.(i) <- cmask.(i) lor suffix_mask.(i + 1);
     suffix_maxsize.(i) <- max sizes.(i) suffix_maxsize.(i + 1);
-    for c = 0 to ncolors - 1 do
-      suffix_maxmult.(i).(c) <- max pmult.(i).(c) suffix_maxmult.(i + 1).(c)
+    for c = 0 to nc - 1 do
+      suffix_maxmult.((i * nc) + c) <-
+        max pmult.((i * nc) + c) suffix_maxmult.(((i + 1) * nc) + c)
     done
   done;
-  let master = Eval.make ~delta:true g in
-  let lb_cp = Levels.lower_bound_cycles (Eval.levels master) in
-  let evaluate s set =
-    if set <> [] then begin
-      let key = key_of set in
-      let known =
-        match Hashtbl.find_opt s.tbl key with
-        | Some _ as b -> b
-        | None -> Hashtbl.find_opt prior key
+  let ev = Eval.make ~universe:xu g in
+  let lb_cp = Levels.lower_bound_cycles (Eval.levels ev) in
+  (* Search state.  Depth [d] holds [d] chosen pool indices; per depth, the
+     colors they cover, the pool patterns they dominate, their largest size
+     and their per-color maxima. *)
+  let chosen = Array.make pdef 0 in
+  let covered = Array.make (pdef + 1) 0 in
+  let dominated = Array.init (pdef + 1) (fun _ -> Bitset.create np) in
+  let max_size = Array.make (pdef + 1) 0 in
+  let max_mult = Array.make ((pdef + 1) * nc) 0 in
+  let cv = make_cover ~ncolors:nc ~max_rows:(pdef + 1) in
+  let inc = ref max_int and best = ref [] in
+  let ban_table = Hashtbl.create 64 and ban_rev = ref [] in
+  let visited = ref 0 and capped = ref false in
+  let p_span = ref 0 and p_color = ref 0 and p_ban = ref 0 and p_dom = ref 0 in
+  let evaluated = ref 0 in
+  (* Cost the set of [ids] unless its [key] is already in the ban table. *)
+  let try_set ids key =
+    let known = Hashtbl.mem ban_table key in
+    if known && pruning.prune_ban then incr p_ban
+    else begin
+      incr evaluated;
+      let set = List.map (Universe.pattern xu) ids in
+      let bound =
+        match Eval.cycles_ids ?priority ev ids with
+        | c ->
+            if c < !inc then begin
+              inc := c;
+              best := set
+            end;
+            Cost c
+        | exception Eval.Unschedulable _ -> Infeasible
       in
-      match known with
-      | Some _ when pruning.prune_ban -> s.p_ban <- s.p_ban + 1
-      | _ ->
-          s.eval_count <- s.eval_count + 1;
-          let cost_set () =
-            match s.last with
-            | Some prev -> (
-                match positional_move prev set with
-                | Some (`Swap (r, a)) ->
-                    Eval.cycles_delta ?priority s.ev ~removed:r ~prev ~added:a
-                | Some (`Grow a) ->
-                    Eval.cycles_delta ?priority s.ev ~prev ~added:a
-                | None -> Eval.cycles ?priority s.ev set)
-            | None -> Eval.cycles ?priority s.ev set
-          in
-          let bound =
-            match cost_set () with
-            | c ->
-                if c < s.inc then begin
-                  s.inc <- c;
-                  s.best <- Some set
-                end;
-                Cost c
-            | exception Eval.Unschedulable _ -> Infeasible
-          in
-          s.last <- Some set;
-          if known = None then begin
-            Hashtbl.replace s.tbl key bound;
-            s.ban_rev <- { banned = set; bound } :: s.ban_rev
+      if not known then begin
+        Hashtbl.replace ban_table key bound;
+        ban_rev := { banned = set; bound } :: !ban_rev
+      end
+    end
+  in
+  (* The fabricated fallback filling the colors of [mask], [None] where it
+     coincides with a pool pattern (see the header note). *)
+  let fabs = Hashtbl.create 16 in
+  let fab_of mask =
+    match Hashtbl.find_opt fabs mask with
+    | Some f -> f
+    | None ->
+        let missing c _ = mask land (1 lsl c) <> 0 in
+        let p = Pattern.of_colors (List.filteri missing (Array.to_list colors_arr)) in
+        let f = if pool_index p = None then Some (Universe.intern xu p) else None in
+        Hashtbl.add fabs mask f;
+        f
+  in
+  (* Can the completion at depth [d] (plus the fabrication of [fab_mask]
+     when nonzero) beat the incumbent?  Every cycle commits one pattern,
+     which places at most its multiplicity of each color, so a schedule of
+     [t] cycles is an x with Σ x_p = t covering every color's count. *)
+  let may_improve d fab_mask =
+    !inc = max_int
+    || lb_cp < !inc
+       && begin
+            for j = 0 to d - 1 do
+              Array.blit pmult (chosen.(j) * nc) cv.rows (j * nc) nc
+            done;
+            let nrows =
+              if fab_mask = 0 then d
+              else begin
+                for c = 0 to nc - 1 do
+                  cv.rows.((d * nc) + c) <- (fab_mask lsr c) land 1
+                done;
+                d + 1
+              end
+            in
+            Array.blit node_count_by_color 0 cv.resid 0 nc;
+            cover_decide cv nrows (!inc - 1)
           end
+  in
+  (* The completion of the node at depth [d], as the brute-force oracle
+     does it: the chosen patterns, plus the fabrication of [fab_mask] (when
+     nonzero, as [fab]) filling the missing colors. *)
+  let complete_with d fab_mask fab =
+    if pruning.prune_span && not (may_improve d fab_mask) then incr p_span
+    else begin
+      let ids = ref (match fab with Some id -> [ id ] | None -> []) in
+      for j = d - 1 downto 0 do
+        ids := Pattern.Id.of_int chosen.(j) :: !ids
+      done;
+      (* Pool indices ascending, then the fabrication: already sorted. *)
+      try_set !ids !ids
     end
   in
-  (* Completion, as the brute-force oracle does it: fill the missing
-     colors with one fabricated pattern when a slot is free and they fit —
-     except when the fabrication coincides with a pool pattern (see the
-     header note). *)
-  let consider s pat_rev covered nchosen =
-    let uncovered = Color.Set.diff all_colors covered in
-    if Color.Set.is_empty uncovered then evaluate s (List.rev pat_rev)
-    else if nchosen < pdef && Color.Set.cardinal uncovered <= capacity then begin
-      let fab = Pattern.of_colors (Color.Set.elements uncovered) in
-      if pool_index fab = None then evaluate s (List.rev (fab :: pat_rev))
-    end
+  (* A fabrication needs a free slot and at most [capacity] missing
+     colors. *)
+  let complete d =
+    let missing = all_mask land lnot covered.(d) in
+    if missing = 0 then (if d > 0 then complete_with d 0 None)
+    else if d < pdef && Bitset.popcount missing <= capacity then
+      match fab_of missing with
+      | Some _ as fab -> complete_with d missing fab
+      | None -> ()
   in
-  (* No completion below [chosen + i] can cover the graph: the colors out
-     of reach of the suffix exceed one fabrication, or the remaining picks
+  (* No completion below the node can cover the graph: the colors out of
+     reach of the suffix exceed one fabrication, or the remaining picks
      cannot bridge the missing colors (the Eq. 9 budget). *)
   let color_infeasible covered' k_rem next_start =
-    let missing = Color.Set.diff all_colors covered' in
-    if Color.Set.is_empty missing then false
-    else if k_rem = 0 then true
-    else
-      Color.Set.cardinal (Color.Set.diff missing suffix_colors.(next_start))
-      > capacity
-      || Color.Set.cardinal missing > capacity * k_rem
+    let missing = all_mask land lnot covered' in
+    missing <> 0
+    && (k_rem = 0
+       || Bitset.popcount (missing land lnot suffix_mask.(next_start)) > capacity
+       || Bitset.popcount missing > capacity * k_rem)
   in
   (* A lower bound on any completion below [chosen + i]: critical path,
      slot pressure against the largest reachable pattern, and per-color
      load against the best reachable per-color multiplicity (a fabrication
      contributes at most one slot per still-uncovered color). *)
-  let lower_bound idx_rev i covered' k_rem max_sz =
-    let max_sz = max max_sz sizes.(i) in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors covered') in
+  let lower_bound d i covered' k_rem =
+    let max_sz = max max_size.(d) sizes.(i) in
+    let missing = Bitset.popcount (all_mask land lnot covered') in
     let avail =
-      if k_rem >= 1 then
-        max max_sz (max suffix_maxsize.(i + 1) (min capacity missing))
+      if k_rem >= 1 then max max_sz (max suffix_maxsize.(i + 1) (min capacity missing))
       else max_sz
     in
     let lb = ref lb_cp in
     if avail > 0 then lb := max !lb ((n_nodes + avail - 1) / avail);
-    for c = 0 to ncolors - 1 do
+    for c = 0 to nc - 1 do
       let cnt = node_count_by_color.(c) in
       if cnt > 0 then begin
-        let m = ref pmult.(i).(c) in
-        List.iter (fun j -> m := max !m pmult.(j).(c)) idx_rev;
-        if k_rem >= 1 then begin
-          m := max !m suffix_maxmult.(i + 1).(c);
-          if not (Color.Set.mem colors_arr.(c) covered') then m := max !m 1
-        end;
-        lb := max !lb (if !m = 0 then max_int else (cnt + !m - 1) / !m)
+        let m = max max_mult.((d * nc) + c) pmult.((i * nc) + c) in
+        let m =
+          if k_rem = 0 then m
+          else
+            let m = max m suffix_maxmult.(((i + 1) * nc) + c) in
+            if covered' land (1 lsl c) = 0 then max m 1 else m
+        in
+        lb := max !lb (if m = 0 then max_int else (cnt + m - 1) / m)
       end
     done;
     !lb
   in
-  let rec branch s start idx_rev pat_rev covered nchosen max_sz =
-    if not s.capped then begin
-      s.visited <- s.visited + 1;
-      if s.visited > max_nodes then s.capped <- true
+  let push d i covered' =
+    chosen.(d) <- i;
+    covered.(d + 1) <- covered';
+    let dom = dominated.(d + 1) in
+    Bitset.clear dom;
+    Bitset.union_into ~dst:dom dominated.(d);
+    Bitset.union_into ~dst:dom subs.(i);
+    max_size.(d + 1) <- max max_size.(d) sizes.(i);
+    for c = 0 to nc - 1 do
+      max_mult.(((d + 1) * nc) + c) <-
+        max max_mult.((d * nc) + c) pmult.((i * nc) + c)
+    done
+  in
+  let rec branch start d =
+    if not !capped then begin
+      incr visited;
+      if !visited > max_nodes then capped := true
       else begin
-        consider s pat_rev covered nchosen;
-        if nchosen < pdef then
+        complete d;
+        if d < pdef then
           for i = start to np - 1 do
-            extend s i idx_rev pat_rev covered nchosen max_sz
+            extend i d
           done
       end
     end
-  and extend s i idx_rev pat_rev covered nchosen max_sz =
-    if not s.capped then begin
-      if pruning.prune_dominance && List.exists (fun j -> dom.(j).(i)) idx_rev
-      then s.p_dom <- s.p_dom + 1
+  and extend i d =
+    if not !capped then begin
+      if pruning.prune_dominance && Bitset.mem dominated.(d) i then incr p_dom
       else begin
-        let covered' = Color.Set.union covered csets.(i) in
-        let k_rem = pdef - nchosen - 1 in
+        let covered' = covered.(d) lor cmask.(i) in
+        let k_rem = pdef - d - 1 in
         if pruning.prune_color && color_infeasible covered' k_rem (i + 1) then
-          s.p_color <- s.p_color + 1
-        else if
-          pruning.prune_span
-          && lower_bound idx_rev i covered' k_rem max_sz >= s.inc
-        then s.p_span <- s.p_span + 1
-        else
-          branch s (i + 1) (i :: idx_rev)
-            (pats.(i) :: pat_rev)
-            covered' (nchosen + 1)
-            (max max_sz sizes.(i))
+          incr p_color
+        else if pruning.prune_span && lower_bound d i covered' k_rem >= !inc then
+          incr p_span
+        else begin
+          push d i covered';
+          branch (i + 1) (d + 1)
+        end
       end
     end
   in
-  (* Sequential seed phase: the root node's own completion (the pure
-     fabrication), then the warm-start incumbents, costed canonically —
-     deterministic whatever order the caller's strategy emitted them in. *)
-  let seed_s = make_session master max_int in
-  (* The prior incumbent is the earliest cheapest prior set — exactly the
-     optimum the producing search reported (its ban list is in discovery
-     order and the incumbent only ever improved strictly), so a warm
-     re-search returns the same optimal set when nothing beats it. *)
-  (match prior_best with
-  | Some (c, set) ->
-      seed_s.inc <- c;
-      seed_s.best <- Some set
-  | None -> ());
-  seed_s.visited <- 1;
-  consider seed_s [] Color.Set.empty 0;
-  List.iter (fun set -> evaluate seed_s (order_by pool_index set)) seeds;
-  emit_counters seed_s;
-  let run_root ~inc i =
-    let s = make_session (Eval.make ~delta:true g) inc in
-    extend s i [] [] Color.Set.empty 0 0;
-    emit_counters s;
+  (* Warm start from a previous certificate's ban list: every prior entry
+     is a proven fact about its set (cost in canonical order, or
+     infeasibility), so a completion that hits the table is pruned without
+     re-evaluation.  The prior incumbent is the earliest cheapest prior set
+     — exactly the optimum the producing search reported (its ban list is
+     in discovery order and the incumbent only ever improved strictly), so
+     a warm re-search returns the same optimal set when nothing beats it. *)
+  List.iter
+    (fun e ->
+      let key = key_of_ids (List.map (Universe.intern xu) e.banned) in
+      if not (Hashtbl.mem ban_table key) then Hashtbl.replace ban_table key e.bound;
+      match e.bound with
+      | Cost c when c < !inc ->
+          inc := c;
+          best := e.banned
+      | _ -> ())
+    bans;
+  (* The root node: its own completion (the pure fabrication), then the
+     warm-start seeds, costed canonically — deterministic whatever order
+     the caller's strategy emitted them in. *)
+  visited := 1;
+  complete 0;
+  List.iter
+    (fun set ->
+      let ids = List.map (Universe.intern xu) (order_by pool_index set) in
+      if ids <> [] then try_set ids (key_of_ids ids))
+    seeds;
+  (* Root subtrees in canonical order, each from the incumbent the roots
+     before it left; [max_nodes] caps each one. *)
+  let total_visited = ref !visited and any_capped = ref false in
+  for i = 0 to np - 1 do
+    visited := 0;
+    capped := false;
+    extend i 0;
+    total_visited := !total_visited + !visited;
+    if !capped then any_capped := true
+  done;
+  let stats =
     {
-      t_best = (match s.best with Some set -> Some (s.inc, set) | None -> None);
-      t_stats = stats_of_session s;
-      t_bans = List.rev s.ban_rev;
-      t_capped = s.capped;
+      nodes_visited = !total_visited;
+      pruned_span = !p_span;
+      pruned_color = !p_color;
+      pruned_ban = !p_ban;
+      pruned_dominance = !p_dom;
+      evaluated = !evaluated;
     }
   in
-  let g_inc = ref seed_s.inc in
-  let g_best = ref (match seed_s.best with Some set -> set | None -> []) in
-  let g_stats = ref (stats_of_session seed_s) in
-  let g_capped = ref false in
-  let run_batch batch =
-    let f = run_root ~inc:!g_inc in
-    match pool with Some p -> Pool.map p ~f batch | None -> List.map f batch
-  in
-  let results_rev = ref [] in
-  List.iter
-    (fun batch ->
-      let rs = run_batch batch in
-      List.iter
-        (fun r ->
-          g_stats := add_stats !g_stats r.t_stats;
-          if r.t_capped then g_capped := true;
-          results_rev := r :: !results_rev;
-          match r.t_best with
-          | Some (c, set) when c < !g_inc ->
-              g_inc := c;
-              g_best := set
-          | _ -> ())
-        rs)
-    (Listx.chunks batch_size (List.init np Fun.id));
-  (* Merge the per-subtree ban lists in submission order.  A completed set
-     lives in exactly one subtree (the one of its smallest pool index), so
-     the only duplicates are seed-phase sets re-met inside a subtree. *)
-  let seen = Hashtbl.create 1024 in
-  let dedup entries acc =
-    List.fold_left
-      (fun acc e ->
-        let k = key_of e.banned in
-        if Hashtbl.mem seen k then acc
-        else begin
-          Hashtbl.replace seen k ();
-          e :: acc
-        end)
-      acc entries
-  in
-  let bans_rev =
-    List.fold_left
-      (fun acc r -> dedup r.t_bans acc)
-      (dedup (List.rev seed_s.ban_rev) [])
-      (List.rev !results_rev)
-  in
+  Obs.count "exact.nodes.visited" stats.nodes_visited;
+  Obs.count "exact.pruned.span" stats.pruned_span;
+  Obs.count "exact.pruned.color" stats.pruned_color;
+  Obs.count "exact.pruned.ban" stats.pruned_ban;
+  Obs.count "exact.pruned.dominance" stats.pruned_dominance;
+  Obs.count "exact.evaluated" stats.evaluated;
   {
-    optimal = !g_best;
-    optimal_cycles = !g_inc;
-    stats = !g_stats;
-    bans = List.rev bans_rev;
-    proven = not !g_capped;
+    optimal = !best;
+    optimal_cycles = !inc;
+    stats;
+    bans = List.rev !ban_rev;
+    proven = not !any_capped;
   }

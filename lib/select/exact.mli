@@ -10,6 +10,10 @@
     - {b span}: a structural lower bound (critical path, slot pressure,
       per-color load given the largest pattern still reachable in the
       subtree) already meets the incumbent, so nothing below can improve;
+      and, before a completed set is costed, the {b covering} bound: no
+      x with Σ x_p ≤ incumbent − 1 and Σ_p x_p·m_p(c) ≥ count(c) for
+      every color c exists (see {!coverable}), so the set cannot beat the
+      incumbent either;
     - {b color}: the Eq. 9-style feasibility test — the colors still
       reachable from the suffix plus one fabricated fallback cannot cover
       the graph, so the subtree holds no schedulable completion;
@@ -24,22 +28,21 @@
       earlier-listed dominator: every completion using it has an
       equal-cycles twin without it, met later in the same subtree.
 
-    Candidate sets are costed through a per-task {!Mps_scheduler.Eval}
-    context (memo cache, counter replay), every evaluated or infeasible
-    completion is memoized in the ban list with an [Infeasible] or
-    [Cost c] guide bound, and the search returns a {e certificate}: the
-    optimal set, its cycles, the visited/pruned node accounting, the ban
-    list, and whether the search ran to completion ([proven]).
+    Candidate sets are costed through one plain {!Mps_scheduler.Eval}
+    context per search, every evaluated or infeasible completion is
+    memoized in the ban list with an [Infeasible] or [Cost c] guide bound,
+    and the search returns a {e certificate}: the optimal set, its cycles,
+    the visited/pruned node accounting, the ban list, and whether the
+    search ran to completion ([proven]).
 
     {2 Determinism and [--jobs]}
 
-    Root subtrees fan out over {!Mps_exec.Pool} in fixed-size batches.
-    Each task explores with the incumbent frozen at batch start (plus its
-    own local improvements); batch results fold back in submission order.
-    The batch layout is independent of the worker count, so the
+    The search is sequential: the seeds first, then the root subtrees
+    once each in canonical order, each starting from the best incumbent
+    the roots before it left.  Nothing depends on a worker count, so the
     certificate — optimal set, cycles, every counter, the full ban list —
-    is byte-identical for every [--jobs] value, including the poolless
-    sequential path. *)
+    is the same for every [--jobs] value; a pool only speeds up the
+    classification the search reads. *)
 
 type pruning = {
   prune_span : bool;  (** Structural lower-bound cut. *)
@@ -70,7 +73,9 @@ type stats = {
   pruned_span : int;
   pruned_color : int;
   pruned_ban : int;
-  pruned_dominance : int;  (** Subtrees cut, by rule. *)
+  pruned_dominance : int;
+      (** Subtrees cut, by rule; [pruned_span] also counts the completed
+          sets the covering bound skipped. *)
   evaluated : int;  (** Completed sets costed through [Eval]. *)
 }
 
@@ -105,8 +110,19 @@ val canonical_order :
     search ascribes to it (the list scheduler breaks score ties by list
     position, so cycles are only well-defined relative to an order). *)
 
+val coverable : int array array -> int array -> int -> bool
+(** [coverable rows counts cycles]: is there an x ≥ 0 with
+    Σ_p x_p ≤ [cycles] and Σ_p x_p·[rows.(p).(c)] ≥ [counts.(c)] for every
+    color c?  A list schedule that commits pattern p in x_p of its cycles
+    places at most [rows.(p).(c)] nodes of color c each time, so a set
+    whose multiplicity rows are not coverable for [cycles] cannot schedule
+    a graph with these per-color node counts in [cycles] cycles.  Decided
+    exactly, by a depth-first search over x with a per-color and
+    slot-count bound; this is the decision {!search} makes before costing
+    a completed set.
+    @raise Invalid_argument if a row's length differs from [counts]'. *)
+
 val search :
-  ?pool:Mps_exec.Pool.t ->
   ?priority:Mps_scheduler.Eval.pattern_priority ->
   ?pruning:pruning ->
   ?max_nodes:int ->
@@ -131,19 +147,22 @@ val search :
     costing order all of those induce; the serve session keys its persisted
     lists on exactly that fingerprint).  Prior entries are never
     re-evaluated (they count as [exact.pruned.ban] hits when the ban rule
-    is on) and the cheapest prior [Cost] set opens as the incumbent, so a
+    is on, unless the covering bound skips them first) and the cheapest
+    prior [Cost] set opens as the incumbent, so a
     warm re-search of an unchanged family does no [Eval] work at all and
     still returns the identical optimum.  The returned {!certificate.bans}
     holds {e newly discovered} entries only — append it to the persistent
     list you passed in.
 
     [max_nodes] (default [1_000_000]) caps the visited nodes of {e each}
-    root subtree — per-subtree, so the cap is [--jobs]-independent.  A
-    capped subtree clears [proven].
+    root subtree, so one deep subtree cannot starve the roots after it.
+    A capped subtree clears [proven].
 
     Observability: runs under an ["exact"] span and reports
     [exact.nodes.visited], [exact.pruned.span], [exact.pruned.color],
     [exact.pruned.ban], [exact.pruned.dominance] and [exact.evaluated]
-    counters, identical for every [--jobs].
+    counters, once per search.
 
-    @raise Invalid_argument if [pdef < 1] or [max_nodes < 1]. *)
+    @raise Invalid_argument if [pdef < 1] or [max_nodes < 1], or if the
+    graph has more colors than an OCaml int has bits ([Sys.int_size]):
+    the search keeps a set of colors as one int mask. *)

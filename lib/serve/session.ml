@@ -236,8 +236,8 @@ let exact t e ~options ?pruning ?max_nodes () =
   let key = ban_key ~options in
   let prior = prior_bans e key in
   let ct =
-    C.Exact.search ?pool:t.s_pool ~priority:options.C.Pipeline.priority
-      ?pruning ?max_nodes ~bans:prior ~pdef:options.C.Pipeline.pdef f.classify
+    C.Exact.search ~priority:options.C.Pipeline.priority ?pruning ?max_nodes
+      ~bans:prior ~pdef:options.C.Pipeline.pdef f.classify
   in
   Hashtbl.replace e.e_bans key (prior @ ct.C.Exact.bans);
   (ct, warm)
@@ -252,8 +252,7 @@ let certify t dfg ~options ?max_nodes () =
   let key = ban_key ~options in
   let prior = prior_bans e key in
   let cert =
-    C.Pipeline.certify_classified ?pool:t.s_pool ~options ?max_nodes
-      ~bans:prior f.classify
+    C.Pipeline.certify_classified ~options ?max_nodes ~bans:prior f.classify
   in
   Hashtbl.replace e.e_bans key (prior @ cert.C.Pipeline.exact.C.Exact.bans);
   (cert, warm)

@@ -1,9 +1,10 @@
 (* Exact backend: the certifying branch-and-bound must agree with the
    exhaustive oracle wherever both terminate, never lose to the portfolio
-   it is seeded from, be byte-identical at any --jobs (result, counters
-   and ban list alike), publish a sound ban list, find the same optimum
-   with and without pruning, and let ban and dominance pruning alone cut
-   the 3dft search tree by at least half.
+   it is seeded from, certify identically at any --jobs (result, counters
+   and ban list alike), publish a sound ban list, cost each set at most
+   once, find the same optimum with and without pruning, let ban and
+   dominance pruning alone cut the 3dft search tree by at least half, and
+   decide its covering bound exactly and soundly.
 
    Costing note: a set's cycles are well-defined only relative to a
    pattern order (the list scheduler breaks score ties by position), so
@@ -12,6 +13,7 @@
    below compare against independently recomputed canonical costs. *)
 
 module Dfg = Mps_dfg.Dfg
+module Color = Mps_dfg.Color
 module Pattern = Mps_pattern.Pattern
 module Eval = Mps_scheduler.Eval
 module Portfolio = Mps_select.Portfolio
@@ -20,6 +22,7 @@ module Select = Mps_select.Select
 module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Pool = Mps_exec.Pool
+module Pipeline = Core.Pipeline
 module Random_dag = Mps_workloads.Random_dag
 module Paper_graphs = Mps_workloads.Paper_graphs
 
@@ -128,13 +131,24 @@ let fingerprint ct =
     (String.concat ";" (List.map entry ct.Exact.bans))
 
 (* The whole certificate — optimal set, counters, ban list — is
-   byte-identical between the sequential path and a 4-worker pool. *)
+   byte-identical whether the certification classifies on one domain or on
+   a 4-worker pool. *)
 let jobs_identical seed =
   let g = tiny_graph ~seed in
-  let cls = classify g in
-  let seq = fingerprint (Exact.search ~pdef:3 cls) in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      fingerprint (Exact.search ~pool ~pdef:3 cls) = seq)
+  let options =
+    {
+      Pipeline.default_options with
+      Pipeline.capacity;
+      pdef = 3;
+      span_limit = None;
+      enumeration_budget = None;
+    }
+  in
+  let certify pool =
+    fingerprint (Pipeline.certify ?pool ~options g).Pipeline.exact
+  in
+  let seq = certify None in
+  Pool.with_pool ~jobs:4 (fun pool -> certify (Some pool) = seq)
 
 (* Ban-list soundness: an Infeasible entry really cannot schedule the
    graph; a Cost entry reproduces its bound verbatim and never beats the
@@ -206,6 +220,126 @@ let pruning_power_3dft () =
     Alcotest.failf "ban+dominance visited %d of %d unpruned nodes, over half"
       visited unpruned
 
+(* 3dft at Pdef 4 (span 1), seeded with the Eq. 8/9 heuristic — the
+   serve and CLI certification. *)
+let seeded_3dft () =
+  let g = Paper_graphs.fig2_3dft () in
+  let cls =
+    Classify.compute ~span_limit:1 ~capacity:Paper_graphs.montium_capacity
+      (Enumerate.make_ctx g)
+  in
+  Exact.search ~seeds:[ Select.select ~pdef:4 cls ] ~pdef:4 cls
+
+(* Every costed set is a new ban entry, and no set is entered twice: a
+   seed met again inside the tree is a ban hit, not a second evaluation. *)
+let each_set_costed_once (ct : Exact.certificate) =
+  let sets =
+    List.map
+      (fun e -> List.sort compare (List.map Pattern.to_string e.Exact.banned))
+      ct.Exact.bans
+  in
+  ct.Exact.stats.Exact.evaluated = List.length sets
+  && List.length (List.sort_uniq compare sets) = List.length sets
+
+let seeded_3dft_costs_once () =
+  Alcotest.(check bool) "evaluated = distinct ban entries" true
+    (each_set_costed_once (seeded_3dft ()))
+
+let portfolio_seeds_costed_once seed =
+  let g = tiny_graph ~seed in
+  let cls = classify g in
+  let o = Portfolio.run ~pdef:3 cls in
+  let seeds = List.map (fun e -> e.Portfolio.patterns) o.Portfolio.all in
+  each_set_costed_once (Exact.search ~seeds ~pdef:3 cls)
+
+(* The live incumbent and the covering bound: the seeded 3dft search
+   proves 5 cycles visiting at most 1,400 nodes and costing at most 400
+   sets (3,853 and 3,850 with batched roots and no covering bound). *)
+let seeded_3dft_work () =
+  let ct = seeded_3dft () in
+  let s = ct.Exact.stats in
+  Alcotest.(check bool) "proven" true ct.Exact.proven;
+  Alcotest.(check int) "optimum" 5 ct.Exact.optimal_cycles;
+  if s.Exact.nodes_visited > 1_400 || s.Exact.evaluated > 400 then
+    Alcotest.failf "visited %d nodes and costed %d sets, over 1,400 / 400"
+      s.Exact.nodes_visited s.Exact.evaluated
+
+(* The covering decision against brute force: enumerate every x with
+   Σ x ≤ cycles over random pattern rows and per-color counts.  With an
+   unbounded budget it holds exactly when every demanded color is in some
+   row. *)
+let cover_gen =
+  QCheck2.Gen.(
+    let* nc = 1 -- 4 in
+    let* k = 1 -- 4 in
+    let* rows = array_size (pure k) (array_size (pure nc) (0 -- 3)) in
+    let* counts = array_size (pure nc) (0 -- 8) in
+    let* cycles = 0 -- 8 in
+    pure (rows, counts, cycles))
+
+let brute_coverable rows counts cycles =
+  let k = Array.length rows in
+  let x = Array.make k 0 in
+  let rec go p left =
+    if p = k then
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun c cnt ->
+             let placed = ref 0 in
+             Array.iteri (fun q row -> placed := !placed + (x.(q) * row.(c))) rows;
+             !placed >= cnt)
+           counts)
+    else
+      List.exists
+        (fun v ->
+          x.(p) <- v;
+          go (p + 1) (left - v))
+        (List.init (left + 1) Fun.id)
+  in
+  go 0 cycles
+
+let cover_matches_brute_force (rows, counts, cycles) =
+  let reachable c cnt = cnt = 0 || Array.exists (fun row -> row.(c) > 0) rows in
+  Exact.coverable rows counts cycles = brute_coverable rows counts cycles
+  && Exact.coverable rows counts max_int
+     = Array.for_all Fun.id (Array.mapi reachable counts)
+
+(* Soundness of the covering bound: a set's own schedule is a witness x
+   for its cycle count, so the check accepts every set a no_pruning search
+   costs at that count — and never skips a set that could reach an
+   incumbent above it. *)
+let cover_sound seed =
+  let g = tiny_graph ~seed in
+  let cls = classify g in
+  let color_counts = Array.of_list (Dfg.color_counts g) in
+  let colors = Array.map fst color_counts and counts = Array.map snd color_counts in
+  let ct = Exact.search ~pruning:Exact.no_pruning ~pdef:3 cls in
+  ct.Exact.bans <> []
+  && List.for_all
+       (fun e ->
+         match e.Exact.bound with
+         | Exact.Infeasible -> true
+         | Exact.Cost c ->
+             let row p = Array.map (Pattern.count p) colors in
+             Exact.coverable (Array.of_list (List.map row e.Exact.banned)) counts c)
+       ct.Exact.bans
+
+(* A set of colors is one int mask, so a graph with more colors than an
+   int has bits is refused, never searched. *)
+let too_many_colors () =
+  let chars = List.filter (( <> ) '-') (List.init 94 (fun i -> Char.chr (33 + i))) in
+  let n = Sys.int_size + 1 in
+  let name i = Printf.sprintf "n%d" i in
+  let nodes =
+    List.filteri (fun i _ -> i < n) chars
+    |> List.mapi (fun i c -> (name i, Color.of_char c))
+  in
+  let edges = List.init (n - 1) (fun i -> (name i, name (i + 1))) in
+  let cls = classify (Dfg.of_alist nodes edges) in
+  match Exact.search ~pdef:2 cls with
+  | _ -> Alcotest.fail "searched a graph with more colors than a mask holds"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "exact backend"
     [
@@ -217,6 +351,17 @@ let () =
             pruning_preserves_optimum;
           Alcotest.test_case "3dft: ban+dominance visit at most half the tree"
             `Quick pruning_power_3dft;
+          Alcotest.test_case "3dft seeded: at most 1,400 nodes, 400 sets"
+            `Quick seeded_3dft_work;
+          Alcotest.test_case "more colors than a mask holds are refused" `Quick
+            too_many_colors;
+        ] );
+      ( "covering",
+        [
+          qtest ~count:300 "decision = brute force over x" cover_gen
+            cover_matches_brute_force;
+          qtest "never rules out a set that reaches the budget" seed_gen
+            cover_sound;
         ] );
       ( "portfolio",
         [
@@ -229,5 +374,11 @@ let () =
             jobs_identical;
         ] );
       ( "ban list",
-        [ qtest "no banned set is feasible-and-better" seed_gen ban_list_sound ] );
+        [
+          qtest "no banned set is feasible-and-better" seed_gen ban_list_sound;
+          Alcotest.test_case "3dft seeded: each set costed once" `Quick
+            seeded_3dft_costs_once;
+          qtest "portfolio seeds: each set costed once" seed_gen
+            portfolio_seeds_costed_once;
+        ] );
     ]
