@@ -1,16 +1,15 @@
 #!/bin/sh
 # Repo gate: build, full test suite, odoc (where installed), CLI
 # determinism across --jobs (portfolio 3dft and w5dft run every portfolio
-# backend: eq8, harvest:greedy and beam, w5dft through beam's
-# delta-costed finalists), the observability no-perturbation gate,
-# the serve smoke gate (golden stream, error recovery, --jobs invariance),
-# the delta smoke gate (suffix replay leaves counters and the serve edit
-# stream byte-identical at any --jobs), the selector gate (auto smoke,
-# counter jobs-invariance), the selector fit in release (refit =
-# compiled-in table, auto = portfolio entry, regret <= 5%), the benchmark
-# determinism gate (same-seed counts and serve digest repeat, jobs 1 and
-# nproc classifications agree), and socket serve matching the stdin
-# golden.
+# backend: eq8, harvest:greedy and beam), the observability
+# no-perturbation gate, the serve smoke gate (golden stream, error
+# recovery, --jobs invariance), the eval counter gate (eval.* counters and
+# the serve edit stream byte-identical at any --jobs), the selector gate
+# (auto smoke, counter jobs-invariance), the selector fit in release
+# (refit = compiled-in table, auto = portfolio entry, regret <= 5%), the
+# benchmark determinism gate (same-seed counts and serve digest repeat,
+# jobs 1 and nproc classifications agree), and socket serve matching the
+# stdin golden.
 #
 #   ./check.sh          # the whole gate
 #   ./check.sh --fast   # build + tests only
@@ -123,14 +122,12 @@ if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then
 fi
 echo "  ok: serve stream matches the committed golden"
 
-say "delta smoke: suffix replay must not perturb any observable stream"
+say "eval counters: --jobs must not perturb eval.* rows or the serve edit stream"
 # Every Eval caller commits its counters in submission order, so the eval.*
 # counter rows of --stats must be byte-identical at --jobs 1 and --jobs 4
-# (exact 3dft), and the delta-evaluation path (annealing swap moves, beam
-# one-move finalists, serve edits) must actually be taken (eval.delta.hits
-# present in anneal 3dft).  The serve golden stream above already carries
-# warm "edit" requests; replay it at --jobs 4 to prove the edit path is
-# jobs-invariant too.
+# (exact 3dft).  The serve golden stream above already carries warm "edit"
+# requests; replay it at --jobs 4 to prove the edit path is jobs-invariant
+# too.
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 1 \
   2>&1 >/dev/null | grep '| eval\.' > "$tmp1"
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 4 \
@@ -140,14 +137,7 @@ if ! cmp -s "$tmp1" "$tmp4"; then
   diff "$tmp1" "$tmp4" >&2
   exit 1
 fi
-dune exec --no-build bin/mpsched.exe -- anneal 3dft --stats \
-  2>&1 >/dev/null | grep '| eval\.' > "$tmp1"
-if ! grep -q 'eval\.delta\.hits' "$tmp1"; then
-  echo "FAIL: annealing never took the delta path (no eval.delta.hits)" >&2
-  cat "$tmp1" >&2
-  exit 1
-fi
-echo "  ok: eval.* counters identical across --jobs, delta path taken"
+echo "  ok: eval.* counters identical across --jobs"
 dune exec --no-build bin/mpsched.exe -- serve --stdin --jobs 4 \
   < test/cli/serve_requests.txt > "$tmp1"
 if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then

@@ -26,7 +26,6 @@ type result = { schedule : Schedule.t; trace : trace_row list }
 type agg = { mutable n : int; mutable sum : int; mutable mn : int; mutable mx : int }
 
 let fresh_agg () = { n = 0; sum = 0; mn = max_int; mx = min_int }
-let copy_agg a = { n = a.n; sum = a.sum; mn = a.mn; mx = a.mx }
 
 let agg_add a v =
   a.n <- a.n + 1;
@@ -36,41 +35,7 @@ let agg_add a v =
 
 type outcome = Cycles of int | Failed of Color.t list
 
-(* A frozen evaluation state at the start of cycle [ck_cycle]: restoring it
-   and stepping forward replays the evaluation from that cycle exactly.
-   Snapshots are taken at a geometric stride (see [next_ck_cycle]) so the
-   suffix replayed by a delta evaluation starts at most ~a third of the run
-   above the first divergent cycle. *)
-type checkpoint = {
-  ck_cycle : int;
-  ck_preds : int array;
-  ck_cycle_of : int array;
-  ck_cand : int array;  (* the live candidate prefix, rank-sorted *)
-  ck_scheduled : int;
-  ck_ready : agg;
-  ck_placed : agg;
-}
-
-(* Replay data recorded by delta-enabled contexts: for each dense color
-   index, the first attempted cycle (including a failing one) at which a
-   candidate of that color existed ([-1] = never), the number of attempted
-   cycles, and the checkpoint ladder, ascending by cycle.  A swapped/added
-   pattern selects nothing at any cycle before the first occurrence of one
-   of its colors, so the minimum of [rp_first] over the moved colors bounds
-   the shared prefix — O(ncolors) memory and scan instead of a mask per
-   cycle. *)
-type replay_data = {
-  rp_first : int array;
-  rp_len : int;
-  rp_cks : checkpoint list;
-}
-
-type entry = {
-  outcome : outcome;
-  ready : agg;
-  placed : agg;
-  rp : replay_data option;
-}
+type entry = { outcome : outcome; ready : agg; placed : agg }
 
 type t = {
   graph : Dfg.t;
@@ -86,7 +51,6 @@ type t = {
   value : int array;  (* f(n), the F2 summand *)
   in_deg : int array;
   src : int array;  (* sources, rank-sorted once *)
-  delta : bool;  (* record replay data (requires ncolors <= 62) *)
   (* Scratch buffers of the fast path, reused across evaluations. *)
   preds : int array;
   cycle_of : int array;
@@ -101,17 +65,14 @@ type t = {
      domains for read-only lookups). *)
   keys : Universe.t;
   xlate : (int, Pattern.Id.t) Hashtbl.t;  (* caller-universe id -> key id *)
-  tables : (int, int array * int * int) Hashtbl.t;
-      (* key id -> (color table, |p̄|, color mask over dense indices) *)
+  tables : (int, int array * int) Hashtbl.t;
+      (* key id -> (color table, |p̄|) *)
   cache : (int list, entry) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
-  mutable d_hits : int;
-  mutable d_fallbacks : int;
-  mutable d_saved : int;
 }
 
-let make ?universe ?(delta = false) g =
+let make ?universe g =
   let n = Dfg.node_count g in
   let reach = Reachability.compute g in
   let lvls = Levels.compute g in
@@ -147,10 +108,6 @@ let make ?universe ?(delta = false) g =
     value;
     in_deg = Array.init n (Dfg.in_degree g);
     src;
-    (* Color masks are single ints, so replay recording needs every dense
-       color index to fit one bit; beyond that the delta path always falls
-       back to full evaluation. *)
-    delta = delta && !ncolors <= 62;
     preds = Array.make n 0;
     cycle_of = Array.make n (-1);
     cand = Array.make n 0;
@@ -165,9 +122,6 @@ let make ?universe ?(delta = false) g =
     cache = Hashtbl.create 64;
     hits = 0;
     misses = 0;
-    d_hits = 0;
-    d_fallbacks = 0;
-    d_saved = 0;
   }
 
 let graph t = t.graph
@@ -175,15 +129,13 @@ let reachability t = t.reach
 let levels t = t.lvls
 let node_priority t = t.prio
 let cache_stats t = (t.hits, t.misses)
-let delta_stats t = (t.d_hits, t.d_fallbacks, t.d_saved)
 
 (* --- fast path --------------------------------------------------------- *)
 
 (* A pattern as a count table over the graph's color indices plus its full
-   |p̄| and the bitmask of graph color indices it can absorb.  Colors the
-   graph never uses get no slot: they cannot match any candidate, and the
-   slot counter still starts at the full size, so the selected-set walk is
-   exactly the one over a table indexing them. *)
+   |p̄|.  Colors the graph never uses get no slot: they cannot match any
+   candidate, and the slot counter still starts at the full size, so the
+   selected-set walk is exactly the one over a table indexing them. *)
 let table_for t id =
   let key = (Pattern.Id.to_int id : int) in
   match Hashtbl.find_opt t.tables key with
@@ -191,16 +143,12 @@ let table_for t id =
   | None ->
       let p = Universe.pattern t.keys id in
       let table = Array.make t.ncolors 0 in
-      let mask = ref 0 in
       List.iter
         (fun (c, k) ->
           let ci = t.cidx.(Char.code (Color.to_char c)) in
-          if ci >= 0 then begin
-            table.(ci) <- k;
-            if k > 0 && ci < 62 then mask := !mask lor (1 lsl ci)
-          end)
+          if ci >= 0 then table.(ci) <- k)
         (Pattern.to_counted_list p);
-      let ts = (table, Pattern.size p, !mask) in
+      let ts = (table, Pattern.size p) in
       Hashtbl.add t.tables key ts;
       ts
 
@@ -219,12 +167,12 @@ let rank_sort rank a len =
     a.(!j + 1) <- x
   done
 
-(* --- the resumable engine ---------------------------------------------- *)
+(* --- the engine ---------------------------------------------------------- *)
 
 (* The evaluation state between cycles.  The heavy arrays (preds, cycle_of,
    cand) live in the context's scratch buffers — one evaluation runs at a
    time per context — so a cursor is only the scalar frontier plus the
-   counter aggregates, and a checkpoint is the O(n) copy of the arrays. *)
+   counter aggregates. *)
 type cursor = {
   mutable cu_ncand : int;
   mutable cu_scheduled : int;
@@ -246,42 +194,6 @@ let init_cursor t =
     cu_placed = fresh_agg ();
   }
 
-let snapshot t cu =
-  {
-    ck_cycle = cu.cu_cycle;
-    ck_preds = Array.copy t.preds;
-    ck_cycle_of = Array.copy t.cycle_of;
-    ck_cand = Array.sub t.cand 0 cu.cu_ncand;
-    ck_scheduled = cu.cu_scheduled;
-    ck_ready = copy_agg cu.cu_ready;
-    ck_placed = copy_agg cu.cu_placed;
-  }
-
-let restore_cursor t ck =
-  Array.blit ck.ck_preds 0 t.preds 0 t.n;
-  Array.blit ck.ck_cycle_of 0 t.cycle_of 0 t.n;
-  Array.blit ck.ck_cand 0 t.cand 0 (Array.length ck.ck_cand);
-  {
-    cu_ncand = Array.length ck.ck_cand;
-    cu_scheduled = ck.ck_scheduled;
-    cu_cycle = ck.ck_cycle;
-    cu_ready = copy_agg ck.ck_ready;
-    cu_placed = copy_agg ck.ck_placed;
-  }
-
-(* Geometric checkpoint stride: 0,1,2,3,4,6,9,13,19,28,42,63,…  Dense at
-   the front (short runs and early divergences are the common case on small
-   graphs), then 1.5x apart so the whole ladder is O(n log cycles) memory
-   and a restore lands within ~a third of the run of the target cycle. *)
-let next_ck_cycle c = if c < 4 then c + 1 else c + c / 2
-
-let cand_color_mask t cu =
-  let m = ref 0 in
-  for k = 0 to cu.cu_ncand - 1 do
-    m := !m lor (1 lsl t.node_color.(t.cand.(k)))
-  done;
-  !m
-
 type step_result = Step_ok | Step_done | Step_stuck of Color.t list
 
 (* One cycle of Fig. 3 on the dense arrays: score S(p̄, CL) for every
@@ -291,7 +203,7 @@ type step_result = Step_ok | Step_done | Step_stuck of Color.t list
    rank-sorted, which equals the per-cycle [Node_priority.sort] of the
    list version because ranks are a total order and the candidate sets
    match. *)
-let step t (tabled : (int array * int * int) array) ~f1 cu =
+let step t (tabled : (int array * int) array) ~f1 cu =
   let ncand = cu.cu_ncand in
   agg_add cu.cu_ready ncand;
   (* Keep the first best.  The two selection buffers swap roles so the
@@ -300,7 +212,7 @@ let step t (tabled : (int array * int * int) array) ~f1 cu =
   let cur = ref t.sel_a and best = ref t.sel_b in
   let rank = t.rank and value = t.value and node_color = t.node_color in
   for p = 0 to Array.length tabled - 1 do
-    let table, size, _mask = tabled.(p) in
+    let table, size = tabled.(p) in
     Array.blit table 0 t.scratch 0 t.ncolors;
     let slots = ref size in
     let len = ref 0 in
@@ -401,58 +313,18 @@ let step t (tabled : (int array * int * int) array) ~f1 cu =
     if cu.cu_scheduled >= t.n then Step_done else Step_ok
   end
 
-(* Run the cursor to completion.  [fs]/[seen]/[cks_rev] arrive holding the
-   shared prefix's first-occurrence table (and its color mask) and reversed
-   checkpoints when resuming from a checkpoint, and accumulate the rest iff
-   the context records replay data; [first_ck] is the next cycle at which
-   to snapshot. *)
-let run t tabled ~f1 cu ~fs ~seen ~cks_rev ~first_ck =
-  let ck_at = ref first_ck in
+(* One full list-scheduling run from cycle 0. *)
+let evaluate t tabled ~f1 =
+  let cu = init_cursor t in
   let rec go () =
     if cu.cu_scheduled >= t.n then Cycles cu.cu_cycle
-    else begin
-      if t.delta then begin
-        if cu.cu_cycle = !ck_at then begin
-          cks_rev := snapshot t cu :: !cks_rev;
-          ck_at := next_ck_cycle cu.cu_cycle
-        end;
-        let m = cand_color_mask t cu in
-        let fresh = m land lnot !seen in
-        if fresh <> 0 then begin
-          for ci = 0 to t.ncolors - 1 do
-            if fresh land (1 lsl ci) <> 0 then fs.(ci) <- cu.cu_cycle
-          done;
-          seen := !seen lor fresh
-        end
-      end;
+    else
       match step t tabled ~f1 cu with
       | Step_stuck colors -> Failed colors
       | Step_ok | Step_done -> go ()
-    end
   in
   let outcome = go () in
-  let rp =
-    if t.delta then
-      Some
-        {
-          rp_first = fs;
-          (* A run records an occurrence table entry per attempted cycle:
-             cycles 0..c-1 on success, 0..stuck inclusive on failure. *)
-          rp_len =
-            (match outcome with
-            | Cycles c -> c
-            | Failed _ -> cu.cu_cycle + 1);
-          rp_cks = List.rev !cks_rev;
-        }
-    else None
-  in
-  { outcome; ready = cu.cu_ready; placed = cu.cu_placed; rp }
-
-(* One full list-scheduling run from cycle 0. *)
-let evaluate t tabled ~f1 =
-  run t tabled ~f1 (init_cursor t)
-    ~fs:(Array.make t.ncolors (-1))
-    ~seen:(ref 0) ~cks_rev:(ref []) ~first_ck:0
+  { outcome; ready = cu.cu_ready; placed = cu.cu_placed }
 
 let replay e =
   Obs.merge "schedule.ready" Obs.Dist ~samples:e.ready.n ~total:e.ready.sum
@@ -462,11 +334,6 @@ let replay e =
   match e.outcome with
   | Cycles c -> Obs.merge "schedule.cycles" Obs.Sum ~samples:1 ~total:c ~vmin:c ~vmax:c
   | Failed _ -> ()
-
-let finish e =
-  match e.outcome with
-  | Cycles c -> c
-  | Failed colors -> raise (Unschedulable colors)
 
 (* [ids] are key-arena ids, in the caller's pattern order.  The key MUST
    preserve that order: list position decides score ties in the scheduler,
@@ -479,173 +346,32 @@ let key_of_ids priority ids =
   (match priority with F1 -> 0 | F2 -> 1)
   :: List.map Pattern.Id.to_int ids
 
-let cache_hit t e =
-  t.hits <- t.hits + 1;
-  Obs.count "eval.cache.hits" 1;
-  replay e;
-  finish e
-
-let store_and_finish t key e =
-  Hashtbl.add t.cache key e;
-  replay e;
-  finish e
-
 let cycles_keys ?(priority = F2) t ids =
   let key = key_of_ids priority ids in
-  match Hashtbl.find_opt t.cache key with
-  | Some e -> cache_hit t e
-  | None ->
-      t.misses <- t.misses + 1;
-      Obs.count "eval.cache.misses" 1;
-      let tabled = Array.of_list (List.map (table_for t) ids) in
-      let e =
-        Obs.span "schedule" (fun () -> evaluate t tabled ~f1:(priority = F1))
-      in
-      store_and_finish t key e
-
-(* --- delta evaluation --------------------------------------------------- *)
-
-type move = Swap of Pattern.Id.t * Pattern.Id.t | Grow of Pattern.Id.t
-
-(* Cost the set obtained from [prev] by one move, reusing the prefix of the
-   memoized [prev] evaluation.  Soundness: a pattern selects nothing at any
-   cycle where no candidate carries one of its colors, and an empty
-   selection scores the same (0 under F1 and F2) at the same list position
-   — the new pattern replaces the removed one in place, a grown pattern
-   appends — so up to the first cycle where the removed or added pattern
-   could select a node, both runs commit identical sets in identical
-   tie-breaking order.  From that cycle the suffix is replayed from the
-   nearest earlier checkpoint.  Cache accounting is identical to a plain
-   miss (a delta evaluation still evaluates); the [eval.delta.*] counters
-   are additive on top. *)
-let delta_keys ?(priority = F2) t ~prev move =
-  let ids, moved =
-    match move with
-    | Grow added -> (prev @ [ added ], [ added ])
-    | Swap (removed, added) ->
-        if Pattern.Id.equal removed added then (prev, [])
-        else begin
-          let replaced = ref false in
-          let ids =
-            List.map
-              (fun id ->
-                if (not !replaced) && Pattern.Id.equal id removed then begin
-                  replaced := true;
-                  added
-                end
-                else id)
-              prev
-          in
-          if not !replaced then
-            invalid_arg "Eval.cycles_delta: removed pattern not in prev";
-          (ids, [ removed; added ])
-        end
+  let e =
+    match Hashtbl.find_opt t.cache key with
+    | Some e ->
+        t.hits <- t.hits + 1;
+        Obs.count "eval.cache.hits" 1;
+        e
+    | None ->
+        t.misses <- t.misses + 1;
+        Obs.count "eval.cache.misses" 1;
+        let tabled = Array.of_list (List.map (table_for t) ids) in
+        let e =
+          Obs.span "schedule" (fun () -> evaluate t tabled ~f1:(priority = F1))
+        in
+        Hashtbl.add t.cache key e;
+        e
   in
-  let key = key_of_ids priority ids in
-  match Hashtbl.find_opt t.cache key with
-  | Some e -> cache_hit t e
-  | None -> (
-      t.misses <- t.misses + 1;
-      Obs.count "eval.cache.misses" 1;
-      let tabled = Array.of_list (List.map (table_for t) ids) in
-      let f1 = priority = F1 in
-      let fallback () =
-        t.d_fallbacks <- t.d_fallbacks + 1;
-        Obs.count "eval.delta.fallbacks" 1;
-        let e = Obs.span "schedule" (fun () -> evaluate t tabled ~f1) in
-        store_and_finish t key e
-      in
-      let prev_entry =
-        if moved = [] then None
-        else Hashtbl.find_opt t.cache (key_of_ids priority prev)
-      in
-      match prev_entry with
-      | None | Some { rp = None; _ } -> fallback ()
-      | Some ({ rp = Some rp; _ } as pe) -> (
-          let move_mask =
-            List.fold_left
-              (fun acc id ->
-                let _, _, m = table_for t id in
-                acc lor m)
-              0 moved
-          in
-          let len = rp.rp_len in
-          (* First divergent cycle: the earliest first-occurrence of any
-             moved color ([len] = none ever appeared). *)
-          let c = ref len in
-          for ci = 0 to t.ncolors - 1 do
-            if move_mask land (1 lsl ci) <> 0 then begin
-              let f = rp.rp_first.(ci) in
-              if f >= 0 && f < !c then c := f
-            end
-          done;
-          if !c >= len then begin
-            (* The move is never selectable: the evaluations are identical
-               cycle for cycle, so the new key shares the old entry. *)
-            t.d_hits <- t.d_hits + 1;
-            t.d_saved <- t.d_saved + len;
-            Obs.count "eval.delta.hits" 1;
-            Obs.count "eval.delta.cycles_saved" len;
-            store_and_finish t key pe
-          end
-          else if !c = 0 then fallback ()
-          else
-            let ck =
-              List.fold_left
-                (fun best ck -> if ck.ck_cycle <= !c then Some ck else best)
-                None rp.rp_cks
-            in
-            match ck with
-            | None | Some { ck_cycle = 0; _ } ->
-                (* Restoring at cycle 0 replays everything: plain fallback.
-                   (Unreachable today — a cycle-1 checkpoint exists whenever
-                   [!c >= 1 && !c < len] — kept as a safety net.) *)
-                fallback ()
-            | Some ck ->
-                t.d_hits <- t.d_hits + 1;
-                t.d_saved <- t.d_saved + ck.ck_cycle;
-                Obs.count "eval.delta.hits" 1;
-                Obs.count "eval.delta.cycles_saved" ck.ck_cycle;
-                (* Shared prefix: first occurrences strictly below the
-                   checkpoint cycle (later ones are re-observed during the
-                   replay) and every checkpoint at or below it (snapshots
-                   are immutable, so sharing them is free). *)
-                let fs = Array.make t.ncolors (-1) in
-                let seen = ref 0 in
-                for ci = 0 to t.ncolors - 1 do
-                  let f = rp.rp_first.(ci) in
-                  if f >= 0 && f < ck.ck_cycle then begin
-                    fs.(ci) <- f;
-                    seen := !seen lor (1 lsl ci)
-                  end
-                done;
-                let cks_rev = ref [] in
-                List.iter
-                  (fun c' ->
-                    if c'.ck_cycle <= ck.ck_cycle then cks_rev := c' :: !cks_rev)
-                  rp.rp_cks;
-                let cu = restore_cursor t ck in
-                let e =
-                  Obs.span "schedule" (fun () ->
-                      run t tabled ~f1 cu ~fs ~seen ~cks_rev
-                        ~first_ck:(next_ck_cycle ck.ck_cycle))
-                in
-                store_and_finish t key e))
+  replay e;
+  match e.outcome with
+  | Cycles c -> c
+  | Failed colors -> raise (Unschedulable colors)
 
 let cycles ?priority t patterns =
   if patterns = [] then invalid_arg "Eval.cycles: no patterns";
   cycles_keys ?priority t (List.map (Universe.intern t.keys) patterns)
-
-let cycles_delta ?priority ?removed t ~prev ~added =
-  if prev = [] then invalid_arg "Eval.cycles_delta: no patterns";
-  let prev_ids = List.map (Universe.intern t.keys) prev in
-  let added_id = Universe.intern t.keys added in
-  let move =
-    match removed with
-    | None -> Grow added_id
-    | Some r -> Swap (Universe.intern t.keys r, added_id)
-  in
-  delta_keys ?priority t ~prev:prev_ids move
 
 let kid_of t u id =
   let k = (Pattern.Id.to_int id : int) in
@@ -662,20 +388,6 @@ let cycles_ids ?priority t ids =
   | Some u ->
       if ids = [] then invalid_arg "Eval.cycles_ids: no patterns";
       cycles_keys ?priority t (List.map (kid_of t u) ids)
-
-let cycles_delta_ids ?priority ?removed t ~prev ~added =
-  match t.universe with
-  | None -> invalid_arg "Eval.cycles_delta_ids: context made without a universe"
-  | Some u ->
-      if prev = [] then invalid_arg "Eval.cycles_delta_ids: no patterns";
-      let prev_ids = List.map (kid_of t u) prev in
-      let added_id = kid_of t u added in
-      let move =
-        match removed with
-        | None -> Grow added_id
-        | Some r -> Swap (kid_of t u r, added_id)
-      in
-      delta_keys ?priority t ~prev:prev_ids move
 
 (* --- full-fidelity path ------------------------------------------------ *)
 

@@ -16,6 +16,10 @@
     trace rows and the declared-pattern table — and is what
     {!Multi_pattern.schedule} now wraps, so both paths share one
     implementation of the paper's algorithm and stay byte-identical.
+    These are the only two ways a set is costed: a cache miss runs the
+    loop from cycle 0 to the end, however close the set is to one costed
+    before it, and move loops (annealing swaps, beam finalists) gain only
+    from the memo cache.
 
     {2 The memo cache}
 
@@ -64,24 +68,14 @@ type result = {
 type t
 (** The per-graph evaluation context. *)
 
-val make : ?universe:Mps_pattern.Universe.t -> ?delta:bool -> Mps_dfg.Dfg.t -> t
+val make : ?universe:Mps_pattern.Universe.t -> Mps_dfg.Dfg.t -> t
 (** Computes the graph analyses (reachability, levels, node priorities,
     color index) and allocates the scratch buffers once.  [universe], when
     given, plays two roles: {!schedule} hash-conses its patterns through it
     (exactly as {!Multi_pattern.schedule} documents), and {!cycles_ids}
     interprets ids in it.  The context never interns into the caller's
     universe on the fast path — memo keys live in a private arena — so
-    sharing a universe across contexts stays safe.
-
-    [delta] (default [false]) makes evaluations record replay data —
-    per-cycle candidate color masks plus geometric-stride checkpoints of
-    the engine state — so {!cycles_delta} can resume a memoized run
-    mid-schedule instead of starting over.  Recording costs an O(n) copy
-    per checkpoint and a mask OR per cycle, so it is opt-in: move-loop
-    searches (annealing, beam, serve edits) turn it on, one-shot
-    costing does not.  On graphs with more than 62 colors the masks do not
-    fit a single int and the flag is silently ignored ({!cycles_delta}
-    then always takes the full-evaluation fallback). *)
+    sharing a universe across contexts stays safe. *)
 
 val graph : t -> Mps_dfg.Dfg.t
 (** The graph the context was built for. *)
@@ -106,47 +100,9 @@ val cycles :
 val cycles_ids :
   ?priority:pattern_priority -> t -> Mps_pattern.Pattern.Id.t list -> int
 (** {!cycles} on ids of the universe passed to {!make} — the zero-copy
-    entry point for id-based searches (annealing).
+    entry point for id-based searches (annealing, beam).
     @raise Invalid_argument if the context was made without a universe or
     [ids] is empty. *)
-
-val cycles_delta :
-  ?priority:pattern_priority ->
-  ?removed:Mps_pattern.Pattern.t ->
-  t ->
-  prev:Mps_pattern.Pattern.t list ->
-  added:Mps_pattern.Pattern.t ->
-  int
-(** Cycle count of the set obtained from [prev] by one move — replacing the
-    first occurrence of [removed] with [added] (a swap), or appending
-    [added] when [removed] is omitted (a grow).  Returns exactly what
-    {!cycles} would return on the moved set (same memo key, same cache and
-    [schedule.*] counter accounting), but when the context records replay
-    data ({!make}'s [delta]) and the [prev] evaluation is memoized, the
-    shared prefix — every cycle before the first one where [removed] or
-    [added] could select a candidate — is reused and only the suffix is
-    replayed from the nearest checkpoint.  [eval.delta.hits] /
-    [eval.delta.fallbacks] / [eval.delta.cycles_saved] count reuses,
-    full-evaluation fallbacks, and the cycles not re-stepped; they are
-    additive on top of the unchanged [eval.cache.*] accounting, so every
-    published stream stays byte-identical whether a result came through
-    the delta path or the full one.
-    @raise Invalid_argument if [prev] is empty or [removed] is given but
-    not a member of [prev].
-    @raise Unschedulable as {!cycles} does. *)
-
-val cycles_delta_ids :
-  ?priority:pattern_priority ->
-  ?removed:Mps_pattern.Pattern.Id.t ->
-  t ->
-  prev:Mps_pattern.Pattern.Id.t list ->
-  added:Mps_pattern.Pattern.Id.t ->
-  int
-(** {!cycles_delta} on ids of the universe passed to {!make} — the
-    zero-copy entry point for id-based move loops (annealing swaps, beam
-    pool extensions).
-    @raise Invalid_argument as {!cycles_delta}, or if the context was made
-    without a universe. *)
 
 val schedule :
   ?priority:pattern_priority ->
@@ -163,12 +119,3 @@ val schedule :
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the memo cache so far — the same numbers the
     [eval.cache.*] counters report, exposed for tests and benches. *)
-
-val delta_stats : t -> int * int * int
-(** [(hits, fallbacks, cycles_saved)] of the delta path so far — the same
-    numbers the [eval.delta.*] counters report, exposed for tests and
-    benches.  A hit reused a memoized prefix (fully, or up to a
-    checkpoint); a fallback ran a full evaluation because the prefix
-    condition failed (divergence at cycle 0, unmemoized or unrecorded
-    [prev], or a no-op swap of an unmemoized set); [cycles_saved] totals
-    the cycles the hits did not re-step. *)

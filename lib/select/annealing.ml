@@ -38,19 +38,11 @@ let search ?(iterations = 2000) ?(initial_temperature = 2.0) ?(cooling = 0.995)
   let evaluations = ref 0 in
   (* One evaluation context for the whole search: graph analyses amortized,
      and the memo cache answers every revisited pattern set for free —
-     annealing walks a small neighborhood, so revisits dominate quickly.
-     Delta recording makes every swap move a suffix replay of the current
-     state's memoized run when the swapped patterns only matter late. *)
-  let ectx = Eval.make ~universe:u ~delta:true g in
+     annealing walks a small neighborhood, so revisits dominate quickly. *)
+  let ectx = Eval.make ~universe:u g in
   let cost ids =
     incr evaluations;
     match Eval.cycles_ids ectx ids with
-    | c -> c
-    | exception Eval.Unschedulable _ -> max_int
-  in
-  let cost_swap ~prev ~removed ~added =
-    incr evaluations;
-    match Eval.cycles_delta_ids ectx ~removed ~prev ~added with
     | c -> c
     | exception Eval.Unschedulable _ -> max_int
   in
@@ -71,19 +63,13 @@ let search ?(iterations = 2000) ?(initial_temperature = 2.0) ?(cooling = 0.995)
          verbatim: delta would be 0 and it would be accepted back into
          itself.  Don't burn an evaluation or a temperature step on it. *)
       if not (Pattern.Id.equal replacement candidate.(slot)) then begin
-        let displaced = candidate.(slot) in
         candidate.(slot) <- replacement;
         let cand_list = Array.to_list candidate in
         if covers u all_colors cand_list then begin
-          (* A swap move costs through the delta path: [prev] is the
-             current state, whose evaluation the context has memoized (it
-             was costed when it was accepted), so only the suffix past the
-             first cycle where either swapped pattern is selectable is
-             re-stepped.  The result is identical to [cost cand_list]. *)
-          let c =
-            cost_swap ~prev:(Array.to_list !current) ~removed:displaced
-              ~added:replacement
-          in
+          (* Cost exactly the list that is adopted on acceptance: list
+             order decides score ties in the scheduler, so [slot] matters
+             even when the displaced pattern occurs twice. *)
+          let c = cost cand_list in
           let delta = float_of_int (c - !current_cost) in
           let accept =
             c < max_int

@@ -105,50 +105,9 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   let finalists = steps 0 [ initial ] in
   (* Finalists are scored on one shared evaluation context: the graph
      analyses run once, and the memo cache absorbs any multiset the beam
-     reaches twice.  Delta recording is on because consecutive finalists
-     usually differ in a single pick. *)
-  let ectx = Eval.make ~universe:u ~delta:true g in
+     reaches twice. *)
+  let ectx = Eval.make ~universe:u g in
   let evaluated = ref 0 in
-  (* Multiset difference of two id lists as (only-in-prev, only-in-next),
-     each ascending — the shape decides whether a finalist is one swap or
-     one extension away from the previously costed one. *)
-  let multiset_diff prev next =
-    let s l = List.sort (fun a b -> compare (Id.to_int a) (Id.to_int b)) l in
-    let rec walk rem add p n =
-      match (p, n) with
-      | [], [] -> (List.rev rem, List.rev add)
-      | x :: p', [] -> walk (x :: rem) add p' []
-      | [], y :: n' -> walk rem (y :: add) [] n'
-      | x :: p', y :: n' ->
-          let c = compare (Id.to_int x) (Id.to_int y) in
-          if c = 0 then walk rem add p' n'
-          else if c < 0 then walk (x :: rem) add p' n
-          else walk rem (y :: add) p n'
-    in
-    walk [] [] (s prev) (s next)
-  in
-  let prev_ids = ref [] in
-  (* Cost a finalist through the delta path when it is one move away from
-     the previous finalist (single swap or single pool extension); wider
-     diffs take the plain path.  Results and counters are identical either
-     way — the delta path only changes how much of the run is re-stepped. *)
-  let cost ids =
-    let eval () =
-      match (!prev_ids, multiset_diff !prev_ids ids) with
-      | [], _ | _, ([], []) -> Eval.cycles_ids ectx ids
-      | prev, ([ r ], [ a ]) ->
-          Eval.cycles_delta_ids ectx ~removed:r ~prev ~added:a
-      | prev, ([], [ a ]) -> Eval.cycles_delta_ids ectx ~prev ~added:a
-      | _ -> Eval.cycles_ids ectx ids
-    in
-    match eval () with
-    | c ->
-        prev_ids := ids;
-        c
-    | exception e ->
-        prev_ids := ids;
-        raise e
-  in
   let best =
     List.fold_left
       (fun acc state ->
@@ -156,7 +115,7 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
         let patterns = List.map (Universe.pattern u) ids in
         if patterns = [] then acc
         else begin
-          match cost ids with
+          match Eval.cycles_ids ectx ids with
           | exception Eval.Unschedulable _ -> acc
           | c -> (
               incr evaluated;

@@ -15,7 +15,7 @@ type entry = {
   e_bans : (string, C.Exact.ban_entry list) Hashtbl.t;
   (* Families migrated onto this entry by [edit] instead of classified:
      the patched pattern set, whether coverage needed patching, and the
-     delta-enabled costing context — keyed like ban lists (classification
+     context that schedules it — keyed like ban lists (classification
      parameters + pdef + priority decide the selection being migrated). *)
   e_migrated : (string, C.Pattern.t list * bool * C.Eval.t) Hashtbl.t;
   mutable e_evals : C.Eval.t list;  (* Every context owned, newest first. *)
@@ -345,30 +345,13 @@ let edit t dfg ~options ~edits =
             (C.Listx.chunks options.C.Pipeline.capacity missing)
         in
         let pats = selected @ fabricated in
-        let ev = C.Eval.make ~delta:true g' in
+        let ev = C.Eval.make g' in
         e'.e_evals <- ev :: e'.e_evals;
         let m = (pats, fabricated <> [], ev) in
         Hashtbl.replace e'.e_migrated key m;
         m
   in
-  (* Cost the migrated set as a grow chain so every extension is a delta
-     move against the memoized prefix: the first costing of an edited
-     graph exercises the suffix-replay machinery, a repeat request is all
-     cache hits.  Intermediate prefixes may not cover every color yet —
-     their Unschedulable is expected and ignored; the full set covers all
-     colors by construction, so the final evaluation cannot fail. *)
-  let priority = options.C.Pipeline.priority in
-  (match pats with
-  | [] -> failwith "edit: no patterns to migrate"
-  | first :: rest ->
-      (try ignore (C.Eval.cycles ~priority ev [ first ])
-       with C.Eval.Unschedulable _ -> ());
-      ignore
-        (List.fold_left
-           (fun prev p ->
-             (try ignore (C.Eval.cycles_delta ~priority ev ~prev ~added:p)
-              with C.Eval.Unschedulable _ -> ());
-             prev @ [ p ])
-           [ first ] rest));
-  let result = C.Eval.schedule ~priority ev ~patterns:pats in
+  let result =
+    C.Eval.schedule ~priority:options.C.Pipeline.priority ev ~patterns:pats
+  in
   (e', pats, patched, result, warm)

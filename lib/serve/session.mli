@@ -178,11 +178,10 @@ val edit :
     cold re-classification} — the pattern set selected on the (cached)
     base classification migrates over, with fabricated patterns patching
     any colors the edit left uncovered (capacity colors at a time, the
-    Fig. 7 fallback shape).  The migrated set is costed on a
-    delta-recording context as a grow chain — each extension a suffix
-    replay against the memoized prefix — then scheduled in full fidelity
-    for the response rows.  Returns (edited entry, patterns actually
-    scheduled, whether coverage was patched, the schedule, warm bit of
-    the {e base} family).  Migrated artifacts are cached per (edited
-    graph, search family): repeating an edit request is pure cache hits.
+    Fig. 7 fallback shape).  The migrated set is scheduled in full
+    fidelity ({!Core.Eval.schedule}) for the response rows.  Returns
+    (edited entry, patterns actually scheduled, whether coverage was
+    patched, the schedule, warm bit of the {e base} family).  Migrated
+    artifacts are cached per (edited graph, search family): repeating an
+    edit request re-classifies and re-selects nothing.
     @raise Failure / @raise Core.Dfg.Cycle as {!apply_edits}. *)

@@ -6,14 +6,10 @@
    exactly [Schedule.cycles] of [Multi_pattern.schedule] — under both
    pattern priorities, through the id-based entry point, on cache misses
    and on cache hits alike — and fails identically (same [Unschedulable]
-   colors) on sets that do not cover the graph.  [Eval.cycles_delta] must
-   return exactly what [Eval.cycles] returns on the moved set for any
-   walk of swap and grow moves, with exact hit/fallback accounting, on
-   recording and non-recording contexts alike, and on a deep pipeline it
-   must resume far into the schedule and step at most a third of the
-   cycles a full re-evaluation steps.  On top of that, the
-   portfolio built on a shared context must stay byte-identical between
-   --jobs 1 and --jobs 4. *)
+   colors) on sets that do not cover the graph, also when one context
+   costs a whole walk of moves the way the searches do.  On top of that,
+   the portfolio built on a shared context must stay byte-identical
+   between --jobs 1 and --jobs 4. *)
 
 module Dfg = Mps_dfg.Dfg
 module Color = Mps_dfg.Color
@@ -133,182 +129,55 @@ let unschedulable_match seed =
       (not (Select.covers_all_colors g patterns))
       && full <> None && fast = full
 
-(* --- delta evaluation -------------------------------------------------
+(* --- one context over a move walk ---------------------------------------
 
-   [Eval.cycles_delta] must be a perfect stand-in for [Eval.cycles] on the
-   moved set: same cycle counts, same [Unschedulable] colors, for any walk
-   of random swap and grow moves, under both priorities, whether or not
-   the context records replay data.  The walk mixes covering and
-   non-covering replacement patterns so both outcomes are exercised; a
-   failed move keeps the previous set so the walk always continues from a
-   memoized state, like a rejected annealing move. *)
+   Annealing and beam cost a stream of sets one move apart on one
+   context.  Here one context costs a random walk of swap and grow moves
+   under both priorities.  Half the move pool lacks one graph color and
+   the walk starts from three of those patterns, so failed sets land in
+   the cache next to scheduled ones.  Every answer must equal the
+   full-fidelity scheduler on the same list — the same cycles or the same
+   [Unschedulable] colors — and re-asking every costed list afterwards
+   must give the same answers from the cache alone. *)
 
 let outcome f = match f () with c -> Ok c | exception Eval.Unschedulable cs -> Error cs
 
-(* One random move walk driven through [Eval.cycles_delta] on [evd] and
-   re-costed as a plain [Eval.cycles] of the moved list on [evf]; returns
-   false on the first disagreement. *)
-let walk_matches ~seed ~priority evd evf g =
-  let rng = Rng.create ~seed in
-  let colors = Dfg.colors g in
-  let pool =
-    Array.init 8 (fun _ ->
-        Pattern.random rng ~colors ~size:(1 + Rng.int rng capacity))
-  in
-  let prev = ref (Random_select.select rng ~colors ~capacity ~pdef:3) in
-  let ok = ref true in
-  for _ = 1 to 12 do
-    let added = Rng.choice rng pool in
-    let removed, next =
-      if Rng.bool rng || List.length !prev >= 6 then begin
-        (* Mirror [cycles_delta]'s semantics exactly: the replacement
-           lands at the FIRST occurrence of the removed pattern.  Order
-           is part of the memo key and of the schedule (list position
-           decides ties), so mutating a later duplicate slot would be a
-           genuinely different set. *)
-        let slot = Rng.int rng (List.length !prev) in
-        let p = List.nth !prev slot in
-        let replaced = ref false in
-        ( Some p,
-          List.map
-            (fun q ->
-              if (not !replaced) && Pattern.equal q p then begin
-                replaced := true;
-                added
-              end
-              else q)
-            !prev )
-      end
-      else (None, !prev @ [ added ])
-    in
-    let d =
-      outcome (fun () ->
-          Eval.cycles_delta ~priority ?removed evd ~prev:!prev ~added)
-    in
-    let f = outcome (fun () -> Eval.cycles ~priority evf next) in
-    if d <> f then ok := false;
-    match d with Ok _ -> prev := next | Error _ -> ()
-  done;
-  !ok
-
-(* Replaying a suffix returns exactly what a full evaluation returns, for
-   every move of every walk, under both priorities. *)
-let delta_matches_full seed =
-  let g = random_graph ~seed in
-  List.for_all
-    (fun priority ->
-      walk_matches ~seed ~priority (Eval.make ~delta:true g) (Eval.make g) g)
-    [ Mp.F1; Mp.F2 ]
-
-(* A context made without [~delta] must give the same answers through
-   [cycles_delta] — every miss a counted fallback, nothing recorded —
-   while the recording context splits its misses exactly into hits and
-   fallbacks and saves at least one cycle per hit.  Both contexts see the
-   same move stream, so their cache accounting must agree too. *)
-let delta_accounting seed =
-  let g = random_graph ~seed in
-  let evd = Eval.make ~delta:true g in
-  let evoff = Eval.make g in
-  walk_matches ~seed ~priority:Mp.F2 evd evoff g
-  &&
-  let dh, df, ds = Eval.delta_stats evd in
-  let oh, of_, os = Eval.delta_stats evoff in
-  let dhits, dmisses = Eval.cache_stats evd in
-  let ohits, omisses = Eval.cache_stats evoff in
-  (* The off context went through plain [cycles]: no delta traffic. *)
-  oh = 0 && of_ = 0 && os = 0
-  (* Same stream, same list-keyed caches: identical hit/miss splits. *)
-  && (dhits, dmisses) = (ohits, omisses)
-  (* Every delta-path miss resolved as a hit or a fallback, never both. *)
-  && dh + df = dmisses
-  && ds >= dh
-
-(* The same walk driven entirely through [cycles_delta] on a context made
-   without [~delta]: no replay data exists, so every miss is a counted
-   full-evaluation fallback, and nothing is ever saved. *)
-let delta_off_is_all_fallbacks seed =
+let walk_matches_schedule seed =
   let g = random_graph ~seed in
   let ev = Eval.make g in
-  walk_matches ~seed ~priority:Mp.F2 ev (Eval.make g) g
-  &&
-  let h, f, s = Eval.delta_stats ev in
-  let _, misses = Eval.cache_stats ev in
-  h = 0 && s = 0 && f = misses && f > 0
-
-(* --- deep-pipeline delta stream -----------------------------------------
-
-   The random DAGs above are 4-6 layers deep, so no replay there resumes
-   far into a schedule.  This pipeline has 221 layers of two nodes, each
-   layer fully joined to the next: the first 212 layers are all color a,
-   the last nine cycle through c, d and e.  A set is "aa" plus one
-   single-color pattern per tail color, and a move resizes one of those
-   three, so the first divergent cycle is the first tail cycle, one past
-   the checkpoint ladder's 211.  A snake walk of the 5x5x5 size grid
-   makes 124 one-swap moves over 125 distinct sets. *)
-
-let deep_layers = 221
-let deep_tail = 9
-
-let deep_pipeline () =
-  let name l k = Printf.sprintf "n%d_%d" l k in
-  let color l =
-    let t = l - (deep_layers - deep_tail) in
-    Color.of_char (if t < 0 then 'a' else "cde".[t mod 3])
+  let rng = Rng.create ~seed in
+  let colors = Dfg.colors g in
+  let partial = match colors with _ :: (_ :: _ as rest) -> rest | _ -> colors in
+  let pool =
+    Array.init 8 (fun i ->
+        let colors = if i mod 2 = 0 then colors else partial in
+        Pattern.random rng ~colors ~size:(1 + Rng.int rng capacity))
   in
-  let layer l = List.init 2 (fun k -> (name l k, color l)) in
-  let joins l =
+  let costed =
     List.concat_map
-      (fun k -> [ (name (l - 1) 1, name l k); (name (l - 1) 0, name l k) ])
-      [ 0; 1 ]
+      (fun priority ->
+        let set = ref [ pool.(1); pool.(3); pool.(5) ] in
+        List.init 13 (fun _ ->
+            let ps = !set in
+            let added = Rng.choice rng pool in
+            (set :=
+               if Rng.bool rng || List.length ps >= 6 then begin
+                 let slot = Rng.int rng (List.length ps) in
+                 List.mapi (fun i q -> if i = slot then added else q) ps
+               end
+               else ps @ [ added ]);
+            (priority, ps, outcome (fun () -> Eval.cycles ~priority ev ps))))
+      [ Mp.F1; Mp.F2 ]
   in
-  Dfg.of_alist
-    (List.concat_map layer (List.init deep_layers Fun.id))
-    (List.concat_map joins (List.init (deep_layers - 1) (fun l -> l + 1)))
-
-(* Step [t] of the boustrophedon walk: consecutive triples differ in one
-   coordinate, by one size step. *)
-let snake t =
-  let i = t / 25 and jx = t mod 25 / 5 and kx = t mod 5 in
-  let j = if i mod 2 = 0 then jx else 4 - jx in
-  let k = if ((i * 5) + jx) mod 2 = 0 then kx else 4 - kx in
-  (i, j, k)
-
-let deep_delta_stream () =
-  let g = deep_pipeline () in
-  let slot c k = Pattern.of_string (String.make (k + 1) c) in
-  let set (i, j, k) =
-    [ Pattern.of_string "aa"; slot 'c' i; slot 'd' j; slot 'e' k ]
-  in
-  let walk = Array.init 125 snake in
-  let evf = Eval.make g in
-  let full = Array.map (fun v -> Eval.cycles evf (set v)) walk in
-  let ev = Eval.make ~delta:true g in
-  Alcotest.(check int) "first set" full.(0) (Eval.cycles ev (set walk.(0)));
-  for t = 1 to 124 do
-    let (pi, pj, pk), (ni, nj, nk) = (walk.(t - 1), walk.(t)) in
-    let removed, added =
-      if pi <> ni then (slot 'c' pi, slot 'c' ni)
-      else if pj <> nj then (slot 'd' pj, slot 'd' nj)
-      else (slot 'e' pk, slot 'e' nk)
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "move %d" t)
-      full.(t)
-      (Eval.cycles_delta ev ~removed ~prev:(set walk.(t - 1)) ~added)
-  done;
-  let hits, fallbacks, saved = Eval.delta_stats ev in
-  Alcotest.(check (triple int int int))
-    "delta hits, fallbacks, cycles saved" (124, 0, 26_164)
-    (hits, fallbacks, saved);
-  Alcotest.(check (pair int int)) "cache hits, misses" (0, 125)
-    (Eval.cache_stats ev);
-  (* The speed claim in work units: a full re-evaluation steps every cycle
-     of every set, the delta path only the cycles it did not save. *)
-  let full_steps = Array.fold_left ( + ) 0 full in
-  let delta_steps = full_steps - saved in
-  if 3 * delta_steps > full_steps then
-    Alcotest.failf "delta path stepped %d of %d cycles, over a third"
-      delta_steps full_steps
+  let _, misses = Eval.cache_stats ev in
+  List.for_all
+    (fun (priority, ps, got) ->
+      got
+      = outcome (fun () ->
+            Schedule.cycles (Mp.schedule ~priority ~patterns:ps g).Mp.schedule)
+      && outcome (fun () -> Eval.cycles ~priority ev ps) = got)
+    costed
+  && snd (Eval.cache_stats ev) = misses
 
 (* The portfolio costs every strategy on one shared context after the
    fan-in; spreading the strategy work over domains must not move a
@@ -345,16 +214,10 @@ let () =
           qtest "hits return identical counts; stats advance exactly"
             seed_gen cache_hits_are_identical;
         ] );
-      ( "delta evaluation",
+      ( "shared move walk",
         [
-          qtest "cycles_delta = cycles over random move walks, F1 and F2"
-            seed_gen delta_matches_full;
-          qtest "hit/fallback accounting is exact and additive" seed_gen
-            delta_accounting;
-          qtest "a non-recording context answers identically, all fallbacks"
-            seed_gen delta_off_is_all_fallbacks;
-          Alcotest.test_case "deep pipeline: 124 swaps resume past cycle 211"
-            `Quick deep_delta_stream;
+          qtest ~count:1000 "one context over swap and grow moves = Mp.schedule"
+            seed_gen walk_matches_schedule;
         ] );
       ( "determinism",
         [

@@ -22,6 +22,8 @@ module Simulator = Mps_montium.Simulator
 module Dft = Mps_workloads.Dft
 module Kernels = Mps_workloads.Kernels
 module Pg = Mps_workloads.Paper_graphs
+module Random_dag = Mps_workloads.Random_dag
+module Rng = Mps_util.Rng
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -65,6 +67,84 @@ let test_annealing_args () =
   Alcotest.check_raises "cooling range"
     (Invalid_argument "Annealing.search: cooling outside (0,1]") (fun () ->
       ignore (Annealing.search ~cooling:1.5 rng ~pdef:2 cls))
+
+(* The walk [Annealing.search] must take: the same draws from the same
+   generator, each candidate list costed from scratch by the reference
+   scheduler, and the list that is costed is the list that is adopted.
+   Returns what the search reports: patterns, cycles, evaluations and
+   whether the heuristic start was beaten. *)
+let reference_anneal ~iterations rng ~pdef cls =
+  let g = Classify.graph cls in
+  let pool = Array.of_list (Classify.patterns cls) in
+  let evaluations = ref 0 in
+  let cost patterns =
+    incr evaluations;
+    match Mp.cycles ~patterns g with
+    | c -> c
+    | exception Mp.Unschedulable _ -> max_int
+  in
+  let start = Select.select ~pdef cls in
+  let start_cost = cost start in
+  let current = ref (Array.of_list start) and current_cost = ref start_cost in
+  let best = ref !current and best_cost = ref start_cost in
+  let temperature = ref 2.0 in
+  if Array.length pool > 0 && start <> [] then
+    for _ = 1 to iterations do
+      let slot = Rng.int rng (Array.length !current) in
+      let replacement = Rng.choice rng pool in
+      if not (Pattern.equal replacement !current.(slot)) then begin
+        let candidate = Array.copy !current in
+        candidate.(slot) <- replacement;
+        let patterns = Array.to_list candidate in
+        if Select.covers_all_colors g patterns then begin
+          let c = cost patterns in
+          let d = float_of_int (c - !current_cost) in
+          if
+            c < max_int
+            && (d <= 0.0 || Rng.float rng 1.0 < exp (-.d /. !temperature))
+          then begin
+            current := candidate;
+            current_cost := c;
+            if c < !best_cost then begin
+              best := candidate;
+              best_cost := c
+            end
+          end
+        end;
+        temperature := !temperature *. 0.995
+      end
+    done;
+  ( (List.map Pattern.to_string (Array.to_list !best), !best_cost),
+    (!evaluations, !best_cost < start_cost) )
+
+let annealed ~iterations ~seed ~pdef cls =
+  let o = Annealing.search ~iterations (Rng.create ~seed) ~pdef cls in
+  ( (List.map Pattern.to_string o.Annealing.patterns, o.Annealing.cycles),
+    (o.Annealing.evaluations, o.Annealing.improved) )
+
+(* w5dft at Pdef 4 holds a pattern twice on its walk: a swap of the later
+   copy must cost the list with the later copy replaced. *)
+let test_annealing_costs_adopted_list () =
+  let g = Program.dfg (Dft.winograd5 ()) in
+  let cls = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g) in
+  let want = reference_anneal ~iterations:2000 (Rng.create ~seed:1) ~pdef:4 cls in
+  Alcotest.(check (pair (pair (list string) int) (pair int bool)))
+    "w5dft, pdef 4, seed 1" want
+    (annealed ~iterations:2000 ~seed:1 ~pdef:4 cls)
+
+let annealing_matches_reference =
+  qtest ~count:40 "search = reference walk on random DAGs"
+    QCheck2.Gen.(pair (1 -- 1000) (2 -- 4))
+    (fun (seed, pdef) ->
+      let params =
+        { Random_dag.default_params with Random_dag.layers = 4 + (seed mod 4) }
+      in
+      let g = Random_dag.generate ~params ~seed () in
+      let cls =
+        Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g)
+      in
+      reference_anneal ~iterations:1000 (Rng.create ~seed) ~pdef cls
+      = annealed ~iterations:1000 ~seed ~pdef cls)
 
 (* --- rebalance --- *)
 
@@ -321,6 +401,9 @@ let () =
             test_annealing_improves_or_matches;
           Alcotest.test_case "deterministic" `Quick test_annealing_deterministic;
           Alcotest.test_case "argument checks" `Quick test_annealing_args;
+          Alcotest.test_case "costs the list it adopts (w5dft)" `Quick
+            test_annealing_costs_adopted_list;
+          annealing_matches_reference;
         ] );
       ( "rebalance",
         [

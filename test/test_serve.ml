@@ -198,7 +198,7 @@ let as_bool what = function
 (* An [edit] answer must describe exactly the graph [Session.apply_edits]
    builds, schedule it completely, and never re-classify: the session's
    cold-classification count stays where the base request left it, and
-   repeating the edit is pure cache traffic with an identical answer. *)
+   repeating the edit gives an identical answer. *)
 let serve_edit_matches seed =
   let g = random_graph ~seed in
   let text = Core.Dfg_parse.to_string g in
