@@ -170,31 +170,61 @@ let of_dot_string text =
   Dfg.Builder.build b
 
 (* Sniff the format: the first meaningful token of a DOT file is [digraph]
-   (or [strict]); the native format starts with [node]/[edge]. *)
+   (or [strict]); the native format starts with [node]/[edge].  Scans in
+   place up to the first line with a token: a line's meaningful part ends
+   at its first '#' or "//", and its tokens are separated by spaces and
+   tabs, exactly as the parsers read them. *)
 let is_dot text =
-  let rec go = function
-    | [] -> false
-    | l :: rest -> (
-        match tokens (strip_comment (strip_line_comment l)) with
-        | [] -> go rest
-        | t :: _ -> has_prefix ~prefix:"digraph" t || t = "strict")
+  let n = String.length text in
+  let rec line start =
+    let stop =
+      match String.index_from_opt text start '\n' with Some i -> i | None -> n
+    in
+    let comment i =
+      text.[i] = '#' || (text.[i] = '/' && i + 1 < stop && text.[i + 1] = '/')
+    in
+    let blank i = text.[i] = ' ' || text.[i] = '\t' in
+    let rec skip i = if i < stop && blank i then skip (i + 1) else i in
+    let first = skip start in
+    if first = stop || comment first then stop < n && line (stop + 1)
+    else begin
+      let rec token_end i =
+        if i = stop || blank i || comment i then i else token_end (i + 1)
+      in
+      let token = String.sub text first (token_end first - first) in
+      String.starts_with ~prefix:"digraph" token || token = "strict"
+    end
   in
-  go (String.split_on_char '\n' text)
+  line 0
 
 let of_string text =
   if is_dot text then of_dot_string text else of_native_string text
 
+(* One pass into one buffer: node lines in id order, then edge lines
+   walking each node's successor array, which is lexicographic edge
+   order. *)
 let to_string g =
-  let buf = Buffer.create 256 in
-  Dfg.iter_nodes
-    (fun i ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %s %s\n" (Dfg.name g i) (Color.to_string (Dfg.color g i))))
-    g;
-  Dfg.iter_edges
-    (fun s d ->
-      Buffer.add_string buf (Printf.sprintf "edge %s %s\n" (Dfg.name g s) (Dfg.name g d)))
-    g;
+  let n = Dfg.node_count g in
+  let buf = Buffer.create (16 * (n + Dfg.edge_count g) + 16) in
+  for i = 0 to n - 1 do
+    let node = Dfg.node g i in
+    Buffer.add_string buf "node ";
+    Buffer.add_string buf node.Dfg.name;
+    Buffer.add_char buf ' ';
+    Buffer.add_char buf (Color.to_char node.Dfg.color);
+    Buffer.add_char buf '\n'
+  done;
+  for s = 0 to n - 1 do
+    let src = Dfg.name g s in
+    Array.iter
+      (fun d ->
+        Buffer.add_string buf "edge ";
+        Buffer.add_string buf src;
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (Dfg.name g d);
+        Buffer.add_char buf '\n')
+      (Dfg.succ_array g s)
+  done;
   Buffer.contents buf
 
 let load path =

@@ -30,8 +30,16 @@ val of_string : string -> Dfg.t
     @raise Parse_error on malformed input.
     @raise Dfg.Cycle if the described graph is cyclic. *)
 
+val is_dot : string -> bool
+(** The format sniff {!of_string} uses: [true] when the first token of
+    the first line that has one (comments after ['#'] or ["//"] and
+    space/tab separators aside) starts with [digraph] or is [strict].
+    Reads no further than that line. *)
+
 val to_string : Dfg.t -> string
-(** Inverse of {!of_string} up to comments and whitespace. *)
+(** Inverse of {!of_string} up to comments and whitespace: the canonical
+    text, one [node] line per node in id order, then one [edge] line per
+    edge in lexicographic (source, destination) id order. *)
 
 val load : string -> Dfg.t
 (** [load path] reads and parses a file.  @raise Sys_error on I/O failure,

@@ -117,7 +117,7 @@ let select ?(rules = builtin_rules) ?features ?eval ~pdef classify =
   in
   let rule_index, rule = match_rule rules features in
   let thunk =
-    match List.assoc_opt rule.backend (Portfolio.strategies ~pdef classify) with
+    match List.assoc_opt rule.backend (Portfolio.strategies ?eval ~pdef classify) with
     | Some t -> t
     | None -> assert false (* validate: backend is a strategy_names member *)
   in

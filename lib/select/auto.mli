@@ -72,7 +72,10 @@ val select :
     caller-cached vector via [features] — the serve session passes its
     fingerprint-keyed copy), walks [rules] (default {!builtin_rules}) to
     the first match, runs that one backend, and costs the result on
-    [eval] (or a fresh context).  Runs inline on the calling domain and
+    [eval] (or a fresh context).  A backend that costs its own result
+    (beam) costs it on [eval] too, so [eval] must be a context for the
+    classified graph itself ({!Beam.search}'s contract).  Runs inline on
+    the calling domain and
     emits [select.auto.requests] (count), [select.auto.rule] /
     [select.auto.cycles] (distributions) and [select.auto.backend.<name>]
     (count) in submission order, so [--stats] stays byte-identical at any

@@ -24,11 +24,15 @@ type state = {
   heuristic : float;
 }
 
-let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
+let search ?eval ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Beam.search: pdef must be >= 1";
   if width < 1 then invalid_arg "Beam.search: width must be >= 1";
-  Obs.span "beam" @@ fun () ->
   let g = Classify.graph classify in
+  (match eval with
+  | Some ctx when Eval.graph ctx != g ->
+      invalid_arg "Beam.search: eval is a context for another graph"
+  | _ -> ());
+  Obs.span "beam" @@ fun () ->
   let capacity = Classify.capacity classify in
   let u = Classify.universe classify in
   let colors = Color.Set.of_list (Dfg.colors g) in
@@ -94,7 +98,9 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
          visit order, not pattern order. *)
       let key st = List.sort Pattern.compare (List.map (Universe.pattern u) st.chosen) in
       let deduped =
-        List.sort_uniq (fun a b -> compare (key a) (key b)) expanded
+        List.map (fun st -> (key st, st)) expanded
+        |> List.sort_uniq (fun (ka, _) (kb, _) -> compare ka kb)
+        |> List.map snd
       in
       let ranked =
         List.sort (fun a b -> compare b.heuristic a.heuristic) deduped
@@ -103,19 +109,20 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
     end
   in
   let finalists = steps 0 [ initial ] in
-  (* Finalists are scored on one shared evaluation context: the graph
-     analyses run once, and the memo cache absorbs any multiset the beam
-     reaches twice. *)
-  let ectx = Eval.make ~universe:u g in
+  (* Finalists are scored on one shared evaluation context, the caller's
+     when given: the graph analyses run once, and the memo cache absorbs
+     any set the beam reaches twice, in this search or an earlier one.
+     They are costed by pattern, so the ids of this classification's
+     universe are never read in the context's. *)
+  let ectx = match eval with Some ctx -> ctx | None -> Eval.make g in
   let evaluated = ref 0 in
   let best =
     List.fold_left
       (fun acc state ->
-        let ids = List.rev state.chosen in
-        let patterns = List.map (Universe.pattern u) ids in
+        let patterns = List.rev_map (Universe.pattern u) state.chosen in
         if patterns = [] then acc
         else begin
-          match Eval.cycles_ids ectx ids with
+          match Eval.cycles ectx patterns with
           | exception Eval.Unschedulable _ -> acc
           | c -> (
               incr evaluated;

@@ -19,10 +19,23 @@ type outcome = {
 }
 
 val search :
+  ?eval:Mps_scheduler.Eval.t ->
   ?width:int ->
   ?params:Select.params ->
   pdef:int ->
   Mps_antichain.Classify.t ->
   outcome
 (** [width] defaults to 4.
-    @raise Invalid_argument if [pdef < 1] or [width < 1]. *)
+
+    [eval], when given, is the context the finalists are costed on, so a
+    caller that keeps one warm context per graph (a serve session's
+    family) gets repeat searches as memo hits and sees the costing in
+    that context's {!Mps_scheduler.Eval.cache_stats}.  It must be a
+    context for the classified graph itself ([Eval.graph eval ==
+    Classify.graph classify]) and, like every context, used only from
+    the calling domain.  Finalists are costed by pattern
+    ({!Mps_scheduler.Eval.cycles}), so the context may have been made
+    over any universe or none.  Without it the search makes its own.
+    The outcome is the same either way.
+    @raise Invalid_argument if [pdef < 1], [width < 1], or [eval] is a
+    context for another graph. *)

@@ -21,23 +21,27 @@ type outcome = { best : entry; all : entry list }
    costed after the fan-in.  This registry is also the auto-selector's
    backend space ({!Auto}): dispatching one named thunk from here is what
    guarantees auto returns some portfolio member's exact result.  Names
-   and thunks come from this one list, so the two cannot drift apart. *)
-let registry : (string * (pdef:int -> Classify.t -> Pattern.t list * int option)) list =
+   and thunks come from this one list, so the two cannot drift apart.
+   [eval] reaches only the searches that cost inside their thunk. *)
+let registry :
+    (string
+    * (eval:Eval.t option -> pdef:int -> Classify.t -> Pattern.t list * int option))
+    list =
   [
-    ("eq8", fun ~pdef classify -> (Select.select ~pdef classify, None));
+    ("eq8", fun ~eval:_ ~pdef classify -> (Select.select ~pdef classify, None));
     ( "harvest:greedy",
-      fun ~pdef classify ->
+      fun ~eval:_ ~pdef classify ->
         ( Pattern_source.harvest ~method_:Pattern_source.Greedy
             ~capacity:(Classify.capacity classify) ~pdef (Classify.graph classify),
           None ) );
     ( "beam",
-      fun ~pdef classify ->
-        let b = Beam.search ~pdef classify in
+      fun ~eval ~pdef classify ->
+        let b = Beam.search ?eval ~pdef classify in
         (b.Beam.patterns, Some b.Beam.cycles) );
   ]
 
-let strategies ~pdef classify =
-  List.map (fun (name, run) -> (name, fun () -> run ~pdef classify)) registry
+let strategies ?eval ~pdef classify =
+  List.map (fun (name, run) -> (name, fun () -> run ~eval ~pdef classify)) registry
 
 let strategy_names = List.map fst registry
 
@@ -57,6 +61,8 @@ let cost_entry ectx (strategy, patterns, known) =
 let run ?pool ?annealing ~pdef classify =
   if pdef < 1 then invalid_arg "Portfolio.run: pdef must be >= 1";
   Obs.span "portfolio" @@ fun () ->
+  (* No [eval] for the strategies: the pool may run them on other
+     domains, and a context belongs to one. *)
   let tasks : (unit -> string * Pattern.t list * int option) list =
     List.map
       (fun (name, thunk) ->

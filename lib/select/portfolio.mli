@@ -25,6 +25,7 @@ type outcome = {
 }
 
 val strategies :
+  ?eval:Mps_scheduler.Eval.t ->
   pdef:int ->
   Mps_antichain.Classify.t ->
   (string * (unit -> Mps_pattern.Pattern.t list * int option)) list
@@ -33,6 +34,12 @@ val strategies :
     (beam), the known cycle count.  List order is the portfolio tie-break
     order (cheaper strategies first).  Annealing is not in the registry —
     it needs a caller-owned generator and stays an option of {!run}.
+
+    [eval] is handed to the searches that cost their own result ({!Beam}
+    costs its finalists on it), under {!Beam.search}'s contract: a
+    context for the classified graph itself, and thunks that receive it
+    run on the calling domain only.  {!run} passes none, because its pool
+    may run the thunks on other domains.
 
     This is also the backend space of the auto-selector ({!Auto}): auto
     dispatches exactly one named thunk from here, so its answer is always

@@ -3,24 +3,35 @@ module Json = Mps_util.Json
 module P = Protocol
 module Obs = C.Obs
 
+(* A graph built at most once per process and shared by every caller.
+   Two domains that race on the first call may both build it, but only
+   the first value published is ever returned, so every call sees one
+   physical graph. *)
+let once build =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some g -> g
+    | None ->
+        let g = build () in
+        if Atomic.compare_and_set cell None (Some g) then g
+        else Option.get (Atomic.get cell)
+
 (* Built-in graph names are the workload corpus ({!Core.Suite}): the same
    names the selector was fit on and the benches quote. *)
 let builtins =
   List.map
-    (fun (e : C.Suite.entry) -> (e.C.Suite.name, e.C.Suite.build))
+    (fun (e : C.Suite.entry) -> (e.C.Suite.name, once e.C.Suite.build))
     (C.Suite.corpus ~full:true ~huge:true ())
 
 let resolve_source = function
   | P.Builtin name -> (
-      match C.Suite.find name with
-      | Some e -> Ok (e.C.Suite.build ())
+      match List.assoc_opt name builtins with
+      | Some graph -> Ok (graph ())
       | None ->
           Error
             (Printf.sprintf "unknown built-in graph %S (have: %s)" name
-               (String.concat ", "
-                  (List.map
-                     (fun (e : C.Suite.entry) -> e.C.Suite.name)
-                     (C.Suite.corpus ~full:true ~huge:true ())))))
+               (String.concat ", " (List.map fst builtins))))
   | P.Dfg_text text | P.Dot_text text -> (
       match C.Dfg_parse.of_string text with
       | g -> Ok g

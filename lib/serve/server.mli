@@ -38,11 +38,21 @@ val builtins : (string * (unit -> Core.Dfg.t)) list
 (** The built-in workload table — the full {!Core.Suite} corpus, in
     corpus order — shared with the CLI's GRAPH argument so the wire
     protocol, the command line and the benches all accept the same
-    names. *)
+    names.
+
+    Each thunk builds its graph on the first call and then returns that
+    same value to every caller, from any domain (a domain-safe once-cell:
+    two domains racing on the first call may both build, but only the
+    first value published is ever returned).  A {!Core.Dfg.t} is
+    immutable, so sharing it is safe as long as no caller writes into
+    {!Core.Dfg.succ_array}'s arrays, which that function already
+    forbids. *)
 
 val resolve_source : Protocol.source -> (Core.Dfg.t, string) result
-(** A request's graph: built-in lookup, or DFG/DOT text through
-    {!Core.Dfg_parse.of_string}. *)
+(** A request's graph: a built-in name reads {!builtins}, so every
+    request naming it gets the one shared, read-only value (which lets
+    {!Session.intern} recognise it without fingerprinting); DFG/DOT text
+    is parsed through {!Core.Dfg_parse.of_string} into a fresh value. *)
 
 val handle_line : Session.t -> string -> string
 (** One request line to one response line (no trailing newline) — the

@@ -24,9 +24,19 @@ type entry = {
   mutable e_features : C.Features.t option;
 }
 
+(* Graph values by physical identity, hashed on their sizes: a graph is
+   immutable, so a value already interned needs no fingerprint. *)
+module Same_graph = Hashtbl.Make (struct
+  type t = C.Dfg.t
+
+  let equal = ( == )
+  let hash g = Hashtbl.hash (C.Dfg.node_count g, C.Dfg.edge_count g)
+end)
+
 type t = {
   s_pool : C.Pool.t option;
   entries : (string, entry) Hashtbl.t;
+  by_graph : entry Same_graph.t;  (* Each entry under its own [e_graph]. *)
   mutable entry_list : entry list;  (* Interning order, newest first. *)
   mutable requests : int;
   mutable s_classifications : int;  (* Cold classifications ever computed. *)
@@ -36,6 +46,7 @@ let create ?pool () =
   {
     s_pool = pool;
     entries = Hashtbl.create 16;
+    by_graph = Same_graph.create 16;
     entry_list = [];
     requests = 0;
     s_classifications = 0;
@@ -46,26 +57,34 @@ let request_count t = t.requests
 let note_request t = t.requests <- t.requests + 1
 let classification_count t = t.s_classifications
 
+(* The value an entry was created from is recognised by identity; any
+   other value, a parsed copy of known text included, is fingerprinted,
+   so the canonical-text digest stays the one definition of graph
+   identity. *)
 let intern t g =
-  let key = Digest.to_hex (Digest.string (C.Dfg_parse.to_string g)) in
-  match Hashtbl.find_opt t.entries key with
+  match Same_graph.find_opt t.by_graph g with
   | Some e -> (e, true)
-  | None ->
-      let e =
-        {
-          e_graph = g;
-          e_fingerprint = key;
-          e_plain = None;
-          e_families = Hashtbl.create 4;
-          e_bans = Hashtbl.create 4;
-          e_migrated = Hashtbl.create 4;
-          e_evals = [];
-          e_features = None;
-        }
-      in
-      Hashtbl.replace t.entries key e;
-      t.entry_list <- e :: t.entry_list;
-      (e, false)
+  | None -> (
+      let key = Digest.to_hex (Digest.string (C.Dfg_parse.to_string g)) in
+      match Hashtbl.find_opt t.entries key with
+      | Some e -> (e, true)
+      | None ->
+          let e =
+            {
+              e_graph = g;
+              e_fingerprint = key;
+              e_plain = None;
+              e_families = Hashtbl.create 4;
+              e_bans = Hashtbl.create 4;
+              e_migrated = Hashtbl.create 4;
+              e_evals = [];
+              e_features = None;
+            }
+          in
+          Hashtbl.replace t.entries key e;
+          Same_graph.replace t.by_graph g e;
+          t.entry_list <- e :: t.entry_list;
+          (e, false))
 
 let graph e = e.e_graph
 let fingerprint e = e.e_fingerprint

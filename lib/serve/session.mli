@@ -51,9 +51,18 @@ val note_request : t -> unit
 
 val intern : t -> Core.Dfg.t -> entry * bool
 (** The session's entry for this graph, creating it if new; [true] when
-    the graph was already known.  Fingerprinting goes through the
-    canonical {!Core.Dfg_parse.to_string} text, so structurally
-    identical graphs from different sources share one entry. *)
+    the graph was already known.
+
+    Two steps.  First the value itself is looked up by physical identity
+    among the graphs entries were created from, so a value interned
+    before (a built-in from [Server.resolve_source], an entry's own
+    {!graph}) is found without serialising it.  That table holds one
+    graph per entry, so it grows with entries, not with requests.
+    Otherwise the graph is fingerprinted through the canonical
+    {!Core.Dfg_parse.to_string} text, so structurally identical graphs
+    from different sources (a parsed copy of known text, an edit that
+    rebuilds a known graph) share one entry; the canonical-text digest
+    stays the one definition of graph identity. *)
 
 val graph : entry -> Core.Dfg.t
 val fingerprint : entry -> string
@@ -99,9 +108,10 @@ val auto_select :
 (** The auto-selector on the entry's warm family: the feature vector is
     extracted once per fingerprint (graphs share it across families —
     features depend only on the graph) from the family context's cached
-    analyses, and the dispatched backend is costed on the same context.
-    The outcome is identical to a cold {!Core.Auto.select} with the same
-    rules. *)
+    analyses, and the dispatched backend is costed on the same context —
+    beam's finalists included, so a repeat request is a memo hit and the
+    response's [eval_cache] counts that costing.  The outcome is
+    identical to a cold {!Core.Auto.select} with the same rules. *)
 
 val set_cycles :
   t -> entry -> options:Core.Pipeline.options -> Core.Pattern.t list -> int

@@ -11,6 +11,9 @@ module Parse = Mps_dfg.Parse
 module Dot = Mps_dfg.Dot
 module Random_dag = Mps_workloads.Random_dag
 module Pg = Mps_workloads.Paper_graphs
+module Suite = Mps_workloads.Suite
+module Protocol = Mps_serve.Protocol
+module Session = Mps_serve.Session
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -241,6 +244,123 @@ let parse_props =
         Dfg.equal g (Parse.of_string (Parse.to_string g)));
   ]
 
+(* The format sniff decides on the first line with a token, whatever
+   blank and comment lines come before it.  A native file with a "//"
+   line is still sniffed as native (and then refused: the native format
+   knows only '#' comments). *)
+let test_sniff_preludes () =
+  let expected = Dfg.of_alist [ ("a1", Color.add); ("b2", Color.sub) ] [ ("a1", "b2") ] in
+  let bodies =
+    [
+      ("digraph", "digraph g {\n\"a1\" -> \"b2\";\n}\n", true);
+      ("strict", "strict digraph g {\n\"a1\" -> \"b2\";\n}\n", true);
+      ("node", "node a1 a\nnode b2 b\nedge a1 b2\n", false);
+    ]
+  in
+  let preludes =
+    [ ""; "\n\n"; " \t \n"; "# note\n"; "// note\n"; "\n# a\n\n  # b\n"; "\t// a\n\n// b # c\n" ]
+  in
+  List.iter
+    (fun (what, body, dot) ->
+      List.iter
+        (fun prelude ->
+          let text = prelude ^ body in
+          let label = Printf.sprintf "%s after %S" what prelude in
+          Alcotest.(check bool) label dot (Parse.is_dot text);
+          Alcotest.(check bool) (label ^ ": reference") (Dfg_text_ref.is_dot text)
+            (Parse.is_dot text);
+          if dot || not (String.contains prelude '/') then
+            Alcotest.(check bool) (label ^ ": parses") true
+              (Dfg.equal expected (Parse.of_string text))
+          else
+            match Parse.of_string text with
+            | _ -> Alcotest.failf "%s: a native text with a // line parsed" label
+            | exception Parse.Parse_error _ -> ())
+        preludes)
+    bodies;
+  List.iter
+    (fun (text, dot) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" text) dot (Parse.is_dot text);
+      Alcotest.(check bool) (Printf.sprintf "%S: reference" text)
+        (Dfg_text_ref.is_dot text) (Parse.is_dot text))
+    [
+      ("", false); ("digraphs{", true); ("stricter", false); ("strict\r\n", false);
+      ("digraph\r\n", true); ("di#graph", false); ("digraph//x", true);
+      ("strict# x", true); ("a/\n/digraph", false); ("#digraph\nnode a1 a", false);
+      ("// digraph\n\tstrict", true); ("\r\ndigraph", false);
+    ]
+
+(* Random texts built from the pieces the sniff reacts to. *)
+let sniff_text_gen =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 12)
+         (oneofl
+            [ "digraph"; "strict"; "node"; "d"; " "; "\t"; "\n"; "\r"; "#"; "/";
+              "//"; "x"; "{" ])))
+
+let sniff_props =
+  [
+    qtest ~count:500 "sniff: is_dot = the line-splitting reference" sniff_text_gen
+      (fun text -> Parse.is_dot text = Dfg_text_ref.is_dot text);
+  ]
+
+(* --- canonical text --- *)
+
+(* [to_string] is the canonical text every serve fingerprint digests, so
+   it is pinned byte for byte against the [Printf] version it replaced. *)
+let test_canonical_corpus () =
+  let graphs = Suite.graphs ~full:true ~huge:true () in
+  Alcotest.(check int) "corpus graphs" 23 (List.length graphs);
+  let sess = Session.create () in
+  List.iter
+    (fun (name, g) ->
+      let reference = Dfg_text_ref.to_string g in
+      Alcotest.(check string) name reference (Parse.to_string g);
+      Alcotest.(check string) (name ^ ": fingerprint")
+        (Digest.to_hex (Digest.string reference))
+        (Session.fingerprint (fst (Session.intern sess g))))
+    graphs
+
+(* A graph after a few edits drawn from [seed], each valid on the random
+   DAG it starts from: an edge removed, a new sink below an existing node,
+   then one original node removed. *)
+let edited_graph seed =
+  let g = Random_dag.generate ~seed () in
+  let rs = Random.State.make [| seed |] in
+  let n = Dfg.node_count g in
+  let name i = Dfg.name g i in
+  let drop_edge =
+    match Dfg.edges g with
+    | [] -> []
+    | es ->
+        let s, d = List.nth es (Random.State.int rs (List.length es)) in
+        [ Protocol.Remove_edge (name s, name d) ]
+  in
+  let color = Color.to_string (Dfg.color g (Random.State.int rs n)) in
+  let parent = name (Random.State.int rs n) in
+  let add =
+    [ Protocol.Add_node { node = "zz1"; color }; Protocol.Add_edge (parent, "zz1") ]
+  in
+  let drop_node =
+    if n > 1 then [ Protocol.Remove_node (name (Random.State.int rs n)) ] else []
+  in
+  Session.apply_edits g (drop_edge @ add @ drop_node)
+
+let canonical_props =
+  [
+    qtest "canonical: random DAGs = reference" dag_gen (fun g ->
+        Parse.to_string g = Dfg_text_ref.to_string g);
+    qtest "canonical: edited graphs = reference, fingerprint = its MD5"
+      QCheck2.Gen.(0 -- 10_000)
+      (fun seed ->
+        let g = edited_graph seed in
+        let reference = Dfg_text_ref.to_string g in
+        let e, _ = Session.intern (Session.create ()) g in
+        Parse.to_string g = reference
+        && Session.fingerprint e = Digest.to_hex (Digest.string reference));
+  ]
+
 (* --- dot --- *)
 
 let test_dot_output () =
@@ -307,6 +427,13 @@ let () =
           Alcotest.test_case "roundtrip fig2" `Quick test_parse_roundtrip;
           Alcotest.test_case "comments and errors" `Quick test_parse_comments_and_errors;
         ]
-        @ parse_props );
+        @ parse_props
+        @ Alcotest.test_case "sniff: comment and blank lines first" `Quick
+            test_sniff_preludes
+          :: sniff_props );
       ("dot", Alcotest.test_case "fragments" `Quick test_dot_output :: dot_props);
+      ( "canonical",
+        Alcotest.test_case "corpus = reference, fingerprint = its MD5" `Quick
+          test_canonical_corpus
+        :: canonical_props );
     ]

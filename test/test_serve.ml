@@ -2,10 +2,12 @@
    responses agree with the direct library calls they wrap, warm requests
    return the same results as cold ones (with the exact backend doing zero
    re-evaluation), the response stream is identical for any pool size, a
-   malformed request never takes the session down, each request is
-   answered before the next is read, and the Unix-socket transport carries
-   the same stream, streams of any length, and outlives a client that
-   leaves early. *)
+   malformed request never takes the session down, warm requests share
+   what the process and session already hold (one value per builtin,
+   interning by identity, beam costed on the family's context), each
+   request is answered before the next is read, and the Unix-socket
+   transport carries the same stream, streams of any length, and outlives
+   a client that leaves early. *)
 
 module Json = Mps_util.Json
 module Protocol = Mps_serve.Protocol
@@ -432,6 +434,96 @@ let test_cache_stats_accumulate () =
   let h, m = Session.session_cache_stats sess in
   Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh2, sm2) (h, m)
 
+(* --- sharing ------------------------------------------------------------ *)
+
+let builtin name =
+  match Server.resolve_source (Protocol.Builtin name) with
+  | Ok g -> g
+  | Error m -> Alcotest.fail m
+
+(* A builtin is built once per process: every resolution, from any domain
+   and even when two domains race on the first one, is the same value. *)
+let test_builtins_shared () =
+  let racers = List.init 2 (fun _ -> Domain.spawn (fun () -> builtin "huge-wide")) in
+  (match List.map Domain.join racers with
+  | [ a; b ] ->
+      Alcotest.(check bool) "two racing domains" true (a == b);
+      Alcotest.(check bool) "then this domain" true (builtin "huge-wide" == a)
+  | _ -> assert false);
+  let g = builtin "huge-deep" in
+  Alcotest.(check bool) "second call" true (builtin "huge-deep" == g);
+  Alcotest.(check bool) "spawned domain" true
+    (Domain.join (Domain.spawn (fun () -> builtin "huge-deep")) == g);
+  Alcotest.(check bool) "builtins table" true
+    (List.assoc "huge-deep" Server.builtins () == g)
+
+(* The value an entry was made from is found by identity; a parsed copy of
+   the same canonical text is found by fingerprint and never adds an
+   entry. *)
+let test_intern_identity () =
+  let sess = Session.create () in
+  let g = builtin "huge-deep" in
+  let e, known = Session.intern sess g in
+  let e', known' = Session.intern sess g in
+  Alcotest.(check bool) "first intern is new" false known;
+  Alcotest.(check bool) "second intern is known" true known';
+  Alcotest.(check bool) "same entry" true (e == e');
+  let text = Core.Dfg_parse.to_string g in
+  for i = 1 to 100 do
+    let copy = Core.Dfg_parse.of_string text in
+    let e_copy, known_copy = Session.intern sess copy in
+    if copy == g || not known_copy || e_copy != e then
+      Alcotest.failf "parsed copy %d did not map to the entry" i
+  done;
+  Alcotest.(check int) "graph_count" 1 (Session.graph_count sess);
+  Alcotest.(check bool) "entry keeps its own graph" true (Session.graph e == g)
+
+let classify g =
+  let d = Pipeline.default_options in
+  Core.Classify.compute ?span_limit:d.Pipeline.span_limit
+    ~capacity:d.Pipeline.capacity (Core.Enumerate.make_ctx g)
+
+(* An auto select that dispatches to beam costs its finalists on the
+   family's context: the cold request misses on each of the four, its
+   repeat hits them, and both answer what a cold Auto.select does. *)
+let test_auto_beam_on_family () =
+  let sess = Session.create () in
+  let line = "{\"cmd\":\"select\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\"}}" in
+  let cold = Core.Auto.select ~pdef:Pipeline.default_options.Pipeline.pdef (classify (builtin "w5dft")) in
+  List.iter
+    (fun (what, want) ->
+      let j = parse_ok what (Server.handle_line sess line) in
+      let stats = member_exn what "eval_cache" (member_exn what "stats" j) in
+      Alcotest.(check string) (what ^ ": backend") "beam"
+        (match member_exn what "backend" (member_exn what "auto" j) with
+        | Json.Str b -> b
+        | _ -> Alcotest.fail "backend must be a string");
+      Alcotest.(check (pair int int)) (what ^ ": eval_cache") want
+        (as_int (member_exn what "hits" stats), as_int (member_exn what "misses" stats));
+      Alcotest.(check (list string)) (what ^ ": patterns")
+        (List.map Pattern.to_string cold.Core.Auto.patterns)
+        (string_list (member_exn what "patterns" j));
+      Alcotest.(check int) (what ^ ": cycles") cold.Core.Auto.cycles
+        (as_int (member_exn what "cycles" j)))
+    [ ("cold", (0, 4)); ("warm", (4, 0)) ]
+
+let test_beam_rejects_foreign_eval () =
+  let g = builtin "w5dft" in
+  let cls = classify g in
+  let rejects what ctx =
+    Alcotest.check_raises what
+      (Invalid_argument "Beam.search: eval is a context for another graph")
+      (fun () -> ignore (Core.Beam.search ~eval:ctx ~pdef:4 cls))
+  in
+  rejects "another graph" (Core.Eval.make (builtin "3dft"));
+  rejects "an equal copy" (Core.Eval.make (Core.Dfg_parse.of_string (Core.Dfg_parse.to_string g)));
+  let own = Core.Beam.search ~eval:(Core.Eval.make g) ~pdef:4 cls in
+  let fresh = Core.Beam.search ~pdef:4 cls in
+  Alcotest.(check (list string)) "own graph: same patterns"
+    (List.map Pattern.to_string fresh.Core.Beam.patterns)
+    (List.map Pattern.to_string own.Core.Beam.patterns);
+  Alcotest.(check int) "own graph: same cycles" fresh.Core.Beam.cycles own.Core.Beam.cycles
+
 (* --- socket transport ------------------------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -659,6 +751,17 @@ let () =
             test_error_echoes_id;
           Alcotest.test_case "cache stats: per-request deltas, session totals"
             `Quick test_cache_stats_accumulate;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "builtins are one value per process" `Quick
+            test_builtins_shared;
+          Alcotest.test_case "intern recognises a value and its copies" `Quick
+            test_intern_identity;
+          Alcotest.test_case "auto beam costs on the family context" `Quick
+            test_auto_beam_on_family;
+          Alcotest.test_case "beam refuses a context for another graph" `Quick
+            test_beam_rejects_foreign_eval;
         ] );
       ( "stdin",
         [
