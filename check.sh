@@ -113,7 +113,7 @@ if [ "$(grep -c '"ok":true' "$tmp1")" -ne 3 ] || \
   exit 1
 fi
 echo "  ok: malformed request answered with an error, session survived"
-dune exec --no-build bin/mpsched.exe -- serve --stdin \
+timeout 60 dune exec --no-build bin/mpsched.exe -- serve --stdin \
   < test/cli/serve_requests.txt > "$tmp1"
 if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then
   echo "FAIL: serve output diverged from test/cli/serve_smoke.expected" >&2
@@ -138,7 +138,7 @@ if ! cmp -s "$tmp1" "$tmp4"; then
   exit 1
 fi
 echo "  ok: eval.* counters identical across --jobs"
-dune exec --no-build bin/mpsched.exe -- serve --stdin --jobs 4 \
+timeout 60 dune exec --no-build bin/mpsched.exe -- serve --stdin --jobs 4 \
   < test/cli/serve_requests.txt > "$tmp1"
 if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then
   echo "FAIL: serve edit stream at --jobs 4 diverged from the golden" >&2
@@ -205,7 +205,7 @@ if [ ! -S "$sock" ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
-dune exec --no-build bin/mpsched.exe -- serve --connect "$sock" \
+timeout 60 dune exec --no-build bin/mpsched.exe -- serve --connect "$sock" \
   < test/cli/serve_requests.txt > "$tmp1"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true

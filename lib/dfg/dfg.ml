@@ -44,6 +44,8 @@ module Builder = struct
     b.count <- id + 1;
     id
 
+  let find_opt b name = Hashtbl.find_opt b.names name
+
   let node_exn b id =
     if id < 0 || id >= b.count then
       invalid_arg (Printf.sprintf "Dfg.Builder: unknown node id %d" id);
@@ -80,9 +82,37 @@ module Builder = struct
         succ_arr.(i)
     done;
     if !removed <> n then begin
-      (* Every remaining node has positive in-degree within the residue, so a
-         walk along residual successors must revisit a node: that's a cycle. *)
-      let in_residue i = indeg.(i) > 0 in
+      (* The residue (positive in-degree) holds every cycle, but also the
+         nodes that only hang below one, where a walk along successors
+         dead-ends.  Peel those first, sinks upward: every node left has a
+         successor left, so the walk must revisit a node, and that's a
+         cycle.  A node the walk reaches from the first residual node
+         always leads to a cycle, so peeling never changes the walk. *)
+      let live = Array.map (fun d -> d > 0) indeg in
+      let out = Array.make n 0 and preds = Array.make n [] in
+      Array.iteri
+        (fun s succs ->
+          if live.(s) then
+            Array.iter
+              (fun d ->
+                if live.(d) then begin
+                  out.(s) <- out.(s) + 1;
+                  preds.(d) <- s :: preds.(d)
+                end)
+              succs)
+        succ_arr;
+      let sinks = Queue.create () in
+      Array.iteri (fun i k -> if live.(i) && k = 0 then Queue.add i sinks) out;
+      while not (Queue.is_empty sinks) do
+        let i = Queue.pop sinks in
+        live.(i) <- false;
+        List.iter
+          (fun p ->
+            out.(p) <- out.(p) - 1;
+            if out.(p) = 0 then Queue.add p sinks)
+          preds.(i)
+      done;
+      let in_residue i = live.(i) in
       let start =
         let rec find i = if in_residue i then i else find (i + 1) in
         find 0
@@ -132,7 +162,7 @@ let of_alist node_specs edge_specs =
   let b = Builder.create () in
   List.iter (fun (name, color) -> ignore (Builder.add_node b ~name color)) node_specs;
   let id_of name =
-    match Hashtbl.find_opt b.Builder.names name with
+    match Builder.find_opt b name with
     | Some id -> id
     | None -> invalid_arg (Printf.sprintf "Dfg.of_alist: unknown node %S in edge" name)
   in

@@ -35,6 +35,9 @@ module Builder : sig
       followed by the id (e.g. ["a7"]).
       @raise Invalid_argument if the name is already taken or empty. *)
 
+  val find_opt : t -> string -> int option
+  (** The id of the node added under [name], if any. *)
+
   val add_edge : t -> int -> int -> unit
   (** [add_edge b src dst].  Duplicate edges are collapsed; self-loops are
       rejected immediately.

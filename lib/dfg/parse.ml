@@ -8,42 +8,69 @@ let strip_comment s =
   | None -> s
   | Some i -> String.sub s 0 i
 
-let tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
+(* One pass over the text: a line ends at '\n' and its comment starts at
+   its first '#'; tokens are the runs between spaces and tabs, kept as
+   index spans (a line needs at most four to be told apart), and only
+   names are copied out.  Errors match the line-splitting reading: any
+   token count but three is an unknown directive, and an edge resolves
+   its destination before its source. *)
 let of_native_string text =
   let b = Dfg.Builder.create () in
-  let ids = Hashtbl.create 64 in
-  let resolve lineno name =
-    match Hashtbl.find_opt ids name with
+  let n = String.length text in
+  let starts = Array.make 4 0 and stops = Array.make 4 0 in
+  let token i = String.sub text starts.(i) (stops.(i) - starts.(i)) in
+  let is i word =
+    let len = String.length word in
+    stops.(i) - starts.(i) = len
+    &&
+    let rec same j = j = len || (text.[starts.(i) + j] = word.[j] && same (j + 1)) in
+    same 0
+  in
+  let resolve lineno i =
+    let name = token i in
+    match Dfg.Builder.find_opt b name with
     | Some id -> id
     | None -> fail lineno "unknown node %S in edge" name
   in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      match tokens (strip_comment raw) with
-      | [] -> ()
-      | [ "node"; name; color ] ->
-          if String.length color <> 1 then
-            fail lineno "color must be a single character, got %S" color;
-          let color =
-            try Color.of_char color.[0]
-            with Invalid_argument m -> fail lineno "%s" m
-          in
-          let id =
-            try Dfg.Builder.add_node b ~name color
-            with Invalid_argument m -> fail lineno "%s" m
-          in
-          Hashtbl.add ids name id
-      | [ "edge"; src; dst ] -> (
-          try Dfg.Builder.add_edge b (resolve lineno src) (resolve lineno dst)
-          with Invalid_argument m -> fail lineno "%s" m)
-      | cmd :: _ -> fail lineno "unknown directive %S" cmd)
-    lines;
+  let blank c = c = ' ' || c = '\t' in
+  let rec line lineno start =
+    let stop =
+      match String.index_from_opt text start '\n' with Some i -> i | None -> n
+    in
+    let rec comment i = if i < stop && text.[i] <> '#' then comment (i + 1) else i in
+    let stop_c = comment start in
+    let count = ref 0 and i = ref start in
+    while !i < stop_c && !count < 4 do
+      if blank text.[!i] then incr i
+      else begin
+        starts.(!count) <- !i;
+        while !i < stop_c && not (blank text.[!i]) do
+          incr i
+        done;
+        stops.(!count) <- !i;
+        incr count
+      end
+    done;
+    (match !count with
+    | 0 -> ()
+    | 3 when is 0 "node" ->
+        if stops.(2) - starts.(2) <> 1 then
+          fail lineno "color must be a single character, got %S" (token 2);
+        let color =
+          try Color.of_char text.[starts.(2)]
+          with Invalid_argument m -> fail lineno "%s" m
+        in
+        (try ignore (Dfg.Builder.add_node b ~name:(token 1) color)
+         with Invalid_argument m -> fail lineno "%s" m)
+    | 3 when is 0 "edge" -> (
+        let dst = resolve lineno 2 in
+        let src = resolve lineno 1 in
+        try Dfg.Builder.add_edge b src dst
+        with Invalid_argument m -> fail lineno "%s" m)
+    | _ -> fail lineno "unknown directive %S" (token 0));
+    if stop < n then line (lineno + 1) (stop + 1)
+  in
+  line 1 0;
   Dfg.Builder.build b
 
 (* --- Graphviz DOT subset ----------------------------------------------- *)

@@ -12,6 +12,24 @@
     them; node ids are assigned in declaration order, so a round-trip
     through {!to_string}/{!of_string} preserves ids.
 
+    The native reader makes one pass over the text.  Lines end at ['\n']
+    (line numbers count from 1, and the text after the last ['\n'] is a
+    line too); a comment runs from a line's first ['#'].  Tokens are
+    separated by spaces and tabs only, so a ['\r'] stays inside its token
+    ([node a b\r] has the two-character color ["b\r"]).  Errors, first
+    failing line first:
+    - a line with a token count other than three, or whose first token is
+      neither [node] nor [edge], is ["unknown directive"] naming that
+      first token;
+    - a [node] color of more or fewer than one character is refused
+      before the color itself is checked; [Color.of_char]'s message for
+      an invalid color and the builder's for a duplicate name pass
+      through;
+    - an [edge] resolves its destination before its source, so an edge
+      between two unknown names reports the destination; a self-loop is
+      the builder's message.
+    A cycle is reported only after the whole text has been read.
+
     {!of_string} and {!load} also accept a {b Graphviz DOT subset} — just
     enough to read back what {!Dot.render} writes and the checked-in figure
     files (e.g. [fig2_3dft.dot]).  A file whose first meaningful token is

@@ -13,14 +13,15 @@ type outcome = {
   evaluated_sets : int;
 }
 
-(* One partial selection: chosen pattern ids (reversed), accumulated
-   per-node coverage, covered colors, surviving pool, and the heuristic
-   score that ranks beams (sum of the Eq. 8 priorities of its picks). *)
+(* One partial selection: chosen pattern ids (reversed), its Eq. 8
+   coverage, covered colors, the surviving pool as a mask over the flat
+   pool, and the heuristic score that ranks beams (sum of the Eq. 8
+   priorities of its picks). *)
 type state = {
   chosen : Id.t list;
-  cover : int array;
+  coverage : Select.coverage;
   covered : Color.Set.t;
-  pool : (Id.t * int array) list;
+  alive : Bytes.t;
   heuristic : float;
 }
 
@@ -36,76 +37,102 @@ let search ?eval ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   let capacity = Classify.capacity classify in
   let u = Classify.universe classify in
   let colors = Color.Set.of_list (Dfg.colors g) in
+  let pool =
+    Select.pool u ~colors
+      (Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
+      |> List.rev)
+  in
+  let n = Array.length pool.Select.ids in
   let initial =
     {
       chosen = [];
-      cover = Array.make (Dfg.node_count g) 0;
+      coverage = Select.coverage ~params (Dfg.node_count g);
       covered = Color.Set.empty;
-      pool =
-        Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
-        |> List.rev;
+      alive = Select.alive pool;
       heuristic = 0.0;
     }
   in
+  (* The [width] best scores of one step, best first: a stable pick, so
+     equal scores keep pool order, as a stable sort would. *)
+  let keep = min width n in
+  let top_score = Array.make keep 0.0 and top = Array.make keep 0 in
   (* One Fig. 7 step from [state], branching on the [width] best Eq. 8
      scores among the candidates Eq. 9 admits instead of the single best. *)
   let extend step state =
     let apply pid freq score =
-      let cover = Array.copy state.cover in
-      Select.add_cover cover freq;
+      let coverage = Select.copy_coverage state.coverage in
+      Select.commit coverage freq;
+      let alive = Bytes.copy state.alive in
+      Select.delete pool ~alive ~of_:pid;
       {
         chosen = pid :: state.chosen;
-        cover;
+        coverage;
         covered = Color.Set.union state.covered (Universe.color_set u pid);
-        pool = Select.delete_subpatterns u ~of_:pid state.pool;
+        alive;
         heuristic = state.heuristic +. score;
       }
     in
-    let admits =
-      Select.color_condition u ~capacity ~colors ~covered:state.covered
+    let a =
+      Select.admission pool ~capacity ~covered:state.covered
         ~remaining_picks:(pdef - step - 1)
     in
-    let scored =
-      List.filter_map
-        (fun (id, freq) ->
-          if admits id then
-            let s =
-              Select.priority ~params ~cover:state.cover ~freq ~size:(Universe.size u id)
-            in
-            Some (s, id, freq)
-          else None)
-        state.pool
-    in
-    match scored with
-    | [] -> (
-        match Select.fallback u ~capacity ~colors ~covered:state.covered with
-        | None -> [ state ]
-        | Some pid -> [ apply pid [||] 0.0 ] (* no antichains, no coverage *))
-    | _ ->
-        List.sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) scored
-        |> List.filteri (fun i _ -> i < width)
-        |> List.map (fun (s, id, freq) -> apply id freq s)
+    let kept = ref 0 in
+    for k = 0 to n - 1 do
+      if Bytes.unsafe_get state.alive k <> '\000' && Select.admits pool a k then begin
+        let s =
+          Select.eq8 state.coverage ~freq:pool.Select.payloads.(k)
+            ~size:pool.Select.sizes.(k)
+        in
+        (* Slide past every kept score this one does not beat. *)
+        let j = ref !kept in
+        while !j > 0 && compare s top_score.(!j - 1) > 0 do
+          decr j
+        done;
+        if !j < keep then begin
+          let last = min !kept (keep - 1) in
+          Array.blit top_score !j top_score (!j + 1) (last - !j);
+          Array.blit top !j top (!j + 1) (last - !j);
+          top_score.(!j) <- s;
+          top.(!j) <- k;
+          kept := last + 1
+        end
+      end
+    done;
+    if !kept = 0 then
+      match Select.fallback u ~capacity ~colors ~covered:state.covered with
+      | None -> [ state ]
+      | Some pid -> [ apply pid [||] 0.0 ] (* no antichains, no coverage *)
+    else
+      List.init !kept (fun r ->
+          let k = top.(r) in
+          apply pool.Select.ids.(k) pool.Select.payloads.(k) top_score.(r))
   in
   let rec steps i beam =
     if i = pdef then beam
     else begin
       let expanded = List.concat_map (extend i) beam in
       Obs.count "beam.expansions" (List.length expanded);
-      (* Keep the [width] most promising partial selections; dedupe on the
-         chosen multiset so permutations don't crowd the beam.  The key
-         stays the sorted pattern list (not ids): the dedupe order seeds
-         the stable heuristic sort's tie-breaks, and ids are allocated in
-         visit order, not pattern order. *)
-      let key st = List.sort Pattern.compare (List.map (Universe.pattern u) st.chosen) in
-      let deduped =
-        List.map (fun st -> (key st, st)) expanded
-        |> List.sort_uniq (fun (ka, _) (kb, _) -> compare ka kb)
-        |> List.map snd
-      in
-      let ranked =
-        List.sort (fun a b -> compare b.heuristic a.heuristic) deduped
-      in
-      steps (i + 1) (List.filteri (fun k _ -> k < width) ranked)
+      (* A beam whose every state neither picks nor fabricates is a fixed
+         point: re-ranking it reproduces its order, so later steps change
+         nothing. *)
+      if List.equal ( == ) expanded beam then beam
+      else begin
+        (* Keep the [width] most promising partial selections; dedupe on
+           the chosen multiset so permutations don't crowd the beam.  The
+           key stays the sorted pattern list (not ids): the dedupe order
+           seeds the stable heuristic sort's tie-breaks, and ids are
+           allocated in visit order, not pattern order. *)
+        let key st = List.sort Pattern.compare (List.map (Universe.pattern u) st.chosen) in
+        let deduped =
+          List.map (fun st -> (key st, st)) expanded
+          |> List.sort_uniq (fun (ka, _) (kb, _) -> compare ka kb)
+          |> List.map snd
+        in
+        let ranked =
+          List.sort (fun a b -> compare b.heuristic a.heuristic) deduped
+        in
+        steps (i + 1) (List.filteri (fun k _ -> k < width) ranked)
+      end
     end
   in
   let finalists = steps 0 [ initial ] in

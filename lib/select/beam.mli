@@ -5,12 +5,29 @@
     module is the dial between them: at each of the [pdef] steps it keeps
     the [width] best partial selections, scoring each candidate extension
     by Eq. 8's priority, and finally ranks the surviving complete sets by
-    their actual schedule length.  A step is Fig. 7's, built from {!Select}'s pieces
-    (Eq. 8, the Eq. 9 condition, subpattern deletion, the fallback); only
-    the width-[k] keep, the dedupe of permuted selections and the finalist
-    costing are the beam's own.  Width 1 reproduces {!Select} exactly: the
-    same patterns in the same order.  Modest widths recover most of the
-    oracle's advantage at a tiny fraction of its cost. *)
+    their actual schedule length.  A step is Fig. 7's, built from {!Select}'s
+    flat kernel (Eq. 8 against each state's own denominators, the Eq. 9
+    condition without color sets, subpattern deletion on the state's pool
+    mask, the fallback); only the width-[k] keep, the dedupe of permuted
+    selections and the finalist costing are the beam's own.  Width 1
+    reproduces {!Select} exactly: the same patterns in the same order.
+    Modest widths recover most of the oracle's advantage at a tiny
+    fraction of its cost.
+
+    {b The width-[k] keep} is a stable pick of the [width] best Eq. 8
+    scores among the admitted candidates, best first under [compare] on
+    floats, equal scores in pool order: exactly the first [width] of a
+    stable sort, without sorting the rest.
+
+    {b The fixed point.}  A state with no pool candidate left and every
+    color covered extends to itself.  When every state of the beam does,
+    re-ranking reproduces the beam's order, so the search stops there
+    instead of stepping on to [pdef]: any [pdef] at least the pool size
+    plus the color count gives the same outcome, and a huge [pdef] costs
+    no more than that.  The [beam.expansions] counter sums the states
+    each step taken expands into, the step that finds the fixed point
+    included, so it reads lower where the fixed point comes before
+    [pdef]. *)
 
 type outcome = {
   patterns : Mps_pattern.Pattern.t list;

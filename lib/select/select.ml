@@ -28,25 +28,100 @@ let covers_all_colors g patterns =
   in
   List.for_all (fun c -> Color.Set.mem c covered) (Dfg.colors g)
 
-let balance ~params ~cover ~freq =
+(* --- Eq. 8 against kept denominators --- *)
+
+type coverage = { params : params; cover : int array; den : float array }
+
+let coverage ~params nodes =
+  {
+    params;
+    cover = Array.make nodes 0;
+    den = Array.make nodes (float_of_int 0 +. params.epsilon);
+  }
+
+let copy_coverage c = { c with cover = Array.copy c.cover; den = Array.copy c.den }
+
+let commit c freq =
+  for n = 0 to Array.length freq - 1 do
+    let h = Array.unsafe_get freq n in
+    if h <> 0 then begin
+      let k = c.cover.(n) + h in
+      c.cover.(n) <- k;
+      c.den.(n) <- float_of_int k +. c.params.epsilon
+    end
+  done
+
+(* Inlined so [eq8] keeps the sum unboxed. *)
+let[@inline] balance c ~freq =
+  let den = c.den in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun n h ->
-      if h > 0 then
-        acc := !acc +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
-    freq;
+  for n = 0 to Array.length freq - 1 do
+    let h = Array.unsafe_get freq n in
+    if h > 0 then acc := !acc +. (float_of_int h /. den.(n))
+  done;
   !acc
 
-let priority ~params ~cover ~freq ~size =
-  balance ~params ~cover ~freq +. (params.alpha *. float_of_int (size * size))
+let eq8 c ~freq ~size = balance c ~freq +. (c.params.alpha *. float_of_int (size * size))
 
-let add_cover cover freq = Array.iteri (fun n h -> cover.(n) <- cover.(n) + h) freq
+(* --- the flat pool and Eq. 9 --- *)
 
-let color_condition u ~capacity ~colors ~covered ~remaining_picks =
-  let missing = Color.Set.cardinal (Color.Set.diff colors covered) in
-  fun id ->
-    Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) covered)
-    >= missing - (capacity * remaining_picks)
+(* A color is a character, so a covered-flag table indexed by its code
+   holds any number of colors. *)
+type hues = { of_candidate : string array; wanted : string }
+
+type 'a pool = {
+  universe : Universe.t;
+  ids : Pattern.Id.t array;
+  payloads : 'a array;
+  sizes : int array;
+  hues : hues;
+}
+
+let spell set =
+  let b = Bytes.create (Color.Set.cardinal set) in
+  ignore
+    (Color.Set.fold
+       (fun c i ->
+         Bytes.unsafe_set b i (Color.to_char c);
+         i + 1)
+       set 0);
+  Bytes.unsafe_to_string b
+
+let pool u ~colors candidates =
+  let ids = Array.of_list (List.map fst candidates) in
+  {
+    universe = u;
+    ids;
+    payloads = Array.of_list (List.map snd candidates);
+    sizes = Array.map (Universe.size u) ids;
+    hues =
+      {
+        of_candidate = Array.map (fun id -> spell (Universe.color_set u id)) ids;
+        wanted = spell colors;
+      };
+  }
+
+let alive p = Bytes.make (Array.length p.ids) '\001'
+
+type admission = { covered : Bytes.t; threshold : int }
+
+let uncovered covered hues =
+  let k = ref 0 in
+  for i = 0 to String.length hues - 1 do
+    if Bytes.unsafe_get covered (Char.code (String.unsafe_get hues i)) = '\000' then
+      incr k
+  done;
+  !k
+
+let admission p ~capacity ~covered ~remaining_picks =
+  let flags = Bytes.make 256 '\000' in
+  Color.Set.iter
+    (fun c -> Bytes.unsafe_set flags (Char.code (Color.to_char c)) '\001')
+    covered;
+  let missing = uncovered flags p.hues.wanted in
+  { covered = flags; threshold = missing - (capacity * remaining_picks) }
+
+let admits p a k = uncovered a.covered p.hues.of_candidate.(k) >= a.threshold
 
 let fallback u ~capacity ~colors ~covered =
   match Color.Set.elements (Color.Set.diff colors covered) with
@@ -54,78 +129,86 @@ let fallback u ~capacity ~colors ~covered =
   | uncovered ->
       Some (Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered)))
 
-let delete_subpatterns u ~of_ pool =
-  List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_)) pool
+let delete p ~alive ~of_ =
+  for k = 0 to Array.length p.ids - 1 do
+    if
+      Bytes.unsafe_get alive k <> '\000'
+      && Universe.subpattern p.universe p.ids.(k) ~of_
+    then Bytes.unsafe_set alive k '\000'
+  done
 
-let run u ~capacity ~colors ~pdef ~score ~commit pool =
-  let rec go i pool covered steps =
+(* --- Fig. 7 --- *)
+
+let run u ~capacity ~colors ~pdef ~score ~commit candidates =
+  let p = pool u ~colors candidates in
+  let n = Array.length p.ids in
+  let live = alive p in
+  let scores = Array.make n 0.0 in
+  let rec go i covered steps =
     if i >= pdef then List.rev steps
     else begin
-      let admits =
-        color_condition u ~capacity ~colors ~covered ~remaining_picks:(pdef - i - 1)
-      in
-      let scored =
-        List.map
-          (fun (id, x) ->
-            (id, x, if admits id then score ~size:(Universe.size u id) x else 0.0))
-          pool
-      in
-      let best =
-        List.fold_left
-          (fun acc (id, x, f) ->
-            match acc with
-            | Some (_, _, bf) when bf >= f -> acc
-            | _ when f > 0.0 -> Some (id, x, f)
-            | _ -> acc)
-          None scored
-      in
+      let a = admission p ~capacity ~covered ~remaining_picks:(pdef - i - 1) in
+      (* The first strictly best positive score: ties go to the earlier
+         pool entry. *)
+      let best = ref (-1) in
+      for k = 0 to n - 1 do
+        if Bytes.unsafe_get live k <> '\000' then begin
+          let f = if admits p a k then score ~size:p.sizes.(k) p.payloads.(k) else 0.0 in
+          scores.(k) <- f;
+          if f > 0.0 && (!best < 0 || f > scores.(!best)) then best := k
+        end
+      done;
       let pick =
-        match best with
-        | Some (id, x, f) ->
-            commit x;
-            Some (id, f, false)
-        | None ->
-            (* No candidate works: fabricate from uncovered colors (up to
-               C).  With nothing uncovered and an empty viable pool, more
-               patterns cannot help; stop early. *)
-            Option.map (fun id -> (id, 0.0, true)) (fallback u ~capacity ~colors ~covered)
+        if !best >= 0 then begin
+          commit p.payloads.(!best);
+          Some (p.ids.(!best), scores.(!best), false)
+        end
+        else
+          (* No candidate works: fabricate from uncovered colors (up to
+             C).  With nothing uncovered and an empty viable pool, more
+             patterns cannot help; stop early. *)
+          Option.map (fun id -> (id, 0.0, true)) (fallback u ~capacity ~colors ~covered)
       in
       match pick with
       | None -> List.rev steps
       | Some (pid, priority, fallback) ->
+          (* The step's evidence in pool order, deleting as it goes. *)
+          let priorities = ref [] and deleted = ref [] in
+          for k = n - 1 downto 0 do
+            if Bytes.unsafe_get live k <> '\000' then begin
+              let q = Universe.pattern u p.ids.(k) in
+              priorities := (q, scores.(k)) :: !priorities;
+              if Universe.subpattern u p.ids.(k) ~of_:pid then begin
+                deleted := q :: !deleted;
+                Bytes.unsafe_set live k '\000'
+              end
+            end
+          done;
           let step =
             {
               chosen = Universe.pattern u pid;
               priority;
               fallback;
-              deleted =
-                List.filter_map
-                  (fun (q, _) ->
-                    if Universe.subpattern u q ~of_:pid then Some (Universe.pattern u q)
-                    else None)
-                  pool;
-              priorities = List.map (fun (id, _, f) -> (Universe.pattern u id, f)) scored;
+              deleted = !deleted;
+              priorities = !priorities;
             }
           in
-          go (i + 1)
-            (delete_subpatterns u ~of_:pid pool)
-            (Color.Set.union covered (Universe.color_set u pid))
-            (step :: steps)
+          go (i + 1) (Color.Set.union covered (Universe.color_set u pid)) (step :: steps)
     end
   in
-  let steps = go 0 pool Color.Set.empty [] in
+  let steps = go 0 Color.Set.empty [] in
   { patterns = List.map (fun s -> s.chosen) steps; steps }
 
 let select_report ?(params = default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Select.select: pdef must be >= 1";
   Obs.span "select" @@ fun () ->
   let g = Classify.graph classify in
-  let cover = Array.make (Dfg.node_count g) 0 in
+  let c = coverage ~params (Dfg.node_count g) in
   let report =
     run (Classify.universe classify) ~capacity:(Classify.capacity classify)
       ~colors:(Color.Set.of_list (Dfg.colors g)) ~pdef
-      ~score:(fun ~size freq -> priority ~params ~cover ~freq ~size)
-      ~commit:(add_cover cover)
+      ~score:(fun ~size freq -> eq8 c ~freq ~size)
+      ~commit:(commit c)
       (Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
       |> List.rev)
   in

@@ -55,22 +55,22 @@ let select ?(params = Select.default_params) ~pdef kernels =
           Hashtbl.replace entries_of id ((ki, freq) :: prev))
         k.classify ())
     kernels;
-  (* Per-kernel coverage vectors. *)
-  let cover =
-    List.map (fun k -> Array.make (Dfg.node_count k.graph) 0) kernels
+  (* Per-kernel coverage. *)
+  let coverage =
+    List.map (fun k -> Select.coverage ~params (Dfg.node_count k.graph)) kernels
     |> Array.of_list
   in
   (* Eq. 8 over the suite: the size bonus once, then each realizing
      kernel's balancing addend against that kernel's own coverage. *)
   let score ~size entries =
     List.fold_left
-      (fun acc (ki, freq) -> acc +. Select.balance ~params ~cover:cover.(ki) ~freq)
+      (fun acc (ki, freq) -> acc +. Select.balance coverage.(ki) ~freq)
       (params.Select.alpha *. float_of_int (size * size))
       entries
   in
   let patterns =
     (Select.run u ~capacity ~colors:all_colors ~pdef ~score
-       ~commit:(List.iter (fun (ki, freq) -> Select.add_cover cover.(ki) freq))
+       ~commit:(List.iter (fun (ki, freq) -> Select.commit coverage.(ki) freq))
        (Universe.sorted_ids u |> Array.to_list
        |> List.map (fun id -> (id, Hashtbl.find entries_of id))))
       .Select.patterns

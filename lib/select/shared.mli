@@ -8,7 +8,7 @@
     It is {!Select.run} — Fig. 7's loop — over the union of the kernels'
     pattern pools with one score: Eq. 8's size bonus once, plus
     {!Select.balance} for every kernel that realizes the candidate (each
-    kernel keeps its own coverage vector, so a pattern that only helps
+    kernel keeps its own {!Select.coverage}, so a pattern that only helps
     kernels that are already well covered scores low).  The color-number
     condition runs against the union of the kernels' color sets.  Selection
     never looks at schedule lengths — like the paper's algorithm it is

@@ -8,33 +8,48 @@ type t =
 
 (* --- emitting --- *)
 
+let hex = "0123456789abcdef"
+
+(* Plain runs are copied whole; only quotes, backslashes and control
+   characters are escaped. *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-let number_to_string f =
+(* Integral values below 1e15 are exact ints, so [string_of_int] prints
+   the digits ["%.0f"] would; only negative zero needs its sign. *)
+let number_into buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float f))
+  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
 
 let render ~sep v =
   let buf = Buffer.create 1024 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number_to_string f)
+    | Num f -> number_into buf f
     | Str s -> escape_into buf s
     | Arr xs ->
         Buffer.add_char buf '[';
@@ -71,76 +86,101 @@ let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let skip_ws () =
     while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      !pos < n
+      && match String.unsafe_get s !pos with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
     do
-      advance ()
+      incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
+  let expect c = if at c then incr pos else fail (Printf.sprintf "expected %c" c) in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec same i = i = len || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + len <= n && same 0 then begin
+      pos := !pos + len;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* The end of the plain run at [i]: the next quote or backslash. *)
+  let rec plain i =
+    if i < n && match String.unsafe_get s i with '"' | '\\' -> false | _ -> true then
+      plain (i + 1)
+    else i
+  in
   let string_body () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              (* Emitted traces only escape control characters, so plain
-                 byte emission covers the round-trip; anything above Latin-1
-                 is preserved as '?' rather than rejected. *)
-              Buffer.add_char buf
-                (if code < 256 then Char.chr code else '?');
+    let start = !pos in
+    let stop = plain start in
+    if stop < n && s.[stop] = '"' then begin
+      (* No escape: the body is one run. *)
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf s start (stop - start);
+      pos := stop;
+      let escaped c =
+        incr pos;
+        Buffer.add_char buf c
+      in
+      let rec go () =
+        if !pos >= n then fail "unterminated string"
+        else
+          match s.[!pos] with
+          | '"' -> incr pos
+          | '\\' ->
+              incr pos;
+              (if !pos >= n then fail "bad escape"
+               else
+                 match s.[!pos] with
+                 | '"' -> escaped '"'
+                 | '\\' -> escaped '\\'
+                 | '/' -> escaped '/'
+                 | 'n' -> escaped '\n'
+                 | 'r' -> escaped '\r'
+                 | 't' -> escaped '\t'
+                 | 'b' -> escaped '\b'
+                 | 'f' -> escaped '\012'
+                 | 'u' ->
+                     incr pos;
+                     if !pos + 4 > n then fail "truncated \\u escape";
+                     let hex = String.sub s !pos 4 in
+                     let code =
+                       try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+                     in
+                     pos := !pos + 4;
+                     (* Emitted traces only escape control characters, so
+                        plain byte emission covers the round-trip; anything
+                        above Latin-1 is preserved as '?' rather than
+                        rejected. *)
+                     Buffer.add_char buf (if code < 256 then Char.chr code else '?')
+                 | _ -> fail "bad escape");
               go ()
-          | _ -> fail "bad escape")
-      | Some c -> advance (); Buffer.add_char buf c; go ()
-    in
-    go ();
-    Buffer.contents buf
+          | _ ->
+              let stop = plain !pos in
+              Buffer.add_substring buf s !pos (stop - !pos);
+              pos := stop;
+              go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
+    while
+      !pos < n
+      &&
+      match String.unsafe_get s !pos with
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
+    do
+      incr pos
     done;
     if !pos = start then fail "expected a number";
     match float_of_string_opt (String.sub s start (!pos - start)) with
@@ -149,47 +189,64 @@ let parse s =
   in
   let rec value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (string_body ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
+    if !pos >= n then fail "unexpected end of input"
+    else
+      match String.unsafe_get s !pos with
+      | '{' ->
+          incr pos;
+          skip_ws ();
+          if at '}' then begin
+            incr pos;
+            Obj []
+          end
+          else begin
+            let rec members acc =
+              skip_ws ();
+              let k = string_body () in
+              skip_ws ();
+              expect ':';
+              let v = value () in
+              skip_ws ();
+              if at ',' then begin
+                incr pos;
+                members ((k, v) :: acc)
+              end
+              else if at '}' then begin
+                incr pos;
+                List.rev ((k, v) :: acc)
+              end
+              else fail "expected , or } in object"
+            in
+            Obj (members [])
+          end
+      | '[' ->
+          incr pos;
+          skip_ws ();
+          if at ']' then begin
+            incr pos;
+            Arr []
+          end
+          else begin
+            let rec elements acc =
+              let v = value () in
+              skip_ws ();
+              if at ',' then begin
+                incr pos;
+                elements (v :: acc)
+              end
+              else if at ']' then begin
+                incr pos;
+                List.rev (v :: acc)
+              end
+              else fail "expected , or ] in array"
+            in
+            Arr (elements [])
+          end
+      | '"' -> Str (string_body ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | _ -> Num (number ())
   in
   match
     let v = value () in

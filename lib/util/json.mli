@@ -22,9 +22,13 @@ type t =
 
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace except after the
-    top-level commas of objects and arrays, for greppability).  Strings are
-    escaped per RFC 8259; numbers print through ["%.12g"] with integral
-    values rendered without a fractional part. *)
+    commas of objects and arrays, for greppability).  Strings are escaped
+    per RFC 8259, one plain run at a time: ['"'], ['\\'], ['\n'], ['\r']
+    and ['\t'] by their short escapes, other control characters (below
+    0x20) as [\u00XX] in lowercase hex, every other byte as is.  Integral
+    numbers below 1e15 in magnitude print as integers ([string_of_int]
+    digits, and ["-0"] for negative zero, as ["%.0f"] writes it); every
+    other number prints through ["%.12g"]. *)
 
 val to_line : t -> string
 (** Like {!to_string} but with plain [","] separators — one line whatever
@@ -33,7 +37,13 @@ val to_line : t -> string
 
 val parse : string -> (t, string) result
 (** Parses one JSON value followed only by whitespace.  [Error] carries a
-    byte offset and a reason. *)
+    byte offset and a reason, as ["offset N: reason"], for the first
+    failure a left-to-right reading meets.  Whitespace is space, tab,
+    ['\n'] and ['\r'].  String bodies are copied by plain runs up to the
+    next quote or backslash; [\u] takes exactly four characters that
+    [int_of_string "0x…"] accepts and keeps code points above 255 as
+    ['?'].  A number is the longest run of [0-9+-.eE] that
+    [float_of_string] accepts. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the first binding of [k]; [None] on any other

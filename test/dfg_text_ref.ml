@@ -46,3 +46,40 @@ let is_dot text =
         | t :: _ -> has_prefix ~prefix:"digraph" t || t = "strict")
   in
   go (String.split_on_char '\n' text)
+
+exception Parse_error = Mps_dfg.Parse.Parse_error
+
+let fail line fmt =
+  Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
+
+let of_native_string text =
+  let b = Dfg.Builder.create () in
+  let ids = Hashtbl.create 64 in
+  let resolve lineno name =
+    match Hashtbl.find_opt ids name with
+    | Some id -> id
+    | None -> fail lineno "unknown node %S in edge" name
+  in
+  let lines = String.split_on_char '\n' text in
+  List.iteri
+    (fun idx raw ->
+      let lineno = idx + 1 in
+      match tokens (strip_comment raw) with
+      | [] -> ()
+      | [ "node"; name; color ] ->
+          if String.length color <> 1 then
+            fail lineno "color must be a single character, got %S" color;
+          let color =
+            try Color.of_char color.[0] with Invalid_argument m -> fail lineno "%s" m
+          in
+          let id =
+            try Dfg.Builder.add_node b ~name color
+            with Invalid_argument m -> fail lineno "%s" m
+          in
+          Hashtbl.add ids name id
+      | [ "edge"; src; dst ] -> (
+          try Dfg.Builder.add_edge b (resolve lineno src) (resolve lineno dst)
+          with Invalid_argument m -> fail lineno "%s" m)
+      | cmd :: _ -> fail lineno "unknown directive %S" cmd)
+    lines;
+  Dfg.Builder.build b

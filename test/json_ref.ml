@@ -1,0 +1,202 @@
+type t = Mps_util.Json.t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+(* --- emitting --- *)
+
+let escape_into buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let number_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.12g" f
+
+let render ~sep v =
+  let buf = Buffer.create 1024 in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num f -> Buffer.add_string buf (number_to_string f)
+    | Str s -> escape_into buf s
+    | Arr xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_string buf sep;
+            go x)
+          xs;
+        Buffer.add_char buf ']'
+    | Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_string buf sep;
+            escape_into buf k;
+            Buffer.add_char buf ':';
+            go x)
+          kvs;
+        Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf
+
+(* Traces keep the newline separators for greppability; the serve protocol
+   needs one value per line. *)
+let to_string v = render ~sep:",\n" v
+let to_line v = render ~sep:"," v
+
+(* --- parsing --- *)
+
+exception Bad of int * string
+
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Bad (!pos, msg)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while
+      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %c" c)
+  in
+  let literal word v =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail (Printf.sprintf "expected %s" word)
+  in
+  let string_body () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' -> advance ()
+      | Some '\\' -> (
+          advance ();
+          match peek () with
+          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
+          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
+          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
+          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
+          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
+          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
+          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
+          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
+          | Some 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub s !pos 4 in
+              let code =
+                try int_of_string ("0x" ^ hex)
+                with _ -> fail "bad \\u escape"
+              in
+              pos := !pos + 4;
+              (* Emitted traces only escape control characters, so plain
+                 byte emission covers the round-trip; anything above Latin-1
+                 is preserved as '?' rather than rejected. *)
+              Buffer.add_char buf
+                (if code < 256 then Char.chr code else '?');
+              go ()
+          | _ -> fail "bad escape")
+      | Some c -> advance (); Buffer.add_char buf c; go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while !pos < n && is_num_char s.[!pos] do
+      advance ()
+    done;
+    if !pos = start then fail "expected a number";
+    match float_of_string_opt (String.sub s start (!pos - start)) with
+    | Some f -> f
+    | None -> fail "malformed number"
+  in
+  let rec value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin advance (); Obj [] end
+        else begin
+          let rec members acc =
+            skip_ws ();
+            let k = string_body () in
+            skip_ws ();
+            expect ':';
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); members ((k, v) :: acc)
+            | Some '}' -> advance (); List.rev ((k, v) :: acc)
+            | _ -> fail "expected , or } in object"
+          in
+          Obj (members [])
+        end
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin advance (); Arr [] end
+        else begin
+          let rec elements acc =
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); elements (v :: acc)
+            | Some ']' -> advance (); List.rev (v :: acc)
+            | _ -> fail "expected , or ] in array"
+          in
+          Arr (elements [])
+        end
+    | Some '"' -> Str (string_body ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> Num (number ())
+  in
+  match
+    let v = value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage after value";
+    v
+  with
+  | v -> Ok v
+  | exception Bad (at, msg) -> Error (Printf.sprintf "offset %d: %s" at msg)
+

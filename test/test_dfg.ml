@@ -82,6 +82,83 @@ let test_cycle_detection () =
         (List.sort String.compare names)
   | _ -> Alcotest.fail "cycle not detected")
 
+(* A node that only hangs below a cycle used to end the cycle walk in
+   [Not_found]; the text parser then escaped its own error handling and
+   a serve session died on one request. *)
+let test_cycle_below_dead_end () =
+  let text = "node a1 a\nnode b1 b\nnode c1 c\nedge b1 c1\nedge c1 b1\nedge c1 a1\n" in
+  (match Parse.of_string text with
+  | exception Dfg.Cycle names ->
+      Alcotest.(check (list string)) "cycle names" [ "b1"; "c1" ] names
+  | _ -> Alcotest.fail "cycle not detected");
+  let sess = Session.create () in
+  let line =
+    Protocol.request_to_line
+      (Protocol.make ~id:(Mps_util.Json.Num 1.) ~source:(Protocol.Dfg_text text) Protocol.Select)
+  in
+  Alcotest.(check string) "serve answers"
+    {|{"id":1,"ok":false,"error":"graph has a cycle: b1 -> c1"}|}
+    (Mps_serve.Server.handle_line sess line)
+
+(* The walk before the dead-end fix: from the first node Kahn's
+   algorithm left, always to the first successor it left, until a node
+   repeats; [None] where that walk dead-ended. *)
+let old_cycle_walk n succs =
+  let indeg = Array.make n 0 in
+  Array.iter (List.iter (fun d -> indeg.(d) <- indeg.(d) + 1)) succs;
+  let queue = Queue.create () in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun d ->
+        indeg.(d) <- indeg.(d) - 1;
+        if indeg.(d) = 0 then Queue.add d queue)
+      succs.(Queue.pop queue)
+  done;
+  let rec walk path i =
+    if List.mem i path then
+      let rec drop = function [] -> [] | j :: rest -> if j = i then j :: rest else drop rest in
+      Some (drop (List.rev path))
+    else
+      match List.find_opt (fun d -> indeg.(d) > 0) succs.(i) with
+      | None -> None
+      | Some d -> walk (i :: path) d
+  in
+  let rec first i = if i = n then None else if indeg.(i) > 0 then Some i else first (i + 1) in
+  Option.bind (first 0) (walk [])
+
+let cyclic_gen =
+  QCheck2.Gen.(
+    bind (2 -- 9) (fun n ->
+        map
+          (fun edges -> (n, List.filter (fun (s, d) -> s <> d) edges))
+          (list_size (1 -- 20) (pair (0 -- (n - 1)) (0 -- (n - 1))))))
+
+let cycle_props =
+  [
+    qtest ~count:500 "cycle: the old walk, or a real cycle" cyclic_gen (fun (n, edges) ->
+        let b = Dfg.Builder.create () in
+        for i = 0 to n - 1 do
+          ignore (Dfg.Builder.add_node b ~name:(Printf.sprintf "v%d" i) Color.add)
+        done;
+        List.iter (fun (s, d) -> Dfg.Builder.add_edge b s d) edges;
+        let succs =
+          Array.init n (fun s ->
+              List.sort_uniq compare (List.filter_map (fun (s', d) -> if s' = s then Some d else None) edges))
+        in
+        let name i = Printf.sprintf "v%d" i in
+        match Dfg.Builder.build b with
+        | _ -> old_cycle_walk n succs = None
+        | exception Dfg.Cycle names -> (
+            match old_cycle_walk n succs with
+            | Some cycle -> names = List.map name cycle
+            | None ->
+                (* Where the old walk dead-ended: any real cycle. *)
+                let ids = List.map (fun s -> int_of_string (String.sub s 1 (String.length s - 1))) names in
+                let next = List.tl ids @ [ List.hd ids ] in
+                List.for_all2 (fun s d -> List.mem d succs.(s)) ids next));
+  ]
+
 let test_builder_snapshot () =
   let b = Dfg.Builder.create () in
   let x = Dfg.Builder.add_node b ~name:"x" Color.add in
@@ -290,6 +367,105 @@ let test_sniff_preludes () =
       ("// digraph\n\tstrict", true); ("\r\ndigraph", false);
     ]
 
+(* --- the one-pass native parser against the line-splitting one --- *)
+
+type outcome = Parsed of string | Refused of int * string | Cyclic of string list
+
+let outcome parse text =
+  match parse text with
+  | g -> Parsed (Parse.to_string g)
+  | exception Parse.Parse_error { line; message } -> Refused (line, message)
+  | exception Dfg.Cycle names -> Cyclic names
+
+(* The DOT subset is unchanged, so the reference reads DOT through it. *)
+let reference_parse text =
+  if Dfg_text_ref.is_dot text then Parse.of_string text
+  else Dfg_text_ref.of_native_string text
+
+let show = function
+  | Parsed t -> Printf.sprintf "graph %S" t
+  | Refused (l, m) -> Printf.sprintf "line %d: %s" l m
+  | Cyclic names -> "cycle " ^ String.concat " -> " names
+
+let test_native_pinned () =
+  let pinned =
+    [
+      ("node a b\r", Refused (1, "color must be a single character, got \"b\\r\""));
+      ("node a1 a\nedge x y", Refused (2, "unknown node \"y\" in edge"));
+      ("node a1 a\nedge x a1", Refused (2, "unknown node \"x\" in edge"));
+      ("node a b c", Refused (1, "unknown directive \"node\""));
+      ("node a", Refused (1, "unknown directive \"node\""));
+      ("\n\t# c\n  nodes a1 a", Refused (3, "unknown directive \"nodes\""));
+      ("", Parsed "");
+      ("node\ta1\ta # a comment\n\n node b2 b\nedge a1  b2\n",
+        Parsed "node a1 a\nnode b2 b\nedge a1 b2\n");
+    ]
+  in
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check string) (Printf.sprintf "%S" text) (show want)
+        (show (outcome Parse.of_string text)))
+    pinned;
+  List.iter
+    (fun text ->
+      Alcotest.(check string) (Printf.sprintf "%S: reference" text)
+        (show (outcome reference_parse text))
+        (show (outcome Parse.of_string text)))
+    (List.map fst pinned
+    @ [
+        "node a1 a\nnode a1 a"; "node a1 -"; "node a1 ab"; "node a1 a\nedge a1 a1";
+        "node a1 a\nnode b1 b\nedge a1 b1\nedge b1 a1"; "edge"; "node a1 a\r\n";
+        "\r"; "#"; "node a1 a#\nedge a1#"; "node # a1 a"; "\n\n\n"; "node a1 a\n\n";
+        "node a1 a\nnode b1 b\nedge a1 b1\nedge a1 b1\n";
+      ])
+
+(* The canonical texts of the corpus and a few small ones, with bytes
+   replaced, deleted or inserted: each mutant must give the reference's
+   graph, error line and message, or cycle. *)
+let native_texts =
+  lazy
+    (Array.of_list
+       (List.map (fun (_, g) -> Parse.to_string g) (Suite.graphs ~full:true ~huge:true ())
+       @ [
+           "node a1 a\nnode b1 b\nedge a1 b1\n";
+           "# head\nnode x a\t# c\nnode y b\nnode z c\nedge x y\nedge y z\nedge x z";
+         ]))
+
+let mutation_gen =
+  QCheck2.Gen.(
+    pair (0 -- 24)
+      (list_size (1 -- 4)
+         (triple (0 -- 1_000_000) (0 -- 2)
+            (oneof
+               [
+                 oneofl [ ' '; '\t'; '\n'; '\r'; '#'; 'a'; 'b'; 'e'; 'n'; '-'; '1'; '\000' ];
+                 char;
+               ]))))
+
+let mutate text edits =
+  List.fold_left
+    (fun t (pos, op, c) ->
+      let n = String.length t in
+      if n = 0 then String.make 1 c
+      else
+        let i = pos mod n in
+        match op with
+        | 0 -> String.mapi (fun j d -> if j = i then c else d) t
+        | 1 -> String.sub t 0 i ^ String.sub t (i + 1) (n - i - 1)
+        | _ -> String.sub t 0 i ^ String.make 1 c ^ String.sub t i (n - i))
+    text edits
+
+let native_props =
+  [
+    qtest ~count:400 "native: mutants = line-splitting reference" mutation_gen
+      (fun (k, edits) ->
+        let texts = Lazy.force native_texts in
+        let text = mutate texts.(k mod Array.length texts) edits in
+        let got = outcome Parse.of_string text and want = outcome reference_parse text in
+        got = want
+        || QCheck2.Test.fail_reportf "%S: got %s, want %s" text (show got) (show want));
+  ]
+
 (* Random texts built from the pieces the sniff reacts to. *)
 let sniff_text_gen =
   QCheck2.Gen.(
@@ -407,7 +583,9 @@ let () =
           Alcotest.test_case "snapshot semantics" `Quick test_builder_snapshot;
           Alcotest.test_case "of_alist errors" `Quick test_of_alist_errors;
           Alcotest.test_case "induced and reverse" `Quick test_induced_and_reverse;
-        ] );
+          Alcotest.test_case "cycle below a dead end" `Quick test_cycle_below_dead_end;
+        ]
+        @ cycle_props );
       ( "topo",
         [
           Alcotest.test_case "order" `Quick test_topo_order;
@@ -430,7 +608,9 @@ let () =
         @ parse_props
         @ Alcotest.test_case "sniff: comment and blank lines first" `Quick
             test_sniff_preludes
-          :: sniff_props );
+          :: sniff_props
+        @ Alcotest.test_case "native: pinned texts and errors" `Quick test_native_pinned
+          :: native_props );
       ("dot", Alcotest.test_case "fragments" `Quick test_dot_output :: dot_props);
       ( "canonical",
         Alcotest.test_case "corpus = reference, fingerprint = its MD5" `Quick

@@ -277,6 +277,107 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "\"unterminated"; "{}trailing" ]
 
+(* --- the run-based codec against the character-at-a-time one --- *)
+
+(* Numbers around the integral fast path's edges: zero of either sign,
+   ±1e15 and their neighbours, and values past 2^53. *)
+let edge_numbers =
+  [
+    0.0; -0.0; 1.0; -1.0; 1e15; -1e15; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15 +. 2.0;
+    Float.pred 1e15; Float.succ 1e15; Float.pred (-1e15); 999999999999999.5; 0.5;
+    -0.5; 1e-300; 5e-324; 2. ** 53.; 2. ** 62.; -.(2. ** 63.); 1e300; Float.infinity;
+    Float.neg_infinity; Float.nan; 3.25; 17.0; 123456789012.0;
+  ]
+
+let json_gen =
+  QCheck2.Gen.(
+    let str =
+      map
+        (fun cs -> String.concat "" cs)
+        (list_size (0 -- 8)
+           (oneof
+              [
+                oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\000"; "\031"; "\127"; "/"; "\255"; "ab" ];
+                map (String.make 1) char;
+              ]))
+    in
+    let num =
+      oneof
+        [
+          oneofl edge_numbers;
+          map float_of_int (-2_000_000 -- 2_000_000);
+          float;
+          map (fun (m, e) -> float_of_int m *. (10. ** float_of_int e)) (pair (-999 -- 999) (-20 -- 20));
+        ]
+    in
+    sized
+    @@ fix (fun self size ->
+           let leaf =
+             oneof
+               [
+                 pure Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) num;
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if size <= 1 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun xs -> Json.Arr xs) (list_size (0 -- 4) (self (size / 3))));
+                 ( 1,
+                   map (fun kvs -> Json.Obj kvs) (list_size (0 -- 4) (pair str (self (size / 3))))
+                 );
+               ]))
+
+let test_json_pinned () =
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) want (Json.to_line (Json.Num f));
+      Alcotest.(check string) (Printf.sprintf "%h: reference" f) (Json_ref.to_line (Json.Num f))
+        (Json.to_line (Json.Num f)))
+    [
+      (-0.0, "-0"); (0.0, "0"); (1e15, "1e+15"); (-1e15, "-1e+15");
+      (1e15 -. 1.0, "999999999999999"); (-.(1e15 -. 1.0), "-999999999999999");
+      (Float.pred 1e15, "1e+15"); (3.25, "3.25"); (17.0, "17");
+    ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (Json_ref.to_line (Json.Num f))
+        (Json.to_line (Json.Num f)))
+    edge_numbers;
+  Alcotest.(check string) "control characters" {|"\u0000\u001f\n\r\t\"\\/"|}
+    (Json.to_line (Json.Str "\000\031\n\r\t\"\\/"))
+
+let json_props =
+  [
+    qtest ~count:2000 "render = reference" json_gen (fun v ->
+        Json.to_line v = Json_ref.to_line v && Json.to_string v = Json_ref.to_string v);
+    qtest ~count:2000 "parse mutants = reference"
+      QCheck2.Gen.(
+        triple json_gen
+          (list_size (0 -- 3) (triple (0 -- 100_000) (0 -- 2) char))
+          (oneofl [ ""; " "; "\n"; "\\"; "\"" ]))
+      (fun (v, edits, tail) ->
+        let line =
+          List.fold_left
+            (fun t (pos, op, c) ->
+              let n = String.length t in
+              let i = pos mod (n + 1) in
+              match op with
+              | 0 when i < n -> String.mapi (fun j d -> if j = i then c else d) t
+              | 1 when i < n -> String.sub t 0 i ^ String.sub t (i + 1) (n - i - 1)
+              | _ -> String.sub t 0 i ^ String.make 1 c ^ String.sub t i (n - i))
+            (Json.to_line v ^ tail) edits
+        in
+        let got = Json.parse line and want = Json_ref.parse line in
+        got = want
+        || QCheck2.Test.fail_reportf "%S: the codecs disagree (%s)" line
+             (match want with Ok _ -> "reference parses" | Error m -> m));
+  ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -302,5 +403,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
-        ] );
+          Alcotest.test_case "numbers and escapes pinned" `Quick test_json_pinned;
+        ]
+        @ json_props );
     ]

@@ -13,6 +13,10 @@ module Pattern_source = Mps_select.Pattern_source
 module Mp = Mps_scheduler.Multi_pattern
 module Schedule = Mps_scheduler.Schedule
 module Pg = Mps_workloads.Paper_graphs
+module Beam = Mps_select.Beam
+module Suite = Mps_workloads.Suite
+module Random_dag = Mps_workloads.Random_dag
+module Obs = Mps_obs.Obs
 
 let pat = Pattern.of_string
 
@@ -216,6 +220,167 @@ let test_pattern_source () =
       Alcotest.(check bool) "schedulable" true (Schedule.cycles r.schedule >= 5))
     [ Pattern_source.Greedy; Pattern_source.Force_directed ]
 
+(* --- the flat kernel against the list-based reference --- *)
+
+(* Every field of a report, priorities as their bits. *)
+let report_rows r =
+  let bits = Int64.bits_of_float in
+  ( List.map Pattern.to_string r.Select.patterns,
+    List.map
+      (fun s ->
+        ( Pattern.to_string s.Select.chosen,
+          bits s.Select.priority,
+          s.Select.fallback,
+          List.map Pattern.to_string s.Select.deleted,
+          List.map (fun (p, f) -> (Pattern.to_string p, bits f)) s.Select.priorities ))
+      r.Select.steps )
+
+let beam_row o =
+  (List.map Pattern.to_string o.Beam.patterns, o.Beam.cycles, o.Beam.evaluated_sets)
+
+let alpha_zero = { Select.default_params with Select.alpha = 0.0 }
+
+(* The kernel and the reference on one classification; [None] when they
+   agree, else what differs. *)
+let kernel_mismatch ?(params = Select.default_params) ?(width = 4) ~pdef cls =
+  if report_rows (Select.select_report ~params ~pdef cls)
+     <> report_rows (Select_ref.select_report ~params ~pdef cls)
+  then Some "Eq. 8 report"
+  else if beam_row (Beam.search ~width ~params ~pdef cls)
+          <> beam_row (Select_ref.beam_search ~width ~params ~pdef cls)
+  then Some "beam outcome"
+  else None
+
+(* The 23 corpus graphs, span 1 and capped at 100k antichains so fft16
+   and fir16 stay quick; a truncated pool is as good a kernel input. *)
+let corpus_classifications =
+  lazy
+    (List.map
+       (fun (name, g) ->
+         (name, Classify.compute ~span_limit:1 ~budget:100_000 ~capacity:5 (Enumerate.make_ctx g)))
+       (Suite.graphs ~full:true ~huge:true ()))
+
+let test_kernel_corpus () =
+  let corpus = Lazy.force corpus_classifications in
+  Alcotest.(check int) "corpus graphs" 23 (List.length corpus);
+  List.iter
+    (fun (name, cls) ->
+      for pdef = 1 to 8 do
+        List.iter
+          (fun (label, params) ->
+            match kernel_mismatch ~params ~pdef cls with
+            | None -> ()
+            | Some what -> Alcotest.failf "%s pdef %d %s: %s differs" name pdef label what)
+          [ ("alpha 20", Select.default_params); ("alpha 0", alpha_zero) ]
+      done)
+    corpus
+
+(* Eq. 9 keeps no color bitmask, so more colors than a machine word holds
+   work too: 20 layers of 4 nodes, each layer feeding the next, every
+   node its own color out of 80 printable characters. *)
+let test_kernel_many_colors () =
+  let palette =
+    List.filter (fun c -> c <> '-') (List.init 94 (fun k -> Char.chr (33 + k)))
+  in
+  let b = Dfg.Builder.create () in
+  let ids =
+    Array.init 80 (fun k -> Dfg.Builder.add_node b (Color.of_char (List.nth palette k)))
+  in
+  for layer = 0 to 18 do
+    for i = 0 to 3 do
+      for j = 0 to 3 do
+        Dfg.Builder.add_edge b ids.((4 * layer) + i) ids.((4 * (layer + 1)) + j)
+      done
+    done
+  done;
+  let g = Dfg.Builder.build b in
+  Alcotest.(check int) "colors" 80 (List.length (Dfg.colors g));
+  let cls = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g) in
+  List.iter
+    (fun pdef ->
+      match kernel_mismatch ~pdef cls with
+      | None -> ()
+      | Some what -> Alcotest.failf "pdef %d: %s differs" pdef what)
+    [ 1; 8; 15; 16; 17; 24 ]
+
+let qtest ?(count = 60) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* A random DAG with a few colors beyond the paper's three, classified
+   at a random capacity and span. *)
+let random_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, capacity, span, pdef, (alpha, width)) ->
+        let palette =
+          List.init (2 + (seed mod 5)) (fun k -> (Color.of_int (k * 3 mod 52), 1 + (k mod 3)))
+        in
+        let params =
+          {
+            Random_dag.default_params with
+            Random_dag.layers = 3 + (seed mod 4);
+            width = 2 + (seed mod 4);
+            palette;
+          }
+        in
+        let g = Random_dag.generate ~params ~seed () in
+        let cls =
+          Classify.compute ?span_limit:(if span = 0 then None else Some span) ~capacity
+            (Enumerate.make_ctx g)
+        in
+        (seed, cls, pdef, alpha, width))
+      (tup5 (0 -- 10_000) (1 -- 5) (0 -- 2) (1 -- 8) (pair (oneofl [ 0.0; 5.0; 20.0 ]) (1 -- 5))))
+
+let kernel_random (seed, cls, pdef, alpha, width) =
+  let params = { Select.default_params with Select.alpha } in
+  match kernel_mismatch ~params ~width ~pdef cls with
+  | None -> true
+  | Some what ->
+      QCheck2.Test.fail_reportf "seed %d pdef %d alpha %g width %d: %s differs" seed pdef
+        alpha width what
+
+(* Past its fixed point beam only repeats itself: every state has run
+   out of pool picks (at most the pool size) and of fallbacks (at most the
+   color count), so a Pdef of 2^40 must answer at once, and as that
+   bound does. *)
+let beam_fixed_point (seed, cls, _, alpha, width) =
+  let params = { Select.default_params with Select.alpha } in
+  let bound =
+    Classify.pattern_count cls + List.length (Dfg.colors (Classify.graph cls))
+  in
+  let huge = Beam.search ~width ~params ~pdef:(1 lsl 40) cls in
+  beam_row huge = beam_row (Beam.search ~width ~params ~pdef:bound cls)
+  || QCheck2.Test.fail_reportf "seed %d: pdef 2^40 differs from pdef %d" seed bound
+
+(* [beam.expansions] of one search: (steps taken, states they expanded
+   into). *)
+let beam_expansions ~pdef cls =
+  let obs = Obs.create () in
+  ignore (Obs.run obs (fun () -> Beam.search ~pdef cls));
+  match List.find_opt (fun c -> c.Obs.name = "beam.expansions") (Obs.counters obs) with
+  | Some c -> (c.Obs.samples, c.Obs.total)
+  | None -> (0, 0)
+
+(* Each step of a state either deletes a pool candidate or fabricates a
+   pattern over an uncovered color, so by pool size + colors + 1 steps the
+   beam has reached its fixed point and stopped, each step expanding at
+   most width states into width each.  Pdef 10^4 is quick even for a beam
+   that steps on to it, so a lost stop fails here instead of hanging.
+   horner16 and adv-mono reach the fixed point before Pdef 4 and read one
+   step fewer there; 3dft and w5dft take all four steps. *)
+let test_beam_stops () =
+  List.iter
+    (fun (name, at_pdef4) ->
+      let g = (Option.get (Suite.find name)).Suite.build () in
+      let cls = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g) in
+      Alcotest.(check (pair int int)) (name ^ " at Pdef 4") at_pdef4 (beam_expansions ~pdef:4 cls);
+      let bound = Classify.pattern_count cls + List.length (Dfg.colors g) + 1 in
+      let steps, states = beam_expansions ~pdef:10_000 cls in
+      if steps > bound || states > bound * 4 * 4 then
+        Alcotest.failf "%s at Pdef 10^4: %d steps expanding %d states, past %d steps" name
+          steps states bound)
+    [ ("horner16", (3, 5)); ("adv-mono", (3, 15)); ("3dft", (4, 52)); ("w5dft", (4, 52)) ]
+
 let () =
   Alcotest.run "select"
     [
@@ -245,5 +410,15 @@ let () =
           Alcotest.test_case "exhaustive oracle 3dft pdef2" `Slow
             test_exhaustive_3dft_pdef2;
           Alcotest.test_case "schedule-derived patterns" `Quick test_pattern_source;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "corpus = list-based reference" `Quick test_kernel_corpus;
+          Alcotest.test_case "80 colors = list-based reference" `Quick
+            test_kernel_many_colors;
+          qtest "random DAGs = list-based reference" random_case_gen kernel_random;
+          qtest ~count:30 "beam: pdef 2^40 = its fixed point" random_case_gen
+            beam_fixed_point;
+          Alcotest.test_case "beam: stops at its fixed point" `Quick test_beam_stops;
         ] );
     ]

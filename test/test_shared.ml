@@ -119,6 +119,27 @@ let test_shared_config_table () =
   in
   Alcotest.(check bool) "suite-wide table within pdef" true (List.length table <= 4)
 
+let test_shared_matches_reference () =
+  (* Shared scores on the flat kernel's [Select.balance], one coverage
+     per kernel: it selects what the list-based loop did, on one, two and
+     three kernels, at both ends of alpha. *)
+  let kernels = suite () in
+  let alpha_zero = { Select.default_params with Select.alpha = 0.0 } in
+  List.iter
+    (fun ks ->
+      List.iter
+        (fun params ->
+          for pdef = 1 to 6 do
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s pdef=%d alpha=%g"
+                 (String.concat "+" (List.map (fun k -> k.Shared.label) ks))
+                 pdef params.Select.alpha)
+              (List.map Pattern.to_string (Select_ref.shared_patterns ~params ~pdef ks))
+              (List.map Pattern.to_string (Shared.select ~params ~pdef ks).Shared.patterns)
+          done)
+        [ Select.default_params; alpha_zero ])
+    [ [ List.hd kernels ]; List.tl kernels; kernels ]
+
 let () =
   Alcotest.run "shared"
     [
@@ -132,5 +153,6 @@ let () =
             test_shared_beats_borrowed_patterns;
           Alcotest.test_case "rejections" `Quick test_shared_rejects;
           Alcotest.test_case "suite-wide config table" `Quick test_shared_config_table;
+          Alcotest.test_case "= list-based reference" `Quick test_shared_matches_reference;
         ] );
     ]
