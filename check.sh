@@ -19,10 +19,10 @@
 set -e
 
 STAGE="startup"
-tmp1="" tmp4="" trace=""
+tmp1="" tmp4="" trace="" stats=""
 on_exit() {
   status=$?
-  rm -f "$tmp1" "$tmp4" "$trace"
+  rm -f "$tmp1" "$tmp4" "$trace" "$stats"
   if [ "$status" -ne 0 ]; then
     printf '\nFAILED at stage: %s\n' "$STAGE" >&2
   fi
@@ -125,19 +125,33 @@ echo "  ok: serve stream matches the committed golden"
 say "eval counters: --jobs must not perturb eval.* rows or the serve edit stream"
 # Every Eval caller commits its counters in submission order, so the eval.*
 # counter rows of --stats must be byte-identical at --jobs 1 and --jobs 4
-# (exact 3dft).  The serve golden stream above already carries warm "edit"
-# requests; replay it at --jobs 4 to prove the edit path is jobs-invariant
-# too.
+# (exact 3dft), and there must be rows to compare.  Each set the search
+# costs is one cache miss, a costing stopped at the incumbent included, so
+# eval.cache.misses must total exact.evaluated.  The serve golden stream
+# above already carries warm "edit" requests; replay it at --jobs 4 to
+# prove the edit path is jobs-invariant too.
+stats=$(mktemp)
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 1 \
-  2>&1 >/dev/null | grep '| eval\.' > "$tmp1"
+  2>"$stats" >/dev/null
+grep '| eval\.' "$stats" > "$tmp1" || true
 dune exec --no-build bin/mpsched.exe -- exact 3dft --stats --jobs 4 \
-  2>&1 >/dev/null | grep '| eval\.' > "$tmp4"
+  2>&1 >/dev/null | grep '| eval\.' > "$tmp4" || true
 if ! cmp -s "$tmp1" "$tmp4"; then
   echo "FAIL: eval.* counters differ between --jobs 1 and --jobs 4" >&2
   diff "$tmp1" "$tmp4" >&2
   exit 1
 fi
-echo "  ok: eval.* counters identical across --jobs"
+if [ ! -s "$tmp1" ]; then
+  echo "FAIL: exact 3dft --stats printed no eval.* counter rows to compare" >&2
+  exit 1
+fi
+total() { awk -F'|' -v row="$1" '{ gsub(/ /, "", $2) } $2 == row { gsub(/ /, "", $5); print $5 }' "$stats"; }
+misses=$(total eval.cache.misses) evaluated=$(total exact.evaluated)
+if [ -z "$misses" ] || [ "$misses" != "$evaluated" ]; then
+  echo "FAIL: eval.cache.misses ($misses) differs from exact.evaluated ($evaluated)" >&2
+  exit 1
+fi
+echo "  ok: eval.* counters identical across --jobs; $misses misses = sets evaluated"
 timeout 60 dune exec --no-build bin/mpsched.exe -- serve --stdin --jobs 4 \
   < test/cli/serve_requests.txt > "$tmp1"
 if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then

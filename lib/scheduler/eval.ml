@@ -33,7 +33,8 @@ let agg_add a v =
   if v < a.mn then a.mn <- v;
   if v > a.mx then a.mx <- v
 
-type outcome = Cycles of int | Failed of Color.t list
+(* [Stopped]: the run ended at its limit, see [evaluate]. *)
+type outcome = Cycles of int | Failed of Color.t list | Stopped
 
 type entry = { outcome : outcome; ready : agg; placed : agg }
 
@@ -48,6 +49,7 @@ type t = {
   cidx : int array;  (* color char -> dense index; graph colors only *)
   node_color : int array;
   rank : int array;  (* position in the global descending priority order *)
+  height : int array;  (* Height(n), Eq. 3: cycles the node's chain still needs *)
   value : int array;  (* f(n), the F2 summand *)
   in_deg : int array;
   src : int array;  (* sources, rank-sorted once *)
@@ -105,6 +107,7 @@ let make ?universe g =
     cidx;
     node_color;
     rank;
+    height = Array.init n (Levels.height lvls);
     value;
     in_deg = Array.init n (Dfg.in_degree g);
     src;
@@ -313,11 +316,16 @@ let step t (tabled : (int array * int) array) ~f1 cu =
     if cu.cu_scheduled >= t.n then Step_done else Step_ok
   end
 
-(* One full list-scheduling run from cycle 0. *)
-let evaluate t tabled ~f1 =
+(* One list-scheduling run from cycle 0, which stops before a cycle once
+   [cycle + Height(cand.(0)) >= limit].  Ranks order nodes by Height first,
+   so [cand.(0)] is the tallest ready node; the tallest unscheduled node is
+   always ready (an unscheduled predecessor would be taller), and its chain
+   still needs Height cycles, so a stopped run cannot finish below [limit]. *)
+let evaluate t tabled ~f1 ~limit =
   let cu = init_cursor t in
   let rec go () =
     if cu.cu_scheduled >= t.n then Cycles cu.cu_cycle
+    else if cu.cu_cycle + t.height.(t.cand.(0)) >= limit then Stopped
     else
       match step t tabled ~f1 cu with
       | Step_stuck colors -> Failed colors
@@ -333,7 +341,7 @@ let replay e =
     ~vmin:e.placed.mn ~vmax:e.placed.mx;
   match e.outcome with
   | Cycles c -> Obs.merge "schedule.cycles" Obs.Sum ~samples:1 ~total:c ~vmin:c ~vmax:c
-  | Failed _ -> ()
+  | Failed _ | Stopped -> ()
 
 (* [ids] are key-arena ids, in the caller's pattern order.  The key MUST
    preserve that order: list position decides score ties in the scheduler,
@@ -346,7 +354,9 @@ let key_of_ids priority ids =
   (match priority with F1 -> 0 | F2 -> 1)
   :: List.map Pattern.Id.to_int ids
 
-let cycles_keys ?(priority = F2) t ids =
+(* Only finished runs are memoized: a stopped run says nothing about the
+   set beyond its own limit. *)
+let cycles_keys ?(priority = F2) ?(limit = max_int) t ids =
   let key = key_of_ids priority ids in
   let e =
     match Hashtbl.find_opt t.cache key with
@@ -359,14 +369,16 @@ let cycles_keys ?(priority = F2) t ids =
         Obs.count "eval.cache.misses" 1;
         let tabled = Array.of_list (List.map (table_for t) ids) in
         let e =
-          Obs.span "schedule" (fun () -> evaluate t tabled ~f1:(priority = F1))
+          Obs.span "schedule" (fun () ->
+              evaluate t tabled ~f1:(priority = F1) ~limit)
         in
-        Hashtbl.add t.cache key e;
+        (match e.outcome with Stopped -> () | _ -> Hashtbl.add t.cache key e);
         e
   in
   replay e;
   match e.outcome with
-  | Cycles c -> c
+  | Cycles c -> min c limit
+  | Stopped -> limit
   | Failed colors -> raise (Unschedulable colors)
 
 let cycles ?priority t patterns =
@@ -382,12 +394,12 @@ let kid_of t u id =
       Hashtbl.add t.xlate k kid;
       kid
 
-let cycles_ids ?priority t ids =
+let cycles_ids ?priority ?limit t ids =
   match t.universe with
   | None -> invalid_arg "Eval.cycles_ids: context made without a universe"
   | Some u ->
       if ids = [] then invalid_arg "Eval.cycles_ids: no patterns";
-      cycles_keys ?priority t (List.map (kid_of t u) ids)
+      cycles_keys ?priority ?limit t (List.map (kid_of t u) ids)
 
 (* --- full-fidelity path ------------------------------------------------ *)
 

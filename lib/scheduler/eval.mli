@@ -17,9 +17,10 @@
     {!Multi_pattern.schedule} now wraps, so both paths share one
     implementation of the paper's algorithm and stay byte-identical.
     These are the only two ways a set is costed: a cache miss runs the
-    loop from cycle 0 to the end, however close the set is to one costed
-    before it, and move loops (annealing swaps, beam finalists) gain only
-    from the memo cache.
+    loop from cycle 0 to the end (or to a caller's [limit], see
+    {!cycles_ids}), however close the set is to one costed before it, and
+    move loops (annealing swaps, beam finalists) gain only from the memo
+    cache.
 
     {2 The memo cache}
 
@@ -98,9 +99,29 @@ val cycles :
     @raise Unschedulable as {!Multi_pattern.schedule} does. *)
 
 val cycles_ids :
-  ?priority:pattern_priority -> t -> Mps_pattern.Pattern.Id.t list -> int
+  ?priority:pattern_priority ->
+  ?limit:int ->
+  t ->
+  Mps_pattern.Pattern.Id.t list ->
+  int
 (** {!cycles} on ids of the universe passed to {!make} — the zero-copy
-    entry point for id-based searches (annealing, beam).
+    entry point for id-based searches (annealing, beam, exact).
+
+    [limit] (default [max_int], which is exactly {!cycles}) lets a search
+    stop costing a set that cannot beat its incumbent.  The answer is
+    [min c limit], where [c] is the set's cycles.  The run stops before a
+    cycle once [cycle + Height(n) >= limit], n the highest-priority ready
+    node: node priority orders by Height first, so n is the tallest ready
+    node, the tallest unscheduled node is always ready, and its chain
+    still needs Height cycles — a stopped run cannot finish below
+    [limit].  A set that cannot schedule the graph raises
+    {!Unschedulable} or, when the stop comes first, answers [limit].
+
+    The memo holds finished runs only, and a hit answers [min c limit]
+    (or raises).  A stopped run stores nothing: it counts one
+    [eval.cache.misses], records [schedule.ready] and [schedule.placed]
+    for the cycles it ran and no [schedule.cycles] sample, and the next
+    call on the set is a miss again.
     @raise Invalid_argument if the context was made without a universe or
     [ids] is empty. *)
 

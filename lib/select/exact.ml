@@ -35,7 +35,7 @@ let all_pruning =
 let no_pruning =
   { prune_span = false; prune_color = false; prune_ban = false; prune_dominance = false }
 
-type bound = Infeasible | Cost of int
+type bound = Infeasible | Cost of int | At_least of int
 
 type ban_entry = { banned : Pattern.t list; bound : bound }
 
@@ -292,27 +292,38 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   let lb_cp = Levels.lower_bound_cycles (Eval.levels ev) in
   (* Search state.  Depth [d] holds [d] chosen pool indices; per depth, the
      colors they cover, the pool patterns they dominate, their largest size
-     and their per-color maxima. *)
-  let chosen = Array.make pdef 0 in
-  let covered = Array.make (pdef + 1) 0 in
-  let dominated = Array.init (pdef + 1) (fun _ -> Bitset.create np) in
-  let max_size = Array.make (pdef + 1) 0 in
-  let max_mult = Array.make ((pdef + 1) * nc) 0 in
-  let cv = make_cover ~ncolors:nc ~max_rows:(pdef + 1) in
+     and their per-color maxima, and the incumbent at which its fab-free
+     completion passed the covering bound ([-1] if it did not).  Each level
+     takes a later pool index, so no depth exceeds the pool size; the
+     covering rows hold one more, for the fabrication. *)
+  let depth = min pdef np in
+  let chosen = Array.make depth 0 in
+  let covered = Array.make (depth + 1) 0 in
+  let dominated = Array.init (depth + 1) (fun _ -> Bitset.create np) in
+  let max_size = Array.make (depth + 1) 0 in
+  let max_mult = Array.make ((depth + 1) * nc) 0 in
+  let passed = Array.make (depth + 1) (-1) in
+  let cv = make_cover ~ncolors:nc ~max_rows:(depth + 1) in
   let inc = ref max_int and best = ref [] in
   let ban_table = Hashtbl.create 64 and ban_rev = ref [] in
   let visited = ref 0 and capped = ref false in
   let p_span = ref 0 and p_color = ref 0 and p_ban = ref 0 and p_dom = ref 0 in
   let evaluated = ref 0 in
-  (* Cost the set of [ids] unless its [key] is already in the ban table. *)
+  (* Cost the set of [ids] unless its [key] is already in the ban table.
+     Under the span rule the costing stops once the critical path of what
+     is left reaches the incumbent (see [Eval.cycles_ids]): such a set is
+     banned as [At_least inc], and only a set that beats the incumbent
+     runs to its end. *)
   let try_set ids key =
     let known = Hashtbl.mem ban_table key in
     if known && pruning.prune_ban then incr p_ban
     else begin
       incr evaluated;
       let set = List.map (Universe.pattern xu) ids in
+      let limit = if pruning.prune_span then !inc else max_int in
       let bound =
-        match Eval.cycles_ids ?priority ev ids with
+        match Eval.cycles_ids ?priority ~limit ev ids with
+        | c when c >= limit -> At_least limit
         | c ->
             if c < !inc then begin
               inc := c;
@@ -344,25 +355,30 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
      when nonzero) beat the incumbent?  Every cycle commits one pattern,
      which places at most its multiplicity of each color, so a schedule of
      [t] cycles is an x with Σ x_p = t covering every color's count. *)
+  let coverable_in_time d fab_mask =
+    for j = 0 to d - 1 do
+      Array.blit pmult (chosen.(j) * nc) cv.rows (j * nc) nc
+    done;
+    let nrows =
+      if fab_mask = 0 then d
+      else begin
+        for c = 0 to nc - 1 do
+          cv.rows.((d * nc) + c) <- (fab_mask lsr c) land 1
+        done;
+        d + 1
+      end
+    in
+    Array.blit node_count_by_color 0 cv.resid 0 nc;
+    cover_decide cv nrows (!inc - 1)
+  in
+  (* A fab-free completion whose parent's fab-free completion passed at
+     this incumbent passes too: its rows are the parent's plus one, and an
+     x for the parent's rows is one for them with the new row at 0. *)
   let may_improve d fab_mask =
     !inc = max_int
     || lb_cp < !inc
-       && begin
-            for j = 0 to d - 1 do
-              Array.blit pmult (chosen.(j) * nc) cv.rows (j * nc) nc
-            done;
-            let nrows =
-              if fab_mask = 0 then d
-              else begin
-                for c = 0 to nc - 1 do
-                  cv.rows.((d * nc) + c) <- (fab_mask lsr c) land 1
-                done;
-                d + 1
-              end
-            in
-            Array.blit node_count_by_color 0 cv.resid 0 nc;
-            cover_decide cv nrows (!inc - 1)
-          end
+       && ((fab_mask = 0 && d > 0 && passed.(d - 1) = !inc)
+          || coverable_in_time d fab_mask)
   in
   (* The completion of the node at depth [d], as the brute-force oracle
      does it: the chosen patterns, plus the fabrication of [fab_mask] (when
@@ -370,6 +386,7 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   let complete_with d fab_mask fab =
     if pruning.prune_span && not (may_improve d fab_mask) then incr p_span
     else begin
+      if pruning.prune_span && fab_mask = 0 then passed.(d) <- !inc;
       let ids = ref (match fab with Some id -> [ id ] | None -> []) in
       for j = d - 1 downto 0 do
         ids := Pattern.Id.of_int chosen.(j) :: !ids
@@ -390,13 +407,15 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   in
   (* No completion below the node can cover the graph: the colors out of
      reach of the suffix exceed one fabrication, or the remaining picks
-     cannot bridge the missing colors (the Eq. 9 budget). *)
+     cannot bridge the missing colors (the Eq. 9 budget).  At most [nc]
+     colors are missing, so clamping the budget's factors to [nc] decides
+     the same and keeps a huge Pdef or capacity from overflowing. *)
   let color_infeasible covered' k_rem next_start =
     let missing = all_mask land lnot covered' in
     missing <> 0
     && (k_rem = 0
        || Bitset.popcount (missing land lnot suffix_mask.(next_start)) > capacity
-       || Bitset.popcount missing > capacity * k_rem)
+       || Bitset.popcount missing > min capacity nc * min k_rem nc)
   in
   (* A lower bound on any completion below [chosen + i]: critical path,
      slot pressure against the largest reachable pattern, and per-color
@@ -444,6 +463,7 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
       incr visited;
       if !visited > max_nodes then capped := true
       else begin
+        passed.(d) <- -1;
         complete d;
         if d < pdef then
           for i = start to np - 1 do

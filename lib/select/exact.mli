@@ -10,10 +10,20 @@
     - {b span}: a structural lower bound (critical path, slot pressure,
       per-color load given the largest pattern still reachable in the
       subtree) already meets the incumbent, so nothing below can improve;
-      and, before a completed set is costed, the {b covering} bound: no
+      before a completed set is costed, the {b covering} bound: no
       x with Σ x_p ≤ incumbent − 1 and Σ_p x_p·m_p(c) ≥ count(c) for
       every color c exists (see {!coverable}), so the set cannot beat the
-      incumbent either;
+      incumbent either; and while it is costed, the critical path of what
+      is left: the costing stops once the cycles so far plus the Height of
+      the tallest unscheduled node reach the incumbent
+      ([Eval.cycles_ids ~limit]), and the set is banned as
+      [At_least incumbent].  A set that can beat the incumbent always runs
+      to its end, so the stop changes no decision and no counter: a
+      stopped costing still counts in [evaluated], not in [pruned_span].
+      A fab-free completion skips the covering decision when its parent's
+      fab-free completion passed it at the same incumbent: the child's
+      rows are the parent's plus one, and {!coverable} is monotone in its
+      rows;
     - {b color}: the Eq. 9-style feasibility test — the colors still
       reachable from the suffix plus one fabricated fallback cannot cover
       the graph, so the subtree holds no schedulable completion;
@@ -30,10 +40,14 @@
 
     Candidate sets are costed through one plain {!Mps_scheduler.Eval}
     context per search, every evaluated or infeasible completion is
-    memoized in the ban list with an [Infeasible] or [Cost c] guide bound,
-    and the search returns a {e certificate}: the optimal set, its cycles,
-    the visited/pruned node accounting, the ban list, and whether the
-    search ran to completion ([proven]).
+    memoized in the ban list with an [Infeasible], [Cost c] or
+    [At_least c] guide bound, and the search returns a {e certificate}:
+    the optimal set, its cycles, the visited/pruned node accounting, the
+    ban list, and whether the search ran to completion ([proven]).
+
+    The search's memory is sized by [min pdef pool + 1] depths, never by
+    [pdef] alone: each level takes a later pool index, so no depth
+    exceeds the pool size, and a huge Pdef costs nothing extra.
 
     {2 Determinism and [--jobs]}
 
@@ -59,7 +73,13 @@ val no_pruning : pruning
 
 type bound =
   | Infeasible  (** The set cannot schedule the graph (misses colors). *)
-  | Cost of int  (** The set was costed: exactly this many cycles. *)
+  | Cost of int
+      (** The set was costed: exactly this many cycles, below the
+          incumbent of its costing (or any count under [no_pruning]). *)
+  | At_least of int
+      (** The costing stopped at the incumbent [c] of its time: the set
+          needs at least [c] cycles, or cannot schedule the graph.  Only
+          a search with the span rule on writes it. *)
 
 type ban_entry = {
   banned : Mps_pattern.Pattern.t list;
@@ -146,9 +166,10 @@ val search :
     [pdef] and [priority] (a bound is only a fact relative to the canonical
     costing order all of those induce; the serve session keys its persisted
     lists on exactly that fingerprint).  Prior entries are never
-    re-evaluated (they count as [exact.pruned.ban] hits when the ban rule
-    is on, unless the covering bound skips them first) and the cheapest
-    prior [Cost] set opens as the incumbent, so a
+    re-evaluated whatever their bound (they count as [exact.pruned.ban]
+    hits when the ban rule is on, unless the covering bound skips them
+    first) and the cheapest prior [Cost] set opens as the incumbent
+    ([At_least] entries never do), so a
     warm re-search of an unchanged family does no [Eval] work at all and
     still returns the identical optimum.  The returned {!certificate.bans}
     holds {e newly discovered} entries only — append it to the persistent

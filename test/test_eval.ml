@@ -7,11 +7,13 @@
    pattern priorities, through the id-based entry point, on cache misses
    and on cache hits alike — and fails identically (same [Unschedulable]
    colors) on sets that do not cover the graph, also when one context
-   costs a whole walk of moves the way the searches do.  On top of that,
-   the portfolio built on a shared context must stay byte-identical
-   between --jobs 1 and --jobs 4. *)
+   costs a whole walk of moves the way the searches do.  A costing with a
+   limit answers [min c limit] and memoizes only the runs it finishes.  On
+   top of that, the portfolio built on a shared context must stay
+   byte-identical between --jobs 1 and --jobs 4. *)
 
 module Dfg = Mps_dfg.Dfg
+module Obs = Mps_obs.Obs
 module Color = Mps_dfg.Color
 module Pattern = Mps_pattern.Pattern
 module Universe = Mps_pattern.Universe
@@ -179,6 +181,85 @@ let walk_matches_schedule seed =
     costed
   && snd (Eval.cache_stats ev) = misses
 
+(* --- costing with a limit -------------------------------------------------
+
+   [cycles_ids ~limit] on random DAGs, random pattern lists (half of them
+   missing a color), F1 and F2, and every limit from 0 to past the cost,
+   each on a fresh context: it answers [min c limit], c from the call
+   without a limit, or, where that call raises [Unschedulable], raises the
+   same or answers [limit].  A set of c cycles must stop exactly when
+   c >= limit (no run can finish at or past its limit), and a failing set
+   stops when it answers [limit].  A stopped run records one miss, ready
+   and placed samples only for the cycles it ran (fewer than [limit]) and
+   no [schedule.cycles] sample, and leaves no memo entry: the next call
+   without a limit is a miss again and answers c.  A finished run is
+   memoized: the next call is a hit. *)
+
+let limited_costing seed =
+  let g = random_graph ~seed in
+  let u = Universe.create () in
+  let rng = Rng.create ~seed in
+  let colors = Dfg.colors g in
+  let partial = match colors with _ :: (_ :: _ as rest) -> rest | _ -> colors in
+  let sets =
+    List.init 4 (fun i ->
+        let colors = if i mod 2 = 0 then colors else partial in
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            Pattern.random rng ~colors ~size:(1 + Rng.int rng capacity)))
+  in
+  let counter obs name =
+    List.find_opt (fun c -> c.Obs.name = name) (Obs.counters obs)
+  in
+  let samples obs name = match counter obs name with Some c -> c.Obs.samples | None -> 0 in
+  List.for_all
+    (fun patterns ->
+      let ids = List.map (Universe.intern u) patterns in
+      List.for_all
+        (fun priority ->
+          let full =
+            outcome (fun () -> Eval.cycles_ids ~priority (Eval.make ~universe:u g) ids)
+          in
+          let top = match full with Ok c -> c + 2 | Error _ -> Dfg.node_count g + 2 in
+          List.for_all
+            (fun limit ->
+              let ev = Eval.make ~universe:u g in
+              let obs = Obs.create () in
+              let got =
+                Obs.run obs (fun () ->
+                    outcome (fun () -> Eval.cycles_ids ~priority ~limit ev ids))
+              in
+              let answer_ok =
+                match (full, got) with
+                | Ok c, Ok r -> r = min c limit
+                | Error cs, Error cs' -> cs = cs'
+                | Error _, Ok r -> r = limit
+                | Ok _, Error _ -> false
+              in
+              let stopped =
+                match full with Ok c -> c >= limit | Error _ -> got = Ok limit
+              in
+              let counters_ok =
+                samples obs "eval.cache.misses" = 1
+                &&
+                if stopped then
+                  counter obs "schedule.cycles" = None
+                  && samples obs "schedule.ready" = samples obs "schedule.placed"
+                  && samples obs "schedule.ready" < max 1 limit
+                else samples obs "schedule.cycles" = if Result.is_ok full then 1 else 0
+              in
+              let _, misses = Eval.cache_stats ev in
+              let again = outcome (fun () -> Eval.cycles_ids ~priority ev ids) in
+              let hits', misses' = Eval.cache_stats ev in
+              let memo_ok =
+                again = full
+                && if stopped then misses' = misses + 1 && hits' = 0
+                   else misses' = misses && hits' = 1
+              in
+              answer_ok && counters_ok && memo_ok)
+            (List.init (top + 1) Fun.id))
+        [ Mp.F1; Mp.F2 ])
+    sets
+
 (* The portfolio costs every strategy on one shared context after the
    fan-in; spreading the strategy work over domains must not move a
    single byte of the ranking. *)
@@ -213,6 +294,11 @@ let () =
         [
           qtest "hits return identical counts; stats advance exactly"
             seed_gen cache_hits_are_identical;
+        ] );
+      ( "limit",
+        [
+          qtest ~count:100 "cycles_ids ~limit = min c limit; stops memoize nothing"
+            seed_gen limited_costing;
         ] );
       ( "shared move walk",
         [

@@ -3,8 +3,10 @@
    it is seeded from, certify identically at any --jobs (result, counters
    and ban list alike), publish a sound ban list, cost each set at most
    once, find the same optimum with and without pruning, let ban and
-   dominance pruning alone cut the 3dft search tree by at least half, and
-   decide its covering bound exactly and soundly.
+   dominance pruning alone cut the 3dft search tree by at least half,
+   decide its covering bound exactly and soundly, and keep the certificates
+   of the benchmark graphs: a costing that stops at the incumbent and a
+   covering decision inherited from the parent change no decision.
 
    Costing note: a set's cycles are well-defined only relative to a
    pattern order (the list scheduler breaks score ties by position), so
@@ -25,6 +27,7 @@ module Pool = Mps_exec.Pool
 module Pipeline = Core.Pipeline
 module Random_dag = Mps_workloads.Random_dag
 module Paper_graphs = Mps_workloads.Paper_graphs
+module Suite = Mps_workloads.Suite
 
 let qtest ?(count = 15) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -121,7 +124,8 @@ let fingerprint ct =
       (pats e.Exact.banned)
       (match e.Exact.bound with
       | Exact.Infeasible -> "inf"
-      | Exact.Cost c -> string_of_int c)
+      | Exact.Cost c -> string_of_int c
+      | Exact.At_least c -> ">=" ^ string_of_int c)
   in
   let s = ct.Exact.stats in
   Printf.sprintf "%s/%d/%d/%d/%d/%d/%d/%d/%b/%s" (pats ct.Exact.optimal)
@@ -152,24 +156,40 @@ let jobs_identical seed =
 
 (* Ban-list soundness: an Infeasible entry really cannot schedule the
    graph; a Cost entry reproduces its bound verbatim and never beats the
-   certified optimum — no banned set is feasible-and-better. *)
+   certified optimum; an At_least entry, costed in full, needs at least its
+   bound or cannot schedule the graph, and that bound is at least the
+   optimum — no banned set is feasible-and-better. *)
+let bans_sound g (ct : Exact.certificate) =
+  let ev = Eval.make g in
+  List.for_all
+    (fun e ->
+      match e.Exact.bound with
+      | Exact.Infeasible -> (
+          match Eval.cycles ev e.Exact.banned with
+          | _ -> false
+          | exception Eval.Unschedulable _ -> true)
+      | Exact.Cost c ->
+          Eval.cycles ev e.Exact.banned = c && c >= ct.Exact.optimal_cycles
+      | Exact.At_least l -> (
+          l >= ct.Exact.optimal_cycles
+          &&
+          match Eval.cycles ev e.Exact.banned with
+          | c -> c >= l
+          | exception Eval.Unschedulable _ -> true))
+    ct.Exact.bans
+
 let ban_list_sound seed =
   let g = tiny_graph ~seed in
-  let cls = classify g in
-  let ct = Exact.search ~pdef:3 cls in
-  let ev = Eval.make g in
-  ct.Exact.bans <> []
-  && List.for_all
-       (fun e ->
-         match e.Exact.bound with
-         | Exact.Infeasible -> (
-             match Eval.cycles ev e.Exact.banned with
-             | _ -> false
-             | exception Eval.Unschedulable _ -> true)
-         | Exact.Cost c ->
-             Eval.cycles ev e.Exact.banned = c
-             && c >= ct.Exact.optimal_cycles)
-       ct.Exact.bans
+  let ct = Exact.search ~pdef:3 (classify g) in
+  ct.Exact.bans <> [] && bans_sound g ct
+
+(* Pure enumeration costs every set to its end: its ban list holds exact
+   costs only. *)
+let no_pruning_costs_in_full seed =
+  let ct = Exact.search ~pruning:Exact.no_pruning ~pdef:3 (classify (tiny_graph ~seed)) in
+  List.for_all
+    (fun e -> match e.Exact.bound with Exact.At_least _ -> false | _ -> true)
+    ct.Exact.bans
 
 (* Pruning is sound: every rule on finds the same optimum as pure
    enumeration, while visiting no more nodes. *)
@@ -244,6 +264,75 @@ let each_set_costed_once (ct : Exact.certificate) =
 let seeded_3dft_costs_once () =
   Alcotest.(check bool) "evaluated = distinct ban entries" true
     (each_set_costed_once (seeded_3dft ()))
+
+let seeded_3dft_bans_sound () =
+  let ct = seeded_3dft () in
+  if
+    not
+      (List.exists
+         (fun e -> match e.Exact.bound with Exact.At_least _ -> true | _ -> false)
+         ct.Exact.bans)
+  then Alcotest.fail "no costing stopped at the incumbent";
+  Alcotest.(check bool) "every ban entry sound" true
+    (bans_sound (Paper_graphs.fig2_3dft ()) ct)
+
+(* Certificates as the search made them before a costing could stop at
+   the incumbent or a covering decision be inherited: the optimal set, its
+   cycles, and (visited, evaluated, pruned span, color, ban, dominance). *)
+let check_certificate name (ct : Exact.certificate) optimal cycles counts =
+  let s = ct.Exact.stats in
+  Alcotest.(check (list string))
+    (name ^ " optimal set") optimal
+    (List.map Pattern.to_string ct.Exact.optimal);
+  Alcotest.(check int) (name ^ " cycles") cycles ct.Exact.optimal_cycles;
+  Alcotest.(check bool) (name ^ " proven") true ct.Exact.proven;
+  Alcotest.(check (list int))
+    (name ^ " counts") counts
+    [
+      s.Exact.nodes_visited; s.Exact.evaluated; s.Exact.pruned_span;
+      s.Exact.pruned_color; s.Exact.pruned_ban; s.Exact.pruned_dominance;
+    ]
+
+(* The four exact-search benchmark graphs, certified at Pdef 4 from the
+   Eq. 8/9 seed. *)
+let benchmark_certificates () =
+  List.iter
+    (fun (name, optimal, cycles, counts) ->
+      let g =
+        match Suite.find name with
+        | Some e -> e.Suite.build ()
+        | None -> Alcotest.failf "no corpus graph %s" name
+      in
+      let ct =
+        (Pipeline.certify ~options:{ Pipeline.default_options with Pipeline.pdef = 4 } g)
+          .Pipeline.exact
+      in
+      check_certificate name ct optimal cycles counts)
+    [
+      ("3dft", [ "abccc"; "aabbc"; "aaaaa"; "ccccc" ], 5, [ 1383; 371; 2027; 0; 0; 3143 ]);
+      ("iir4", [ "abccc"; "acccc"; "aaccc"; "ccccc" ], 14, [ 1; 1; 33; 0; 0; 0 ]);
+      ("adv-dense", [ "aaabc"; "aaacc"; "aaaab"; "aaaac" ], 8, [ 784; 577; 167; 0; 1; 2985 ]);
+      ( "adv-big",
+        [ "abbbc"; "acccc"; "aaaab"; "aaaac" ],
+        12,
+        [ 16355; 5279; 12269; 50; 0; 35332 ] );
+    ]
+
+(* Without a seed the incumbent falls inside root subtrees, so a child
+   meets a parent whose covering decision passed at an older incumbent
+   and must decide afresh. *)
+let unseeded_3dft_certificates () =
+  let g = Paper_graphs.fig2_3dft () in
+  let cls =
+    Classify.compute ~span_limit:1 ~capacity:Paper_graphs.montium_capacity
+      (Enumerate.make_ctx g)
+  in
+  check_certificate "3dft Pdef 2" (Exact.search ~pdef:2 cls) [ "abbbb"; "aaacc" ] 6
+    [ 173; 28; 541; 135; 0; 206 ];
+  check_certificate "3dft Pdef 4" (Exact.search ~pdef:4 cls)
+    [ "abccc"; "aabbc"; "aaaaa"; "ccccc" ]
+    5
+    [ 1387; 373; 2024; 0; 0; 3143 ]
 
 let portfolio_seeds_costed_once seed =
   let g = tiny_graph ~seed in
@@ -321,8 +410,27 @@ let cover_sound seed =
          | Exact.Infeasible -> true
          | Exact.Cost c ->
              let row p = Array.map (Pattern.count p) colors in
-             Exact.coverable (Array.of_list (List.map row e.Exact.banned)) counts c)
+             Exact.coverable (Array.of_list (List.map row e.Exact.banned)) counts c
+         | Exact.At_least _ -> false)
        ct.Exact.bans
+
+(* The lemma behind the inherited covering decision: an x that covers
+   with some rows covers with one more row too (give it x = 0), so a
+   child's fab-free completion passes wherever its parent's did. *)
+let cover_monotone_gen =
+  QCheck2.Gen.(
+    let* rows, counts, cycles = cover_gen in
+    let* extra = array_size (pure (Array.length counts)) (0 -- 3) in
+    let* at = 0 -- Array.length rows in
+    pure (rows, counts, cycles, extra, at))
+
+let cover_monotone (rows, counts, cycles, extra, at) =
+  let more =
+    Array.init
+      (Array.length rows + 1)
+      (fun r -> if r < at then rows.(r) else if r = at then extra else rows.(r - 1))
+  in
+  (not (Exact.coverable rows counts cycles)) || Exact.coverable more counts cycles
 
 (* A set of colors is one int mask, so a graph with more colors than an
    int has bits is refused, never searched. *)
@@ -355,6 +463,11 @@ let () =
             `Quick seeded_3dft_work;
           Alcotest.test_case "more colors than a mask holds are refused" `Quick
             too_many_colors;
+          Alcotest.test_case
+            "benchmark graphs: seeded Pdef-4 certificates and counts" `Quick
+            benchmark_certificates;
+          Alcotest.test_case "3dft unseeded: Pdef 2 and 4 certificates and counts"
+            `Quick unseeded_3dft_certificates;
         ] );
       ( "covering",
         [
@@ -362,6 +475,8 @@ let () =
             cover_matches_brute_force;
           qtest "never rules out a set that reaches the budget" seed_gen
             cover_sound;
+          qtest ~count:300 "coverable with rows R => with R plus one row"
+            cover_monotone_gen cover_monotone;
         ] );
       ( "portfolio",
         [
@@ -380,5 +495,9 @@ let () =
             seeded_3dft_costs_once;
           qtest "portfolio seeds: each set costed once" seed_gen
             portfolio_seeds_costed_once;
+          Alcotest.test_case "3dft seeded: stopped costings banned soundly"
+            `Quick seeded_3dft_bans_sound;
+          qtest "no_pruning bans hold exact costs only" seed_gen
+            no_pruning_costs_in_full;
         ] );
     ]

@@ -533,13 +533,31 @@ let temp_with_contents text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   path
 
+(* [Server.forward] over a connection to [path] that gives up after 5 s
+   without progress in either direction: a server that stops answering or
+   reading makes it an [Error] instead of a hang. *)
+let forward_timed ~path ~requests ~responses =
+  let ic, oc = Server.connect_unix ~path in
+  let fd = Unix.descr_of_in_channel ic in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      close_in_noerr ic)
+    (fun () ->
+      match Server.forward (ic, oc) ~requests ~responses with
+      | r -> r
+      | exception Sys_blocked_io -> Error "timed out after 5 s"
+      | exception Sys_error e -> Error e)
+
 (* Forwards the request file over [path]; returns the response text. *)
 let forward_file ~path requests =
   let out = Filename.temp_file "mps-serve" ".out" in
   let result =
     In_channel.with_open_bin requests (fun requests ->
         Out_channel.with_open_bin out (fun responses ->
-            Server.forward (Server.connect_unix ~path) ~requests ~responses))
+            forward_timed ~path ~requests ~responses))
   in
   let text = read_file out in
   Sys.remove out;
@@ -577,7 +595,9 @@ let with_socket_server sess ~connections client =
   Sys.remove path;
   result
 
-(* The socket path must carry exactly the stream the --stdin golden pins. *)
+(* The socket path must carry exactly the stream the --stdin golden pins.
+   A request that is never answered fails the test after the client's
+   5 s timeout; the server domain is then left unjoined. *)
 let test_socket_matches_golden () =
   let got =
     with_socket_server (Session.create ()) ~connections:1 (fun path ->
@@ -623,7 +643,8 @@ let test_early_disconnect_keeps_session () =
    either direction: 2,000 [stats] requests whose 1,000-byte ids the server
    echoes.  A client that sent everything before reading would block on a
    full send buffer while the server blocks on a full one the other way;
-   the timeouts turn such a deadlock into a failure instead of a hang. *)
+   [forward_timed]'s timeouts turn such a deadlock into a failure instead
+   of a hang. *)
 let test_socket_long_stream () =
   let n = 2000 in
   let id i = Printf.sprintf "%04d%s" i (String.make 996 'x') in
@@ -636,21 +657,9 @@ let test_socket_long_stream () =
   let out = Filename.temp_file "mps-serve" ".out" in
   let result =
     with_socket_server (Session.create ()) ~connections:1 (fun path ->
-        let ic, oc = Server.connect_unix ~path in
-        let fd = Unix.descr_of_in_channel ic in
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
-        Fun.protect
-          ~finally:(fun () ->
-            close_out_noerr oc;
-            close_in_noerr ic)
-          (fun () ->
-            In_channel.with_open_bin requests (fun requests ->
-                Out_channel.with_open_bin out (fun responses ->
-                    match Server.forward (ic, oc) ~requests ~responses with
-                    | r -> r
-                    | exception (Sys_error _ | Sys_blocked_io as e) ->
-                        Error (Printexc.to_string e)))))
+        In_channel.with_open_bin requests (fun requests ->
+            Out_channel.with_open_bin out (fun responses ->
+                forward_timed ~path ~requests ~responses)))
   in
   let lines = String.split_on_char '\n' (String.trim (read_file out)) in
   Sys.remove requests;
