@@ -133,8 +133,8 @@ let with_jobs jobs f =
    classification/eval/ban caches, so the same code path is exercised cold
    here and warm by `mpsched serve` — and stays byte-identical (check.sh
    goldens pin it). *)
-let with_session jobs f =
-  with_jobs jobs (fun pool -> f (Session.create ?pool ()))
+let with_session ?max_graphs jobs f =
+  with_jobs jobs (fun pool -> f (Session.create ?pool ?max_graphs ()))
 
 (* --stats / --trace: observability flags shared by the phase subcommands.
    The summary goes to stderr and the trace to a file, so the primary
@@ -830,13 +830,15 @@ let tracecheck_cmd =
 let serve_cmd =
   let print_session_stats sess =
     let hits, misses = Session.session_cache_stats sess in
+    let memo_hits, memo_misses = Session.memo_stats sess in
     Printf.eprintf
-      "serve: %d requests over %d graphs, eval cache %d hits / %d misses\n"
+      "serve: %d requests over %d graphs, eval cache %d hits / %d misses, \
+       memo %d hits / %d misses\n"
       (Session.request_count sess)
       (Session.graph_count sess)
-      hits misses
+      hits misses memo_hits memo_misses
   in
-  let run use_stdin listen connect jobs stats trace_out =
+  let run use_stdin listen connect jobs max_graphs stats trace_out =
     match (use_stdin, listen, connect) with
     | _, _, Some path ->
         (* Client mode: forward stdin's request lines to a listening
@@ -860,7 +862,7 @@ let serve_cmd =
            state).  Runs until killed; the socket file is unlinked on
            bind, not on exit. *)
         with_obs stats trace_out @@ fun () ->
-        with_session jobs @@ fun sess ->
+        with_session ~max_graphs jobs @@ fun sess ->
         let fd =
           match Server.listen_unix ~path with
           | fd -> fd
@@ -878,7 +880,7 @@ let serve_cmd =
         accept_loop ()
     | true, None, None ->
         with_obs stats trace_out @@ fun () ->
-        with_session jobs @@ fun sess ->
+        with_session ~max_graphs jobs @@ fun sess ->
         Server.run sess stdin stdout;
         if stats then print_session_stats sess
     | false, None, None ->
@@ -911,6 +913,14 @@ let serve_cmd =
             "Client mode: forward request lines from standard input to the \
              server listening at $(docv) and print its responses.")
   in
+  let max_graphs =
+    Arg.(
+      value & opt positive_int 64
+      & info [ "max-graphs" ] ~docv:"N"
+          ~doc:
+            "Keep at most $(docv) graphs warm; interning one more evicts \
+             the least recently used graph with all it cached.")
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -919,8 +929,8 @@ let serve_cmd =
           classification/eval/ban caches across requests, byte-identical \
           responses for every --jobs value")
     Term.(
-      const run $ use_stdin $ listen $ connect $ jobs_arg $ stats_arg
-      $ trace_out_arg)
+      const run $ use_stdin $ listen $ connect $ jobs_arg $ max_graphs
+      $ stats_arg $ trace_out_arg)
 
 (* --- workload --- *)
 

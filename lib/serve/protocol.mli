@@ -52,7 +52,6 @@ type edit =
   | Remove_edge of string * string
 
 val command_to_string : command -> string
-val command_of_string : string -> command option
 
 type request = {
   id : Json.t option;  (** Echoed verbatim in the response. *)
@@ -97,16 +96,15 @@ type error = {
   message : string;
 }
 
-val request_to_json : request -> Json.t
-val request_of_json : Json.t -> (request, error) result
-
 val request_to_line : request -> string
-(** One line, no trailing newline: [Json.to_line (request_to_json r)]. *)
+(** One line, no trailing newline, with every unset option omitted.
+    Integers print exactly (the codec accepts them only up to 1e15 in
+    magnitude), so two different requests never encode to one line. *)
 
 val request_of_line : string -> (request, error) result
 (** Parses one line.  Round-trips with {!request_to_line}:
-    [request_of_line (request_to_line r) = Ok r] for every [r] that
-    {!request_of_json} accepts. *)
+    [request_of_line (request_to_line r) = Ok r] for every [r] it
+    accepts. *)
 
 val error_response : id:Json.t option -> string -> Json.t
 (** [{"id"?: id, "ok": false, "error": message}] — the response shape for

@@ -165,13 +165,22 @@ let certificate_json (ct : C.Exact.certificate) =
 
 type prepared = (P.request * C.Dfg.t option, P.error) result
 
-let prepare line : prepared =
+(* Inline DFG text that is some entry's canonical text resolves to that
+   entry's graph without a parse; every other source resolves as
+   [resolve_source] does. *)
+let prepare sess line : prepared =
   match P.request_of_line line with
   | Error _ as e -> e
   | Ok r -> (
-      match r.P.source with
-      | None -> Ok (r, None)
-      | Some s -> (
+      let known =
+        match r.P.source with
+        | Some (P.Dfg_text text) -> Session.find_text sess text
+        | _ -> None
+      in
+      match (r.P.source, known) with
+      | None, _ -> Ok (r, None)
+      | Some _, Some g -> Ok (r, Some g)
+      | Some s, None -> (
           match resolve_source s with
           | Ok g -> Ok (r, Some g)
           | Error m -> Error { P.err_id = r.P.id; message = m }))
@@ -185,14 +194,11 @@ let describe_exn = function
   | Invalid_argument m | Failure m -> m
   | exn -> Printexc.to_string exn
 
-(* The command body: list of response fields plus the warm bit. *)
+(* The command's response fields, the warm bit, and for [edit] the
+   edited graph. *)
 let run_command sess (r : P.request) g =
   let options = options_of_request r in
-  let entry () =
-    match g with
-    | Some g -> fst (Session.intern sess g)
-    | None -> assert false (* the protocol guarantees a graph *)
-  in
+  let entry () = fst (Session.intern sess g) in
   match r.P.command with
   | P.Stats -> assert false (* handled by [execute] *)
   | P.Select -> (
@@ -212,7 +218,8 @@ let run_command sess (r : P.request) g =
               ("steps", steps_json report);
               ("cycles", cycles_json cycles);
             ],
-            warm )
+            warm,
+            None )
       | C.Auto.Auto rules ->
           let o, warm = Session.auto_select sess e ~options ~rules in
           ( [
@@ -220,7 +227,8 @@ let run_command sess (r : P.request) g =
               ("cycles", cycles_json o.C.Auto.cycles);
               auto_json o;
             ],
-            warm ))
+            warm,
+            None ))
   | P.Schedule ->
       let e = entry () in
       let pats =
@@ -232,9 +240,10 @@ let run_command sess (r : P.request) g =
       in
       ( ("patterns", patterns_json pats)
         :: schedule_json (Session.graph e) res.C.Eval.schedule,
-        warm )
+        warm,
+        None )
   | P.Pipeline ->
-      let t, warm = Session.pipeline sess (Option.get g) ~options in
+      let t, warm = Session.pipeline sess g ~options in
       ( (match t.C.Pipeline.auto with
         | Some o -> [ auto_json o ]
         | None -> [])
@@ -252,12 +261,11 @@ let run_command sess (r : P.request) g =
               ] );
         ]
         @ schedule_json t.C.Pipeline.graph t.C.Pipeline.schedule,
-        warm )
+        warm,
+        None )
   | P.Certify ->
       let max_nodes = r.P.max_nodes in
-      let cert, warm =
-        Session.certify sess (Option.get g) ~options ?max_nodes ()
-      in
+      let cert, warm = Session.certify sess g ~options ?max_nodes () in
       ( [
           ( "heuristic",
             Json.Obj
@@ -268,21 +276,22 @@ let run_command sess (r : P.request) g =
           ("gap_percent", Json.Num cert.C.Pipeline.gap_percent);
         ]
         @ certificate_json cert.C.Pipeline.exact,
-        warm )
+        warm,
+        None )
   | P.Edit ->
-      Obs.count "serve.edit" 1;
       let e', pats, patched, res, warm =
-        Session.edit sess (Option.get g) ~options ~edits:r.P.edits
+        Session.edit sess g ~options ~edits:r.P.edits
       in
       let g' = Session.graph e' in
       ( [
           ("fingerprint", Json.Str (Session.fingerprint e'));
           ("patterns", patterns_json pats);
           ("patched", Json.Bool patched);
-          ("dfg", Json.Str (C.Dfg_parse.to_string g'));
+          ("dfg", Json.Str (Session.text e'));
         ]
         @ schedule_json g' res.C.Eval.schedule,
-        warm )
+        warm,
+        Some g' )
   | P.Portfolio ->
       let e = entry () in
       let o, warm = Session.portfolio sess e ~options in
@@ -301,27 +310,56 @@ let run_command sess (r : P.request) g =
                      ])
                  o.C.Portfolio.all) );
         ],
-        warm )
+        warm,
+        None )
 
-let ok_response ~id ~cmd fields =
-  Json.Obj
+(* ---- response framing ---- *)
+
+let members fields =
+  let s = Json.to_line (Json.Obj fields) in
+  String.sub s 1 (String.length s - 2)
+
+let splice parts =
+  "{" ^ String.concat "," (List.filter (fun p -> p <> "") parts) ^ "}"
+
+let head ~id ~cmd =
+  members
     ((match id with Some id -> [ ("id", id) ] | None -> [])
-    @ [ ("ok", Json.Bool true); ("cmd", Json.Str cmd) ]
-    @ fields)
+    @ [ ("ok", Json.Bool true); ("cmd", Json.Str cmd) ])
 
-let cache_stats_json ~request:(dh, dm) ~session:(sh, sm) =
-  ( "stats",
-    Json.Obj
-      [
-        ( "eval_cache",
-          Json.Obj
-            [
-              ("hits", num dh);
-              ("misses", num dm);
-              ("session_hits", num sh);
-              ("session_misses", num sm);
-            ] );
-      ] )
+let tail ~warm ~request:(dh, dm) ~session:(sh, sm) =
+  members
+    [
+      ("warm", Json.Bool warm);
+      ( "stats",
+        Json.Obj
+          [
+            ( "eval_cache",
+              Json.Obj
+                [
+                  ("hits", num dh);
+                  ("misses", num dm);
+                  ("session_hits", num sh);
+                  ("session_misses", num sm);
+                ] );
+          ] );
+    ]
+
+let hits_misses (h, m) = Json.Obj [ ("hits", num h); ("misses", num m) ]
+
+(* The requests whose answer depends only on the request and the graph's
+   entry: a clustered pipeline interns another graph, and a repeated
+   certify reports the ban list's reuse. *)
+let memoized (r : P.request) =
+  match r.P.command with
+  | P.Select | P.Schedule | P.Portfolio | P.Edit -> true
+  | P.Pipeline -> not r.P.cluster
+  | P.Certify | P.Stats -> false
+
+(* Every option, pattern and edit that can change an answer; the entry
+   stands for the graph, and the id is the caller's. *)
+let memo_key (r : P.request) =
+  P.request_to_line { r with P.id = None; source = None }
 
 let execute sess (p : prepared) =
   Obs.span "serve.request" @@ fun () ->
@@ -330,34 +368,65 @@ let execute sess (p : prepared) =
   match p with
   | Error e ->
       Obs.count "serve.errors" 1;
-      P.error_response ~id:e.P.err_id e.P.message
+      Json.to_line (P.error_response ~id:e.P.err_id e.P.message)
   | Ok (r, _) when r.P.command = P.Stats ->
-      let sh, sm = Session.session_cache_stats sess in
-      ok_response ~id:r.P.id ~cmd:"stats"
+      splice
         [
-          ("requests", num (Session.request_count sess));
-          ("graphs", num (Session.graph_count sess));
-          ( "eval_cache",
-            Json.Obj [ ("hits", num sh); ("misses", num sm) ] );
+          head ~id:r.P.id ~cmd:"stats";
+          members
+            [
+              ("requests", num (Session.request_count sess));
+              ("graphs", num (Session.graph_count sess));
+              ("eval_cache", hits_misses (Session.session_cache_stats sess));
+              ("memo", hits_misses (Session.memo_stats sess));
+              ("evictions", num (Session.eviction_count sess));
+            ];
         ]
   | Ok (r, g) -> (
-      let before = Session.session_cache_stats sess in
-      match run_command sess r g with
-      | fields, warm ->
+      let g = Option.get g (* the protocol guarantees a graph *) in
+      let cmd = P.command_to_string r.P.command in
+      if r.P.command = P.Edit then Obs.count "serve.edit" 1;
+      let memo =
+        if memoized r then
+          let e = fst (Session.intern sess g) in
+          let key = memo_key r in
+          Some (e, key, Session.recall sess e key)
+        else None
+      in
+      let outcome =
+        match memo with
+        | Some (_, _, Some a) ->
+            (* Answered before on this entry, whose family or plain
+               context has lived since, so a recomputation would run
+               warm; it costs nothing, so the totals do not move. *)
+            Option.iter (fun g' -> ignore (Session.intern sess g')) a.Session.edited;
+            let totals = Session.session_cache_stats sess in
+            Ok (a.Session.body, true, totals, totals)
+        | _ -> (
+            let before = Session.session_cache_stats sess in
+            match run_command sess r g with
+            | fields, warm, edited ->
+                let body = members fields in
+                Option.iter
+                  (fun (e, key, _) -> Session.remember e key { Session.body; edited })
+                  memo;
+                Ok (body, warm, before, Session.session_cache_stats sess)
+            | exception exn -> Error exn)
+      in
+      match outcome with
+      | Ok (body, warm, (h0, m0), ((sh, sm) as session)) ->
           Obs.count (if warm then "serve.warm" else "serve.cold") 1;
-          let sh, sm = Session.session_cache_stats sess in
-          let request = (sh - fst before, sm - snd before) in
-          ok_response ~id:r.P.id ~cmd:(P.command_to_string r.P.command)
-            (fields
-            @ [
-                ("warm", Json.Bool warm);
-                cache_stats_json ~request ~session:(sh, sm);
-              ])
-      | exception exn ->
+          splice
+            [
+              head ~id:r.P.id ~cmd;
+              body;
+              tail ~warm ~request:(sh - h0, sm - m0) ~session;
+            ]
+      | Error exn ->
           Obs.count "serve.errors" 1;
-          P.error_response ~id:r.P.id (describe_exn exn))
+          Json.to_line (P.error_response ~id:r.P.id (describe_exn exn)))
 
-let handle_line sess line = Json.to_line (execute sess (prepare line))
+let handle_line sess line = execute sess (prepare sess line)
 
 (* One request at a time: read a line, answer it, flush.  A client that
    waits for each response before sending the next request gets it at

@@ -10,15 +10,42 @@
                                  "session_hits": int, "session_misses": int } } }
     v}
 
-    where [warm] says the request hit an already-cached classification,
+    where [warm] says the request hit an already-cached classification
+    (or, for an explicit-pattern [schedule], an already-built context),
     and [eval_cache] reports the scheduler memo cache {e for this
-    request} (the delta) and {e for the session so far} (cumulative) —
-    the per-request/per-session split ISSUE'd for [--stats].  Cycle
-    counts that are [max_int] (unschedulable) render as [null].  A
+    request} (the delta) and {e for the session so far} (cumulative).
+    Cycle counts that are [max_int] (unschedulable) render as [null].  A
     request that fails — unparseable line, unknown graph, invalid
     options, unschedulable pattern set — gets
     {!Protocol.error_response}'s shape, and the session survives to
-    serve the next line.
+    serve the next line.  [stats] answers
+    [{"id"?, "ok", "cmd", "requests", "graphs", "eval_cache": {"hits",
+    "misses"}, "memo": {"hits", "misses"}, "evictions"}] for the session
+    so far.
+
+    {2 A repeated request is a lookup}
+
+    [select], [schedule], [portfolio], [edit], and [pipeline] without
+    [cluster] are memoized: the command fields of each ok response are
+    rendered once into a body that the graph's session entry keeps
+    ({!Session.recall}), under the request without its [id] and graph
+    source ({!Protocol.request_to_line} of it).  A builtin name, DFG
+    text and DOT text that describe one graph share one entry, and so
+    one memo.  A repeat answers the stored body with ["warm":true] and a
+    request [eval_cache] of [0] hits and [0] misses, since it runs no
+    costing; the session totals read as they stand.  Everything else in
+    the line is byte-identical to what recomputing it would answer: the
+    body exists only because its first computation built the family or
+    plain context that makes a recomputation warm, and that context lives
+    as long as the entry and its memo.  An [edit] hit interns the edited
+    graph again, as the computation does.  [certify] (whose [search]
+    counts report ban-list reuse), a clustered [pipeline] (which interns
+    the clustered graph), [stats] and any request that failed are never
+    stored.
+
+    Inline ["dfg"] text equal to a live entry's canonical text
+    ({!Session.find_text}) resolves to that entry's graph without a
+    parse; other text parses as {!resolve_source} does.
 
     {2 One request at a time, and determinism}
 
@@ -31,8 +58,10 @@
     counter — is byte-identical for any [--jobs] value.
 
     Observability: each request runs under a ["serve.request"] span, with
-    [serve.requests], [serve.errors], [serve.warm] and [serve.cold]
-    counters. *)
+    [serve.requests], [serve.errors], [serve.warm], [serve.cold] and
+    [serve.edit] counters (a memo hit counts as the request it repeats
+    did), plus {!Session}'s [serve.memo.hits], [serve.memo.misses] and
+    [serve.evictions]. *)
 
 val builtins : (string * (unit -> Core.Dfg.t)) list
 (** The built-in workload table — the full {!Core.Suite} corpus, in
@@ -52,12 +81,24 @@ val resolve_source : Protocol.source -> (Core.Dfg.t, string) result
 (** A request's graph: a built-in name reads {!builtins}, so every
     request naming it gets the one shared, read-only value (which lets
     {!Session.intern} recognise it without fingerprinting); DFG/DOT text
-    is parsed through {!Core.Dfg_parse.of_string} into a fresh value. *)
+    is always parsed through {!Core.Dfg_parse.of_string} into a fresh
+    value (only {!handle_line} consults the session's canonical texts). *)
 
 val handle_line : Session.t -> string -> string
 (** One request line to one response line (no trailing newline) — the
     whole protocol for callers that do their own transport (tests, the
     bench load generator). *)
+
+val members : (string * Mps_util.Json.t) list -> string
+(** The members of an object as {!Mps_util.Json.to_line} renders them
+    between its braces. *)
+
+val splice : string list -> string
+(** An object line from rendered member runs, empty runs skipped:
+    [splice (List.map members groups)] is
+    [Json.to_line (Obj (List.concat groups))].  Every ok response is
+    spliced from its head ([id], [ok], [cmd]), its body and its
+    [warm]/[stats] tail, a memo hit and a computed answer alike. *)
 
 val run : Session.t -> in_channel -> out_channel -> unit
 (** The stdin/stdout service loop described above, until end of input:

@@ -5,9 +5,19 @@ module C = Core
    interned later stay valid for id-based costing. *)
 type family = { classify : C.Classify.t; f_eval : C.Eval.t }
 
+(* A memoized response: the command's rendered fields, and for [edit] the
+   edited graph, which a hit interns again as the computation did. *)
+type answer = { body : string; edited : C.Dfg.t option }
+
 type entry = {
   e_graph : C.Dfg.t;
   e_fingerprint : string;
+  e_text : string;  (* The canonical text [e_fingerprint] digests. *)
+  e_seq : int;  (* Interning order: breaks ties between equal [e_used]. *)
+  mutable e_used : int;  (* Request index of the last intern. *)
+  mutable e_alias : C.Dfg.t option;
+      (* The last other value fingerprinted to this entry, recognised by
+         identity too: a built-in whose entry was made from parsed text. *)
   mutable e_plain : C.Eval.t option;
       (* Context for explicit-pattern scheduling, built without a
          universe exactly like [Multi_pattern.schedule]'s. *)
@@ -15,13 +25,16 @@ type entry = {
   e_bans : (string, C.Exact.ban_entry list) Hashtbl.t;
   (* Families migrated onto this entry by [edit] instead of classified:
      the patched pattern set, whether coverage needed patching, and the
-     context that schedules it — keyed like ban lists (classification
-     parameters + pdef + priority decide the selection being migrated). *)
+     context that schedules it — keyed by the base graph's fingerprint
+     and the ban key, since the selection being migrated is the base's
+     under those parameters. *)
   e_migrated : (string, C.Pattern.t list * bool * C.Eval.t) Hashtbl.t;
   mutable e_evals : C.Eval.t list;  (* Every context owned, newest first. *)
   (* The auto-selector's feature vector depends only on the graph, so it
      is cached once per fingerprint and shared by every family. *)
   mutable e_features : C.Features.t option;
+  e_memo : (string, answer) Hashtbl.t;
+  mutable e_memo_bytes : int;  (* Keys and bodies held in [e_memo]. *)
 }
 
 (* Graph values by physical identity, hashed on their sizes: a graph is
@@ -35,59 +48,39 @@ end)
 
 type t = {
   s_pool : C.Pool.t option;
-  entries : (string, entry) Hashtbl.t;
-  by_graph : entry Same_graph.t;  (* Each entry under its own [e_graph]. *)
-  mutable entry_list : entry list;  (* Interning order, newest first. *)
+  max_graphs : int;
+  entries : (string, entry) Hashtbl.t;  (* Live entries by fingerprint. *)
+  by_graph : entry Same_graph.t;
+      (* Each live entry under its [e_graph] and its [e_alias]. *)
+  mutable interned : int;  (* Entries ever created. *)
   mutable requests : int;
   mutable s_classifications : int;  (* Cold classifications ever computed. *)
+  mutable evicted_cache : int * int;  (* Evicted entries' [cache_stats]. *)
+  mutable memo_hits : int;
+  mutable memo_misses : int;
 }
 
-let create ?pool () =
+let create ?pool ?(max_graphs = 64) () =
+  if max_graphs < 1 then invalid_arg "Session.create: max_graphs must be >= 1";
   {
     s_pool = pool;
+    max_graphs;
     entries = Hashtbl.create 16;
     by_graph = Same_graph.create 16;
-    entry_list = [];
+    interned = 0;
     requests = 0;
     s_classifications = 0;
+    evicted_cache = (0, 0);
+    memo_hits = 0;
+    memo_misses = 0;
   }
 
-let graph_count t = List.length t.entry_list
+let graph_count t = Hashtbl.length t.entries
 let request_count t = t.requests
 let note_request t = t.requests <- t.requests + 1
 let classification_count t = t.s_classifications
-
-(* The value an entry was created from is recognised by identity; any
-   other value, a parsed copy of known text included, is fingerprinted,
-   so the canonical-text digest stays the one definition of graph
-   identity. *)
-let intern t g =
-  match Same_graph.find_opt t.by_graph g with
-  | Some e -> (e, true)
-  | None -> (
-      let key = Digest.to_hex (Digest.string (C.Dfg_parse.to_string g)) in
-      match Hashtbl.find_opt t.entries key with
-      | Some e -> (e, true)
-      | None ->
-          let e =
-            {
-              e_graph = g;
-              e_fingerprint = key;
-              e_plain = None;
-              e_families = Hashtbl.create 4;
-              e_bans = Hashtbl.create 4;
-              e_migrated = Hashtbl.create 4;
-              e_evals = [];
-              e_features = None;
-            }
-          in
-          Hashtbl.replace t.entries key e;
-          Same_graph.replace t.by_graph g e;
-          t.entry_list <- e :: t.entry_list;
-          (e, false))
-
-let graph e = e.e_graph
-let fingerprint e = e.e_fingerprint
+let eviction_count t = t.interned - Hashtbl.length t.entries
+let memo_stats t = (t.memo_hits, t.memo_misses)
 
 let cache_stats e =
   List.fold_left
@@ -97,11 +90,118 @@ let cache_stats e =
     (0, 0) e.e_evals
 
 let session_cache_stats t =
-  List.fold_left
-    (fun (h, m) e ->
+  Hashtbl.fold
+    (fun _ e (h, m) ->
       let h', m' = cache_stats e in
       (h + h', m + m'))
-    (0, 0) t.entry_list
+    t.entries t.evicted_cache
+
+(* The least recently interned entry goes, by request index and then by
+   interning order, so the choice is the same at any pool size; its
+   eval-cache counts stay in the session totals. *)
+let evict_lru t =
+  let victim =
+    Hashtbl.fold
+      (fun _ e acc ->
+        match acc with
+        | Some v when (v.e_used, v.e_seq) < (e.e_used, e.e_seq) -> acc
+        | _ -> Some e)
+      t.entries None
+  in
+  Option.iter
+    (fun e ->
+      let h, m = cache_stats e and h0, m0 = t.evicted_cache in
+      t.evicted_cache <- (h0 + h, m0 + m);
+      Hashtbl.remove t.entries e.e_fingerprint;
+      Same_graph.remove t.by_graph e.e_graph;
+      Option.iter (Same_graph.remove t.by_graph) e.e_alias;
+      C.Obs.count "serve.evictions" 1)
+    victim
+
+let use t e =
+  e.e_used <- t.requests;
+  (e, true)
+
+(* The value an entry was created from, and the last other value that
+   fingerprinted to it, are recognised by identity; any other value, a
+   parsed copy of known text included, is fingerprinted, so the
+   canonical-text digest stays the one definition of graph identity. *)
+let intern t g =
+  match Same_graph.find_opt t.by_graph g with
+  | Some e -> use t e
+  | None -> (
+      let text = C.Dfg_parse.to_string g in
+      let key = Digest.to_hex (Digest.string text) in
+      match Hashtbl.find_opt t.entries key with
+      | Some e ->
+          Option.iter (Same_graph.remove t.by_graph) e.e_alias;
+          e.e_alias <- Some g;
+          Same_graph.replace t.by_graph g e;
+          use t e
+      | None ->
+          if Hashtbl.length t.entries >= t.max_graphs then evict_lru t;
+          let e =
+            {
+              e_graph = g;
+              e_fingerprint = key;
+              e_text = text;
+              e_seq = t.interned;
+              e_used = t.requests;
+              e_alias = None;
+              e_plain = None;
+              e_families = Hashtbl.create 4;
+              e_bans = Hashtbl.create 4;
+              e_migrated = Hashtbl.create 4;
+              e_evals = [];
+              e_features = None;
+              e_memo = Hashtbl.create 16;
+              e_memo_bytes = 0;
+            }
+          in
+          t.interned <- t.interned + 1;
+          Hashtbl.replace t.entries key e;
+          Same_graph.replace t.by_graph g e;
+          (e, false))
+
+(* Text equal to an entry's canonical text parses to that entry's graph,
+   so the entry's own value stands in for the parse. *)
+let find_text t text =
+  match Hashtbl.find_opt t.entries (Digest.to_hex (Digest.string text)) with
+  | Some e when String.equal e.e_text text -> Some e.e_graph
+  | _ -> None
+
+let graph e = e.e_graph
+let fingerprint e = e.e_fingerprint
+let text e = e.e_text
+
+(* ---- the response memo ---- *)
+
+let memo_cap = 1 lsl 20
+let memo_bytes e = e.e_memo_bytes
+
+let recall t e key =
+  match Hashtbl.find_opt e.e_memo key with
+  | Some _ as hit ->
+      t.memo_hits <- t.memo_hits + 1;
+      C.Obs.count "serve.memo.hits" 1;
+      hit
+  | None ->
+      t.memo_misses <- t.memo_misses + 1;
+      C.Obs.count "serve.memo.misses" 1;
+      None
+
+(* An answer that would take the memo past its cap empties it first; one
+   larger than the cap is never stored. *)
+let remember e key a =
+  let size = String.length key + String.length a.body in
+  if size <= memo_cap then begin
+    if e.e_memo_bytes + size > memo_cap then begin
+      Hashtbl.reset e.e_memo;
+      e.e_memo_bytes <- 0
+    end;
+    Hashtbl.replace e.e_memo key a;
+    e.e_memo_bytes <- e.e_memo_bytes + size
+  end
 
 (* Classification cache key: exactly the parameters Classify.compute sees.
    Selection parameters are deliberately not part of it — selection is
@@ -335,7 +435,7 @@ let edit t dfg ~options ~edits =
   let f, warm = family_of_options t e_base ~options in
   let g' = apply_edits dfg edits in
   let e', _ = intern t g' in
-  let key = ban_key ~options in
+  let key = e_base.e_fingerprint ^ "/" ^ ban_key ~options in
   let pats, patched, ev =
     match Hashtbl.find_opt e'.e_migrated key with
     | Some m -> m

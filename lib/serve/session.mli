@@ -24,6 +24,22 @@
     was already cached) — the bit the service surfaces per response and
     counts in its telemetry.
 
+    Each entry also keeps its graph's canonical text ({!text}) and a
+    {b response memo} ({!recall}, {!remember}) that the server fills
+    with rendered answers.  Everything an entry holds lives and dies
+    with it.
+
+    {b A bounded session.}  A session keeps at most [max_graphs] entries.
+    Interning a new graph when it is full first evicts the least
+    recently used entry: the one whose last {!intern} came at the lowest
+    request index ({!note_request}), ties going to the one interned
+    first.  The order depends only on the request stream, so it is the
+    same at any pool size.  The entry's families, ban lists, migrations,
+    memo and text go with it, and a later request for its graph answers
+    cold.  The totals stay cumulative: {!session_cache_stats} keeps the
+    evicted entries' eval-cache counts, and {!classification_count}
+    every classification ever computed.
+
     A session is single-writer mutable state: drive it from one domain.
     Parallelism happens {e inside} operations (classification fan-out,
     exact-search subtrees, portfolio strategies) through the session's
@@ -33,48 +49,102 @@
 type t
 type entry
 
-val create : ?pool:Core.Pool.t -> unit -> t
-(** A fresh session.  [pool], when given, is used by every parallel
-    phase; its lifetime belongs to the caller. *)
+val create : ?pool:Core.Pool.t -> ?max_graphs:int -> unit -> t
+(** A fresh session holding at most [max_graphs] entries (default 64).
+    [pool], when given, is used by every parallel phase; its lifetime
+    belongs to the caller.
+    @raise Invalid_argument when [max_graphs < 1]. *)
 
 val graph_count : t -> int
+(** Live entries: never more than [max_graphs]. *)
+
 val request_count : t -> int
 
 val classification_count : t -> int
 (** How many cold classifications the session has ever computed — the
     number {!edit} is designed to keep flat: a warm edit migrates the base
-    family instead of classifying the edited graph. *)
+    family instead of classifying the edited graph.  Evictions never
+    lower it. *)
+
+val eviction_count : t -> int
+(** Entries evicted so far. *)
 
 val note_request : t -> unit
 (** Counts one protocol request against {!request_count}; the server
-    calls it once per line, the session never guesses. *)
+    calls it once per line, the session never guesses.  The count is
+    the request index the eviction order reads. *)
 
 val intern : t -> Core.Dfg.t -> entry * bool
-(** The session's entry for this graph, creating it if new; [true] when
-    the graph was already known.
+(** The session's entry for this graph, creating it if new (and evicting
+    one first if the session is full); [true] when the graph was already
+    known.  Either way the entry counts as used by the current request.
 
     Two steps.  First the value itself is looked up by physical identity
-    among the graphs entries were created from, so a value interned
-    before (a built-in from [Server.resolve_source], an entry's own
-    {!graph}) is found without serialising it.  That table holds one
-    graph per entry, so it grows with entries, not with requests.
-    Otherwise the graph is fingerprinted through the canonical
-    {!Core.Dfg_parse.to_string} text, so structurally identical graphs
-    from different sources (a parsed copy of known text, an edit that
-    rebuilds a known graph) share one entry; the canonical-text digest
-    stays the one definition of graph identity. *)
+    among the graphs live entries were created from and, per entry, the
+    last other value that fingerprinted to it, so a value interned before
+    (a built-in from [Server.resolve_source], an entry's own {!graph})
+    is found without serialising it, even when the entry was made from
+    parsed text.  That table holds at most two graphs per entry, so it
+    grows with entries, not with requests.  Otherwise the graph is
+    fingerprinted through the canonical {!Core.Dfg_parse.to_string}
+    text, so structurally identical graphs from different sources (a
+    parsed copy of known text, an edit that rebuilds a known graph)
+    share one entry; the canonical-text digest stays the one definition
+    of graph identity. *)
+
+val find_text : t -> string -> Core.Dfg.t option
+(** The graph of the live entry whose canonical {!text} equals this text
+    byte for byte, found through the text's digest: the value parsing
+    the text would intern to, without the parse.  [None] for any other
+    text, comments, another node order or DOT included.  A lookup is not
+    a use: {!intern} decides the eviction order alone, so a request
+    touches the same entries however it spells its graph. *)
 
 val graph : entry -> Core.Dfg.t
 val fingerprint : entry -> string
+
+val text : entry -> string
+(** The canonical {!Core.Dfg_parse.to_string} text of {!graph}, the one
+    {!fingerprint} digests. *)
 
 val cache_stats : entry -> int * int
 (** [(hits, misses)] summed over every evaluation context the entry
     owns. *)
 
 val session_cache_stats : t -> int * int
-(** {!cache_stats} summed over all entries, in interning order — the
-    session-cumulative numbers [--stats] and the [stats] command
-    report. *)
+(** {!cache_stats} summed over the live entries, plus what evicted
+    entries held when they went — the session-cumulative numbers
+    [--stats] and the [stats] command report.  Neither component ever
+    decreases. *)
+
+(** {2 The response memo}
+
+    Each entry keeps the answers the server rendered for requests on its
+    graph, keyed by the request without its [id] and graph source.  Its
+    keys and bodies take at most {!memo_cap} bytes: an answer that would
+    pass the cap empties the memo first, and one larger than the cap is
+    not stored. *)
+
+type answer = {
+  body : string;  (** The command's response fields, rendered. *)
+  edited : Core.Dfg.t option;
+      (** [edit]: the edited graph, which a hit interns again. *)
+}
+
+val memo_cap : int
+(** 1 MiB, per entry. *)
+
+val recall : t -> entry -> string -> answer option
+(** The answer stored under this key; counts a memo hit or miss. *)
+
+val remember : entry -> string -> answer -> unit
+(** Stores an answer under a key {!recall} missed, within {!memo_cap}. *)
+
+val memo_bytes : entry -> int
+(** Key and body bytes the entry's memo holds: at most {!memo_cap}. *)
+
+val memo_stats : t -> int * int
+(** [(hits, misses)] of {!recall} over the session's life. *)
 
 val classification :
   t ->
@@ -192,6 +262,8 @@ val edit :
     fidelity ({!Core.Eval.schedule}) for the response rows.  Returns
     (edited entry, patterns actually scheduled, whether coverage was
     patched, the schedule, warm bit of the {e base} family).  Migrated
-    artifacts are cached per (edited graph, search family): repeating an
-    edit request re-classifies and re-selects nothing.
+    artifacts are cached per (edited graph, base graph, search family):
+    repeating an edit request re-classifies and re-selects nothing, and
+    an edit from another base that reaches the same graph migrates its
+    own base's selection.
     @raise Failure / @raise Core.Dfg.Cycle as {!apply_edits}. *)

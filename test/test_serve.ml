@@ -414,6 +414,9 @@ let test_error_echoes_id () =
 let test_cache_stats_accumulate () =
   let sess = Session.create () in
   let line = "{\"cmd\":\"select\",\"graph\":\"3dft\"}" in
+  (* The same selection with the default Pdef spelled out: another memo
+     key, the same family. *)
+  let explicit = "{\"cmd\":\"select\",\"graph\":\"3dft\",\"options\":{\"pdef\":4}}" in
   let stats j =
     let s =
       member_exn "select" "eval_cache" (member_exn "select" "stats" j)
@@ -425,14 +428,20 @@ let test_cache_stats_accumulate () =
   in
   let h1, m1, sh1, sm1 = stats (parse_ok "first" (Server.handle_line sess line)) in
   let h2, m2, sh2, sm2 = stats (parse_ok "second" (Server.handle_line sess line)) in
-  (* First request costs the selected set once: a miss.  The repeat is a
-     pure memo hit, and the session totals accumulate both. *)
+  let h3, m3, sh3, sm3 = stats (parse_ok "explicit" (Server.handle_line sess explicit)) in
+  (* First request costs the selected set once: a miss.  The repeat is
+     answered from the response memo and costs nothing, so the session
+     totals stand.  The explicit spelling misses the response memo and
+     finds the set in the family's eval cache: a hit, added to the
+     totals. *)
   Alcotest.(check (pair int int)) "cold request delta" (0, 1) (h1, m1);
   Alcotest.(check (pair int int)) "cold session totals" (0, 1) (sh1, sm1);
-  Alcotest.(check (pair int int)) "warm request delta" (1, 0) (h2, m2);
-  Alcotest.(check (pair int int)) "warm session totals" (1, 1) (sh2, sm2);
+  Alcotest.(check (pair int int)) "repeat request delta" (0, 0) (h2, m2);
+  Alcotest.(check (pair int int)) "repeat session totals" (0, 1) (sh2, sm2);
+  Alcotest.(check (pair int int)) "warm request delta" (1, 0) (h3, m3);
+  Alcotest.(check (pair int int)) "warm session totals" (1, 1) (sh3, sm3);
   let h, m = Session.session_cache_stats sess in
-  Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh2, sm2) (h, m)
+  Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh3, sm3) (h, m)
 
 (* --- sharing ------------------------------------------------------------ *)
 
@@ -484,14 +493,20 @@ let classify g =
     ~capacity:d.Pipeline.capacity (Core.Enumerate.make_ctx g)
 
 (* An auto select that dispatches to beam costs its finalists on the
-   family's context: the cold request misses on each of the four, its
-   repeat hits them, and both answer what a cold Auto.select does. *)
+   family's context: the cold request misses on each of the four, and the
+   same selection through an unbudgeted pipeline (the select's family, a
+   different memo key) hits them.  The select's repeat is answered from
+   the response memo and costs nothing.  All answer what a cold
+   Auto.select does. *)
 let test_auto_beam_on_family () =
   let sess = Session.create () in
   let line = "{\"cmd\":\"select\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\"}}" in
+  let through_pipeline =
+    "{\"cmd\":\"pipeline\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\",\"budget\":-1}}"
+  in
   let cold = Core.Auto.select ~pdef:Pipeline.default_options.Pipeline.pdef (classify (builtin "w5dft")) in
   List.iter
-    (fun (what, want) ->
+    (fun (what, line, want) ->
       let j = parse_ok what (Server.handle_line sess line) in
       let stats = member_exn what "eval_cache" (member_exn what "stats" j) in
       Alcotest.(check string) (what ^ ": backend") "beam"
@@ -505,7 +520,11 @@ let test_auto_beam_on_family () =
         (string_list (member_exn what "patterns" j));
       Alcotest.(check int) (what ^ ": cycles") cold.Core.Auto.cycles
         (as_int (member_exn what "cycles" j)))
-    [ ("cold", (0, 4)); ("warm", (4, 0)) ]
+    [
+      ("cold", line, (0, 4));
+      ("repeat", line, (0, 0));
+      ("warm pipeline", through_pipeline, (4, 0));
+    ]
 
 let test_beam_rejects_foreign_eval () =
   let g = builtin "w5dft" in
@@ -523,6 +542,265 @@ let test_beam_rejects_foreign_eval () =
     (List.map Pattern.to_string fresh.Core.Beam.patterns)
     (List.map Pattern.to_string own.Core.Beam.patterns);
   Alcotest.(check int) "own graph: same cycles" fresh.Core.Beam.cycles own.Core.Beam.cycles
+
+(* --- the response memo, canonical text and the session bound ---------- *)
+
+let line_of fields = Json.to_line (Json.Obj fields)
+let str s = Json.Str s
+let opts o = ("options", Json.Obj o)
+let int_json n = Json.Num (float_of_int n)
+
+let add_z1 =
+  Json.Arr
+    [
+      Json.Obj [ ("op", str "add_node"); ("node", str "z1"); ("color", str "c") ];
+      Json.Obj [ ("op", str "add_edge"); ("src", str "b1"); ("dst", str "z1") ];
+    ]
+
+(* 3dft with sink z1 below b1, as canonical text without its edge from
+   b1: an edit base of its own whose edit reaches the graph 3dft's edit
+   does. *)
+let z1_base_text () =
+  let g = Session.apply_edits (builtin "3dft")
+      [ Protocol.Add_node { node = "z1"; color = "c" }; Protocol.Add_edge ("b1", "z1") ]
+  in
+  String.concat "\n"
+    (List.filter (fun l -> l <> "edge b1 z1")
+       (String.split_on_char '\n' (Core.Dfg_parse.to_string g)))
+
+(* Seventeen lines that cover every command; builtin, canonical-text,
+   commented-text and DOT sources of one graph; f1 and f2; Pdef 1 to 6 and
+   10^15; cluster on and off; and requests that fail. *)
+let stream_pool =
+  lazy
+    (let canonical = Core.Dfg_parse.to_string (builtin "3dft") in
+     let commented = "# 3dft, commented\n" ^ canonical in
+     let dot = Core.Dot.to_dot (builtin "fig4") in
+     [|
+       line_of [ ("cmd", str "select"); ("graph", str "3dft") ];
+       line_of
+         [ ("cmd", str "select"); ("dfg", str canonical);
+           opts [ ("pdef", int_json 3); ("priority", str "f2") ] ];
+       line_of
+         [ ("cmd", str "schedule"); ("graph", str "fig4");
+           opts [ ("patterns", Json.Arr [ str "aabcc"; str "abc" ]) ] ];
+       line_of
+         [ ("cmd", str "schedule"); ("graph", str "3dft");
+           opts [ ("patterns", Json.Arr [ str "aa" ]) ] ];
+       line_of
+         [ ("cmd", str "schedule"); ("dfg", str commented);
+           opts [ ("pdef", int_json 5); ("priority", str "f2") ] ];
+       line_of [ ("cmd", str "pipeline"); ("dfg", str canonical); opts [ ("cluster", Json.Bool true) ] ];
+       line_of [ ("cmd", str "pipeline"); ("dfg", str canonical); opts [ ("pdef", int_json 1) ] ];
+       line_of [ ("cmd", str "pipeline"); ("dot", str dot); opts [ ("strategy", str "auto") ] ];
+       line_of [ ("cmd", str "portfolio"); ("graph", str "fig4"); opts [ ("pdef", int_json 2) ] ];
+       line_of
+         [ ("cmd", str "edit"); ("graph", str "3dft"); ("edits", add_z1);
+           opts [ ("pdef", int_json 2) ] ];
+       line_of
+         [ ("cmd", str "edit"); ("dfg", str (z1_base_text ()));
+           ("edits", Json.Arr [ Json.Obj [ ("op", str "add_edge"); ("src", str "b1"); ("dst", str "z1") ] ]);
+           opts [ ("pdef", int_json 2) ] ];
+       line_of [ ("cmd", str "certify"); ("graph", str "fig4"); opts [ ("pdef", int_json 1_000_000_000_000_000) ] ];
+       line_of
+         [ ("cmd", str "select"); ("graph", str "w5dft");
+           opts [ ("strategy", str "auto"); ("pdef", int_json 6); ("priority", str "f2") ] ];
+       line_of [ ("cmd", str "select"); ("graph", str "fig4"); opts [ ("pdef", int_json 1_000_000_000_000_000) ] ];
+       line_of [ ("cmd", str "stats") ];
+       "{\"cmd\":\"select\",\"graph\":\"nope\"}";
+       "not a request";
+     |])
+
+(* What the memo may change: the eval-cache counts, and the stats fields
+   it adds. *)
+let strip_memo_fields j =
+  match j with
+  | Json.Obj fields when Json.member "cmd" j = Some (Json.Str "stats") ->
+      Json.Obj
+        (List.filter (fun (k, _) -> not (List.mem k [ "eval_cache"; "memo"; "evictions" ])) fields)
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "stats", Json.Obj s -> ("stats", Json.Obj (List.remove_assoc "eval_cache" s))
+             | kv -> kv)
+           fields)
+  | j -> j
+
+let parse_line what resp =
+  match Json.parse resp with
+  | Ok j -> j
+  | Error m -> QCheck2.Test.fail_reportf "%s: unparseable response %s: %s" what resp m
+
+(* Each response of a stream with frequent repeats, memoized and spliced,
+   equals the memo-less reference's apart from the eval-cache counts and
+   the new stats fields, and prints as Json.to_line prints its tree. *)
+let stream_matches_reference ?max_graphs picks =
+  let pool = Lazy.force stream_pool in
+  let sess = Session.create ?max_graphs () and ref_sess = Session.create ?max_graphs () in
+  List.iteri
+    (fun i k ->
+      let line = pool.(k mod Array.length pool) in
+      let line =
+        (* An id on every other request: the memo ignores it. *)
+        if i mod 2 = 0 || line.[0] <> '{' then line
+        else Printf.sprintf "{\"id\":%d,%s" i (String.sub line 1 (String.length line - 1))
+      in
+      let got = Server.handle_line sess line and want = Server_ref.handle_line ref_sess line in
+      let j = parse_line "memo" got in
+      if Json.to_line j <> got then QCheck2.Test.fail_reportf "not to_line's rendering: %s" got;
+      let a = Json.to_line (strip_memo_fields j)
+      and b = Json.to_line (strip_memo_fields (parse_line "reference" want)) in
+      if a <> b then
+        QCheck2.Test.fail_reportf "request %d, %s\nmemo:      %s\nreference: %s" i line a b)
+    picks;
+  true
+
+let picks_gen = QCheck2.Gen.(list_size (1 -- 30) (0 -- 16))
+
+(* Splicing rendered member runs is rendering the whole object. *)
+let splice_matches_to_line (groups : (string * Json.t) list list) =
+  Server.splice (List.map Server.members groups) = Json.to_line (Json.Obj (List.concat groups))
+
+let object_groups_gen =
+  let open QCheck2.Gen in
+  let key = oneofl [ "id"; "ok"; "cmd"; "a\"b"; "\\"; "x\ny"; "" ] in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Num (float_of_int n)) (-1_000_000 -- 1_000_000);
+        map (fun f -> Json.Num f) float;
+        map (fun s -> Json.Str s) (string_size ~gen:char (0 -- 6));
+      ]
+  in
+  let value =
+    sized
+    @@ fix (fun self size ->
+           if size <= 1 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun xs -> Json.Arr xs) (list_size (0 -- 3) (self (size / 3))));
+                 (1, map (fun kvs -> Json.Obj kvs) (list_size (0 -- 3) (pair key (self (size / 3)))));
+               ])
+  in
+  list_size (0 -- 4) (list_size (0 -- 4) (pair key value))
+
+let select_line graph = line_of [ ("cmd", str "select"); ("graph", str graph) ]
+
+let answer what resp =
+  let j = parse_ok what resp in
+  ( string_list (member_exn what "patterns" j),
+    as_int (member_exn what "cycles" j),
+    as_bool "warm" (member_exn what "warm" j) )
+
+(* Interning past the bound evicts the least recently used graph: the
+   count stays at the bound, the session totals never fall, and the
+   evicted graph answers cold with the answer it gave before. *)
+let test_lru_bound () =
+  let sess = Session.create ~max_graphs:2 () in
+  let last = ref (0, 0) and classified = ref 0 in
+  let ask graph =
+    let resp = Server.handle_line sess (select_line graph) in
+    let (h, m) as totals = Session.session_cache_stats sess in
+    if Session.graph_count sess > 2 then Alcotest.failf "%d graphs held" (Session.graph_count sess);
+    if h < fst !last || m < snd !last then Alcotest.fail "session totals fell";
+    if Session.classification_count sess < !classified then
+      Alcotest.fail "classification count fell";
+    last := totals;
+    classified := Session.classification_count sess;
+    answer graph resp
+  in
+  let first = ask "3dft" in
+  ignore (ask "fig4");
+  let again = ask "3dft" in
+  Alcotest.(check bool) "3dft repeat is warm" true (let _, _, w = again in w);
+  ignore (ask "w5dft");
+  (* fig4 was used least recently, so 3dft survived. *)
+  Alcotest.(check int) "one eviction" 1 (Session.eviction_count sess);
+  let survivor = ask "3dft" in
+  Alcotest.(check bool) "3dft survived" true (let _, _, w = survivor in w);
+  ignore (ask "fig4");
+  ignore (ask "adv-rainbow");
+  Alcotest.(check int) "three evictions" 3 (Session.eviction_count sess);
+  let p0, c0, _ = first in
+  let p, c, warm = ask "3dft" in
+  Alcotest.(check bool) "evicted graph answers cold" false warm;
+  Alcotest.(check (list string)) "same patterns" p0 p;
+  Alcotest.(check int) "same cycles" c0 c;
+  Alcotest.(check int) "bounded" 2 (Session.graph_count sess)
+
+(* A memo keeps at most its cap of keys and bodies: an answer that would
+   pass it empties the memo, and one larger than the cap is not kept. *)
+let test_memo_cap () =
+  let sess = Session.create () in
+  let e, _ = Session.intern sess (builtin "fig4") in
+  let body n = { Session.body = String.make n 'x'; edited = None } in
+  (* One-byte keys: three answers fill the cap to within a byte. *)
+  let third = (Session.memo_cap / 3) - 1 in
+  List.iter (fun k -> Session.remember e k (body third)) [ "a"; "b"; "c" ];
+  Alcotest.(check bool) "three thirds fit" true (Session.recall sess e "a" <> None);
+  Alcotest.(check bool) "within the cap" true (Session.memo_bytes e <= Session.memo_cap);
+  Session.remember e "d" (body third);
+  Alcotest.(check bool) "a fourth empties the memo" true
+    (Session.recall sess e "a" = None && Session.recall sess e "d" <> None);
+  Alcotest.(check int) "holding only the fourth" (1 + third) (Session.memo_bytes e);
+  Session.remember e "big" (body Session.memo_cap);
+  Alcotest.(check bool) "larger than the cap: not kept" true (Session.recall sess e "big" = None);
+  Alcotest.(check int) "memo unchanged" (1 + third) (Session.memo_bytes e)
+
+(* [stats] reports memo hits and misses and evictions as integers, after
+   the fields it had. *)
+let test_stats_schema () =
+  let sess = Session.create ~max_graphs:1 () in
+  List.iter
+    (fun g -> ignore (Server.handle_line sess (select_line g)))
+    [ "3dft"; "3dft"; "fig4"; "fig4"; "fig4" ];
+  ignore (Server.handle_line sess "{\"cmd\":\"certify\",\"graph\":\"fig4\"}");
+  let j = parse_ok "stats" (Server.handle_line sess "{\"cmd\":\"stats\"}") in
+  let keys = function Json.Obj kvs -> List.map fst kvs | _ -> Alcotest.fail "expected an object" in
+  Alcotest.(check (list string)) "fields"
+    [ "ok"; "cmd"; "requests"; "graphs"; "eval_cache"; "memo"; "evictions" ] (keys j);
+  let memo = member_exn "stats" "memo" j in
+  Alcotest.(check (list string)) "memo fields" [ "hits"; "misses" ] (keys memo);
+  Alcotest.(check (pair int int)) "memo hits, misses" (3, 2)
+    (as_int (member_exn "memo" "hits" memo), as_int (member_exn "memo" "misses" memo));
+  Alcotest.(check int) "evictions" 1 (as_int (member_exn "stats" "evictions" j));
+  Alcotest.(check int) "graphs" 1 (as_int (member_exn "stats" "graphs" j))
+
+(* An edit migrates its own base's selection, even when an edit from
+   another base reached the same graph first. *)
+let test_edit_keyed_by_base () =
+  let a =
+    line_of [ ("cmd", str "edit"); ("graph", str "3dft"); ("edits", add_z1); opts [ ("pdef", int_json 2) ] ]
+  in
+  let b =
+    line_of
+      [ ("cmd", str "edit"); ("dfg", str (z1_base_text ()));
+        ("edits", Json.Arr [ Json.Obj [ ("op", str "add_edge"); ("src", str "b1"); ("dst", str "z1") ] ]);
+        opts [ ("pdef", int_json 2) ] ]
+  in
+  let run lines =
+    let sess = Session.create () in
+    List.map (fun l -> let p, c, _ = answer "edit" (Server.handle_line sess l) in (p, c)) lines
+  in
+  let fp line =
+    match Json.member "fingerprint" (parse_ok "edit" (Server.handle_line (Session.create ()) line)) with
+    | Some (Json.Str f) -> f
+    | _ -> Alcotest.fail "edit: no fingerprint"
+  in
+  Alcotest.(check string) "both reach one graph" (fp a) (fp b);
+  let pair = Alcotest.(pair (list string) int) in
+  match (run [ b ], run [ a; b ], run [ a ], run [ b; a ]) with
+  | [ b_alone ], [ a_first; b_after_a ], [ a_alone ], [ _; a_after_b ] ->
+      Alcotest.check pair "B's own selection" ([ "aaccc"; "aabcc" ], 8) b_alone;
+      Alcotest.check pair "B after A" b_alone b_after_a;
+      Alcotest.check pair "A first" a_alone a_first;
+      Alcotest.check pair "A after B" a_alone a_after_b
+  | _ -> assert false
 
 (* --- socket transport ------------------------------------------------- *)
 
@@ -771,6 +1049,20 @@ let () =
             test_auto_beam_on_family;
           Alcotest.test_case "beam refuses a context for another graph" `Quick
             test_beam_rejects_foreign_eval;
+        ] );
+      ( "response memo",
+        [
+          qtest ~count:40 "stream = memo-less reference" picks_gen
+            (fun picks -> stream_matches_reference picks);
+          qtest ~count:100 "stream = memo-less reference, max_graphs 2" picks_gen
+            (stream_matches_reference ~max_graphs:2);
+          qtest ~count:300 "splice = to_line of the whole object" object_groups_gen
+            splice_matches_to_line;
+          Alcotest.test_case "LRU bound: count, totals, cold after eviction" `Quick
+            test_lru_bound;
+          Alcotest.test_case "memo stays within its byte cap" `Quick test_memo_cap;
+          Alcotest.test_case "stats reports memo and evictions" `Quick test_stats_schema;
+          Alcotest.test_case "edit migrates its own base" `Quick test_edit_keyed_by_base;
         ] );
       ( "stdin",
         [
