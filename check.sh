@@ -3,8 +3,8 @@
 # determinism across --jobs (portfolio 3dft and w5dft run every portfolio
 # backend: eq8, harvest:greedy and beam), the observability
 # no-perturbation gate, the serve smoke gate (golden stream, error
-# recovery, --jobs invariance, the --max-graphs 2 eviction golden), the
-# eval counter gate (eval.* counters and
+# recovery, --jobs invariance, the --max-graphs 2 eviction golden, the
+# JSON decode golden), the eval counter gate (eval.* counters and
 # the serve edit stream byte-identical at any --jobs), the selector gate
 # (auto smoke, counter jobs-invariance), the selector fit in release
 # (refit = compiled-in table, auto = portfolio entry, regret <= 5%), the
@@ -130,6 +130,16 @@ if ! cmp -s test/cli/serve_evict.expected "$tmp1"; then
   exit 1
 fi
 echo "  ok: bounded session evicts as the committed golden pins"
+for jobs in 1 4; do
+  timeout 60 dune exec --no-build bin/mpsched.exe -- serve --stdin --jobs "$jobs" \
+    < test/cli/serve_decode_requests.txt > "$tmp1"
+  if ! cmp -s test/cli/serve_decode.expected "$tmp1"; then
+    echo "FAIL: serve --jobs $jobs diverged from test/cli/serve_decode.expected" >&2
+    diff test/cli/serve_decode.expected "$tmp1" | head -20 >&2
+    exit 1
+  fi
+done
+echo "  ok: escapes and malformed JSON decode as the committed golden pins"
 
 say "eval counters: --jobs must not perturb eval.* rows or the serve edit stream"
 # Every Eval caller commits its counters in submission order, so the eval.*

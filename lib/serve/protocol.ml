@@ -122,216 +122,175 @@ let request_to_json r =
 
 (* Strict decoding: the wire shape is small enough that rejecting unknown
    keys costs nothing and turns every typo into a clear error instead of a
-   silently-defaulted option. *)
+   silently-defaulted option.  The checks run in a fixed order and the
+   first failure is the one reported, so the decoder raises [Reject] and
+   [request_of_json] turns it into the error: a message that quotes a key
+   is formatted only then. *)
 
-let as_int what = function
-  | Json.Num f when Float.is_integer f && Float.abs f <= 1e15 ->
-      Ok (int_of_float f)
-  | _ -> Error (what ^ " must be an integer")
+exception Reject of string
 
-let as_string what = function
-  | Json.Str s -> Ok s
-  | _ -> Error (what ^ " must be a string")
+let reject m = raise (Reject m)
 
-let ( let* ) = Result.bind
+(* The first binding of [key]. *)
+let rec field key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else field key rest
 
-let opt_field what as_ty fields key =
-  match List.assoc_opt key fields with
-  | None -> Ok None
-  | Some v ->
-      let* x = as_ty what v in
-      Ok (Some x)
+(* Refuses the first key [known] does not accept, in object order. *)
+let rec only known message = function
+  | [] -> ()
+  | (k, _) :: rest -> if known k then only known message rest else reject (message k)
 
-let request_of_json j =
-  match j with
-  | Json.Obj fields ->
-      let id = List.assoc_opt "id" fields in
-      let fail m = Error { err_id = id; message = m } in
-      let lift = function Ok x -> Ok x | Error m -> fail m in
-      let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e in
-      let* () =
-        match
-          List.find_opt
-            (fun (k, _) ->
-              not
-                (List.mem k
-                   [ "id"; "cmd"; "graph"; "dfg"; "dot"; "options"; "edits" ]))
-            fields
-        with
-        | Some (k, _) -> fail (Printf.sprintf "unknown request field %S" k)
-        | None -> Ok ()
+let request_key = function
+  | "id" | "cmd" | "graph" | "dfg" | "dot" | "options" | "edits" -> true
+  | _ -> false
+
+let option_key = function
+  | "capacity" | "span" | "pdef" | "priority" | "strategy" | "cluster"
+  | "budget" | "max_nodes" | "patterns" ->
+      true
+  | _ -> false
+
+let as_string key = function
+  | Json.Str s -> s
+  | _ -> reject (Printf.sprintf "%S must be a string" key)
+
+let int_option opts key =
+  match field key opts with
+  | None -> None
+  | Some (Json.Num f) when Float.is_integer f && Float.abs f <= 1e15 ->
+      Some (int_of_float f)
+  | Some _ -> reject (Printf.sprintf "%S must be an integer" key)
+
+let string_option opts key = Option.map (as_string key) (field key opts)
+
+let command_of_json = function
+  | None -> reject "missing \"cmd\""
+  | Some (Json.Str s) -> (
+      match command_of_string s with
+      | Some c -> c
+      | None -> reject (Printf.sprintf "unknown command %S" s))
+  | Some _ -> reject "\"cmd\" must be a string"
+
+let source_of_fields command fields =
+  match (field "graph" fields, field "dfg" fields, field "dot" fields, command) with
+  | None, None, None, Stats -> None
+  | None, None, None, _ ->
+      reject "request needs a graph (\"graph\", \"dfg\" or \"dot\")"
+  | _, _, _, Stats -> reject "\"stats\" takes no graph"
+  | Some v, None, None, _ -> Some (Builtin (as_string "graph" v))
+  | None, Some v, None, _ -> Some (Dfg_text (as_string "dfg" v))
+  | None, None, Some v, _ -> Some (Dot_text (as_string "dot" v))
+  | _ -> reject "give exactly one of \"graph\", \"dfg\", \"dot\""
+
+(* Each edit is a strict little object — an "op" tag plus exactly the keys
+   that op takes, same rejection discipline as the request itself. *)
+let edit_of_json = function
+  | Json.Obj o -> (
+      let str key op =
+        match field key o with
+        | Some (Json.Str s) -> s
+        | Some _ -> reject (Printf.sprintf "edit %S: %S must be a string" op key)
+        | None -> reject (Printf.sprintf "edit %S needs %S" op key)
       in
-      let* command =
-        match List.assoc_opt "cmd" fields with
-        | None -> fail "missing \"cmd\""
-        | Some (Json.Str s) -> (
-            match command_of_string s with
-            | Some c -> Ok c
-            | None -> fail (Printf.sprintf "unknown command %S" s))
-        | Some _ -> fail "\"cmd\" must be a string"
+      let keys op known =
+        only known (fun k -> Printf.sprintf "edit %S: unknown key %S" op k) o
       in
-      let* source =
-        let named =
-          List.filter_map
-            (fun (key, wrap) ->
-              match List.assoc_opt key fields with
-              | Some v -> Some (key, wrap, v)
-              | None -> None)
-            [
-              ("graph", fun s -> Builtin s);
-              ("dfg", fun s -> Dfg_text s);
-              ("dot", fun s -> Dot_text s);
-            ]
-        in
-        match (named, command) with
-        | [], Stats -> Ok None
-        | [], _ ->
-            fail "request needs a graph (\"graph\", \"dfg\" or \"dot\")"
-        | _ :: _, Stats -> fail "\"stats\" takes no graph"
-        | [ (key, wrap, v) ], _ ->
-            let* s = lift (as_string (Printf.sprintf "%S" key) v) in
-            Ok (Some (wrap s))
-        | _ :: _ :: _, _ ->
-            fail "give exactly one of \"graph\", \"dfg\", \"dot\""
-      in
-      (* Edit operations: each is a strict little object — an "op" tag plus
-         exactly the keys that op takes, same rejection discipline as the
-         request itself. *)
-      let edit_of_json j =
-        match j with
-        | Json.Obj o -> (
-            let str key op =
-              match List.assoc_opt key o with
-              | Some (Json.Str s) -> Ok s
-              | Some _ ->
-                  fail (Printf.sprintf "edit %S: %S must be a string" op key)
-              | None -> fail (Printf.sprintf "edit %S needs %S" op key)
-            in
-            let only op keys =
-              match
-                List.find_opt (fun (k, _) -> not (List.mem k keys)) o
-              with
-              | Some (k, _) ->
-                  fail (Printf.sprintf "edit %S: unknown key %S" op k)
-              | None -> Ok ()
-            in
-            let* op = str "op" "edit" in
-            match op with
-            | "add_node" ->
-                let* () = only op [ "op"; "node"; "color" ] in
-                let* node = str "node" op in
-                let* color = str "color" op in
-                Ok (Add_node { node; color })
-            | "remove_node" ->
-                let* () = only op [ "op"; "node" ] in
-                let* node = str "node" op in
-                Ok (Remove_node node)
-            | "add_edge" | "remove_edge" ->
-                let* () = only op [ "op"; "src"; "dst" ] in
-                let* src = str "src" op in
-                let* dst = str "dst" op in
-                Ok
-                  (if op = "add_edge" then Add_edge (src, dst)
-                   else Remove_edge (src, dst))
-            | other -> fail (Printf.sprintf "unknown edit op %S" other))
-        | _ -> fail "each edit must be a JSON object"
-      in
-      let* edits =
-        match List.assoc_opt "edits" fields with
-        | None -> Ok []
-        | Some (Json.Arr items) ->
-            List.fold_left
-              (fun acc v ->
-                let* acc = acc in
-                let* e = edit_of_json v in
-                Ok (e :: acc))
-              (Ok []) items
-            |> fun r -> ( let* ) r (fun l -> Ok (List.rev l))
-        | Some _ -> fail "\"edits\" must be an array of edit objects"
-      in
-      let* () =
-        match (command, edits) with
-        | Edit, [] -> fail "\"edit\" needs a non-empty \"edits\" array"
-        | Edit, _ :: _ -> Ok ()
-        | _, _ :: _ -> fail "\"edits\" is only valid with cmd \"edit\""
-        | _, [] -> Ok ()
-      in
-      let* opts =
-        match List.assoc_opt "options" fields with
-        | None -> Ok []
-        | Some (Json.Obj o) -> Ok o
-        | Some _ -> fail "\"options\" must be an object"
-      in
-      let known =
-        [
-          "capacity"; "span"; "pdef"; "priority"; "strategy"; "cluster";
-          "budget"; "max_nodes"; "patterns";
-        ]
-      in
-      let* () =
-        match List.find_opt (fun (k, _) -> not (List.mem k known)) opts with
-        | Some (k, _) -> fail (Printf.sprintf "unknown option %S" k)
-        | None -> Ok ()
-      in
-      let int_opt key = lift (opt_field (Printf.sprintf "%S" key) as_int opts key) in
-      let* capacity = int_opt "capacity" in
-      let* span = int_opt "span" in
-      let* pdef = int_opt "pdef" in
-      let* budget = int_opt "budget" in
-      let* max_nodes = int_opt "max_nodes" in
-      let* priority =
-        let* p =
-          lift (opt_field "\"priority\"" as_string opts "priority")
-        in
-        match p with
-        | None | Some "f1" | Some "f2" -> Ok p
-        | Some other ->
-            fail (Printf.sprintf "priority must be \"f1\" or \"f2\", not %S" other)
-      in
-      let* strategy =
-        let* s = lift (opt_field "\"strategy\"" as_string opts "strategy") in
-        match s with
-        | None | Some "eq8" | Some "auto" -> Ok s
-        | Some other ->
-            fail
-              (Printf.sprintf "strategy must be \"eq8\" or \"auto\", not %S"
-                 other)
-      in
-      let* cluster =
-        match List.assoc_opt "cluster" opts with
-        | None -> Ok false
-        | Some (Json.Bool b) -> Ok b
-        | Some _ -> fail "\"cluster\" must be a boolean"
-      in
-      let* patterns =
-        match List.assoc_opt "patterns" opts with
-        | None -> Ok []
-        | Some (Json.Arr items) ->
-            List.fold_left
-              (fun acc v ->
-                let* acc = acc in
-                let* s = lift (as_string "\"patterns\" element" v) in
-                Ok (s :: acc))
-              (Ok []) items
-            |> Result.map List.rev
-        | Some _ -> fail "\"patterns\" must be an array of strings"
-      in
-      Ok
-        {
-          id;
-          command;
-          source;
-          capacity;
-          span;
-          pdef;
-          priority;
-          strategy;
-          cluster;
-          budget;
-          max_nodes;
-          patterns;
-          edits;
-        }
+      match str "op" "edit" with
+      | "add_node" as op ->
+          keys op (function "op" | "node" | "color" -> true | _ -> false);
+          let node = str "node" op in
+          let color = str "color" op in
+          Add_node { node; color }
+      | "remove_node" as op ->
+          keys op (function "op" | "node" -> true | _ -> false);
+          Remove_node (str "node" op)
+      | ("add_edge" | "remove_edge") as op ->
+          keys op (function "op" | "src" | "dst" -> true | _ -> false);
+          let src = str "src" op in
+          let dst = str "dst" op in
+          if op = "add_edge" then Add_edge (src, dst) else Remove_edge (src, dst)
+      | other -> reject (Printf.sprintf "unknown edit op %S" other))
+  | _ -> reject "each edit must be a JSON object"
+
+let decode id fields =
+  only request_key (fun k -> Printf.sprintf "unknown request field %S" k) fields;
+  let command = command_of_json (field "cmd" fields) in
+  let source = source_of_fields command fields in
+  let edits =
+    match field "edits" fields with
+    | None -> []
+    | Some (Json.Arr items) -> List.map edit_of_json items
+    | Some _ -> reject "\"edits\" must be an array of edit objects"
+  in
+  (match (command, edits) with
+  | Edit, [] -> reject "\"edit\" needs a non-empty \"edits\" array"
+  | Edit, _ :: _ | _, [] -> ()
+  | _, _ :: _ -> reject "\"edits\" is only valid with cmd \"edit\"");
+  let opts =
+    match field "options" fields with
+    | None -> []
+    | Some (Json.Obj o) -> o
+    | Some _ -> reject "\"options\" must be an object"
+  in
+  only option_key (fun k -> Printf.sprintf "unknown option %S" k) opts;
+  let capacity = int_option opts "capacity" in
+  let span = int_option opts "span" in
+  let pdef = int_option opts "pdef" in
+  let budget = int_option opts "budget" in
+  let max_nodes = int_option opts "max_nodes" in
+  let priority =
+    match string_option opts "priority" with
+    | (None | Some ("f1" | "f2")) as p -> p
+    | Some other ->
+        reject (Printf.sprintf "priority must be \"f1\" or \"f2\", not %S" other)
+  in
+  let strategy =
+    match string_option opts "strategy" with
+    | (None | Some ("eq8" | "auto")) as s -> s
+    | Some other ->
+        reject
+          (Printf.sprintf "strategy must be \"eq8\" or \"auto\", not %S" other)
+  in
+  let cluster =
+    match field "cluster" opts with
+    | None -> false
+    | Some (Json.Bool b) -> b
+    | Some _ -> reject "\"cluster\" must be a boolean"
+  in
+  let patterns =
+    match field "patterns" opts with
+    | None -> []
+    | Some (Json.Arr items) ->
+        List.map
+          (function
+            | Json.Str s -> s
+            | _ -> reject "\"patterns\" element must be a string")
+          items
+    | Some _ -> reject "\"patterns\" must be an array of strings"
+  in
+  {
+    id;
+    command;
+    source;
+    capacity;
+    span;
+    pdef;
+    priority;
+    strategy;
+    cluster;
+    budget;
+    max_nodes;
+    patterns;
+    edits;
+  }
+
+let request_of_json = function
+  | Json.Obj fields -> (
+      let id = field "id" fields in
+      match decode id fields with
+      | r -> Ok r
+      | exception Reject message -> Error { err_id = id; message })
   | _ -> Error { err_id = None; message = "request must be a JSON object" }
 
 let request_to_line r = Json.to_line (request_to_json r)

@@ -19,10 +19,19 @@
                  "max_nodes"?: int, "patterns"?: [string] }
     v}
 
-    ["id"] is an arbitrary JSON value echoed verbatim in the response, so
-    clients can correlate out-of-band.  ["span"] and ["budget"] accept a
-    negative value meaning {e unlimited}; omitted options fall back to the
-    same defaults the one-shot CLI uses.  [cmd] is one of [select],
+    ["id"] is an arbitrary JSON value echoed in the response, so clients
+    can correlate out-of-band.  It is echoed as parsed and rendered
+    again, not byte for byte: a string keeps its value but not its
+    escapes ([\u00e9] comes back as the two UTF-8 bytes of é), an integer
+    below 10{^15} in magnitude comes back exactly, and any other number
+    is rendered through ["%.12g"], 12 significant digits
+    ([1234567890123456789] comes back as [1.23456789012e+18],
+    [9007199254740993] as [9.00719925474e+15]).  Where ids must match
+    exactly, use strings or integers below 10{^15}.
+
+    ["span"] and ["budget"] accept a negative value meaning
+    {e unlimited}; omitted options fall back to the same defaults the
+    one-shot CLI uses.  [cmd] is one of [select],
     [schedule], [pipeline], [certify], [portfolio], [edit], [stats]; every
     command except [stats] requires exactly one graph field, and [stats]
     takes none.  ["edits"] names nodes by their graph names; it is
@@ -54,7 +63,7 @@ type edit =
 val command_to_string : command -> string
 
 type request = {
-  id : Json.t option;  (** Echoed verbatim in the response. *)
+  id : Json.t option;  (** Echoed in the response, re-rendered. *)
   command : command;
   source : source option;  (** [None] only for {!Stats}. *)
   capacity : int option;

@@ -24,9 +24,14 @@ let builtins =
     (fun (e : C.Suite.entry) -> (e.C.Suite.name, once e.C.Suite.build))
     (C.Suite.corpus ~full:true ~huge:true ())
 
+let builtin_table =
+  let tbl = Hashtbl.create 32 in
+  List.iter (fun (name, graph) -> Hashtbl.replace tbl name graph) builtins;
+  tbl
+
 let resolve_source = function
   | P.Builtin name -> (
-      match List.assoc_opt name builtins with
+      match Hashtbl.find_opt builtin_table name with
       | Some graph -> Ok (graph ())
       | None ->
           Error
@@ -316,34 +321,47 @@ let run_command sess (r : P.request) g =
 (* ---- response framing ---- *)
 
 let members fields =
-  let s = Json.to_line (Json.Obj fields) in
-  String.sub s 1 (String.length s - 2)
+  let buf = Buffer.create 256 in
+  Json.add_members buf fields;
+  Buffer.contents buf
 
-let splice parts =
-  "{" ^ String.concat "," (List.filter (fun p -> p <> "") parts) ^ "}"
+(* One buffer per response, sized for the body plus a short head and
+   tail, which are rendered straight into it. *)
+let splice head body tail =
+  let buf = Buffer.create (String.length body + 160) in
+  Buffer.add_char buf '{';
+  Json.add_members buf head;
+  if body <> "" then begin
+    if head <> [] then Buffer.add_char buf ',';
+    Buffer.add_string buf body
+  end;
+  if tail <> [] then begin
+    if head <> [] || body <> "" then Buffer.add_char buf ',';
+    Json.add_members buf tail
+  end;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let head ~id ~cmd =
-  members
-    ((match id with Some id -> [ ("id", id) ] | None -> [])
-    @ [ ("ok", Json.Bool true); ("cmd", Json.Str cmd) ])
+  let rest = [ ("ok", Json.Bool true); ("cmd", Json.Str cmd) ] in
+  match id with Some id -> ("id", id) :: rest | None -> rest
 
 let tail ~warm ~request:(dh, dm) ~session:(sh, sm) =
-  members
-    [
-      ("warm", Json.Bool warm);
-      ( "stats",
-        Json.Obj
-          [
-            ( "eval_cache",
-              Json.Obj
-                [
-                  ("hits", num dh);
-                  ("misses", num dm);
-                  ("session_hits", num sh);
-                  ("session_misses", num sm);
-                ] );
-          ] );
-    ]
+  [
+    ("warm", Json.Bool warm);
+    ( "stats",
+      Json.Obj
+        [
+          ( "eval_cache",
+            Json.Obj
+              [
+                ("hits", num dh);
+                ("misses", num dm);
+                ("session_hits", num sh);
+                ("session_misses", num sm);
+              ] );
+        ] );
+  ]
 
 let hits_misses (h, m) = Json.Obj [ ("hits", num h); ("misses", num m) ]
 
@@ -370,17 +388,13 @@ let execute sess (p : prepared) =
       Obs.count "serve.errors" 1;
       Json.to_line (P.error_response ~id:e.P.err_id e.P.message)
   | Ok (r, _) when r.P.command = P.Stats ->
-      splice
+      splice (head ~id:r.P.id ~cmd:"stats") ""
         [
-          head ~id:r.P.id ~cmd:"stats";
-          members
-            [
-              ("requests", num (Session.request_count sess));
-              ("graphs", num (Session.graph_count sess));
-              ("eval_cache", hits_misses (Session.session_cache_stats sess));
-              ("memo", hits_misses (Session.memo_stats sess));
-              ("evictions", num (Session.eviction_count sess));
-            ];
+          ("requests", num (Session.request_count sess));
+          ("graphs", num (Session.graph_count sess));
+          ("eval_cache", hits_misses (Session.session_cache_stats sess));
+          ("memo", hits_misses (Session.memo_stats sess));
+          ("evictions", num (Session.eviction_count sess));
         ]
   | Ok (r, g) -> (
       let g = Option.get g (* the protocol guarantees a graph *) in
@@ -416,12 +430,8 @@ let execute sess (p : prepared) =
       match outcome with
       | Ok (body, warm, (h0, m0), ((sh, sm) as session)) ->
           Obs.count (if warm then "serve.warm" else "serve.cold") 1;
-          splice
-            [
-              head ~id:r.P.id ~cmd;
-              body;
-              tail ~warm ~request:(sh - h0, sm - m0) ~session;
-            ]
+          splice (head ~id:r.P.id ~cmd) body
+            (tail ~warm ~request:(sh - h0, sm - m0) ~session)
       | Error exn ->
           Obs.count "serve.errors" 1;
           Json.to_line (P.error_response ~id:r.P.id (describe_exn exn)))

@@ -93,11 +93,17 @@ val members : (string * Mps_util.Json.t) list -> string
 (** The members of an object as {!Mps_util.Json.to_line} renders them
     between its braces. *)
 
-val splice : string list -> string
-(** An object line from rendered member runs, empty runs skipped:
-    [splice (List.map members groups)] is
-    [Json.to_line (Obj (List.concat groups))].  Every ok response is
-    spliced from its head ([id], [ok], [cmd]), its body and its
+val splice :
+  (string * Mps_util.Json.t) list ->
+  string ->
+  (string * Mps_util.Json.t) list ->
+  string
+(** [splice head body tail] is the object line with [head]'s members,
+    then the rendered member run [body] ([""] for none), then [tail]'s:
+    [splice head (members fields) tail] is
+    [Json.to_line (Obj (head @ fields @ tail))].  It is framed in one
+    buffer sized from [body], which is copied once.  Every ok response
+    is spliced so, from its head ([id], [ok], [cmd]), its body and its
     [warm]/[stats] tail, a memo hit and a computed answer alike. *)
 
 val run : Session.t -> in_channel -> out_channel -> unit

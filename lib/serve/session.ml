@@ -46,16 +46,24 @@ module Same_graph = Hashtbl.Make (struct
   let hash g = Hashtbl.hash (C.Dfg.node_count g, C.Dfg.edge_count g)
 end)
 
+module By_length = Hashtbl.Make (Int)
+
 type t = {
   s_pool : C.Pool.t option;
   max_graphs : int;
   entries : (string, entry) Hashtbl.t;  (* Live entries by fingerprint. *)
   by_graph : entry Same_graph.t;
       (* Each live entry under its [e_graph] and its [e_alias]. *)
+  by_length : entry list By_length.t;
+      (* Live entries by the byte length of their [e_text]. *)
   mutable interned : int;  (* Entries ever created. *)
   mutable requests : int;
   mutable s_classifications : int;  (* Cold classifications ever computed. *)
   mutable evicted_cache : int * int;  (* Evicted entries' [cache_stats]. *)
+  mutable totals : int * int;  (* [session_cache_stats], unless [stale]. *)
+  mutable stale : bool;
+      (* Set by everything that hands out an [Eval.t], since running one
+         moves its counts; cleared when the totals are folded again. *)
   mutable memo_hits : int;
   mutable memo_misses : int;
 }
@@ -67,10 +75,13 @@ let create ?pool ?(max_graphs = 64) () =
     max_graphs;
     entries = Hashtbl.create 16;
     by_graph = Same_graph.create 16;
+    by_length = By_length.create 16;
     interned = 0;
     requests = 0;
     s_classifications = 0;
     evicted_cache = (0, 0);
+    totals = (0, 0);
+    stale = false;
     memo_hits = 0;
     memo_misses = 0;
   }
@@ -90,15 +101,34 @@ let cache_stats e =
     (0, 0) e.e_evals
 
 let session_cache_stats t =
-  Hashtbl.fold
-    (fun _ e (h, m) ->
-      let h', m' = cache_stats e in
-      (h + h', m + m'))
-    t.entries t.evicted_cache
+  if t.stale then begin
+    t.totals <-
+      Hashtbl.fold
+        (fun _ e (h, m) ->
+          let h', m' = cache_stats e in
+          (h + h', m + m'))
+        t.entries t.evicted_cache;
+    t.stale <- false
+  end;
+  t.totals
+
+let texts_of_length t len =
+  Option.value (By_length.find_opt t.by_length len) ~default:[]
+
+let index_text t e =
+  let len = String.length e.e_text in
+  By_length.replace t.by_length len (e :: texts_of_length t len)
+
+let unindex_text t e =
+  let len = String.length e.e_text in
+  match List.filter (fun x -> x != e) (texts_of_length t len) with
+  | [] -> By_length.remove t.by_length len
+  | rest -> By_length.replace t.by_length len rest
 
 (* The least recently interned entry goes, by request index and then by
    interning order, so the choice is the same at any pool size; its
-   eval-cache counts stay in the session totals. *)
+   eval-cache counts move into [evicted_cache], which leaves the totals as
+   they are. *)
 let evict_lru t =
   let victim =
     Hashtbl.fold
@@ -113,6 +143,7 @@ let evict_lru t =
       let h, m = cache_stats e and h0, m0 = t.evicted_cache in
       t.evicted_cache <- (h0 + h, m0 + m);
       Hashtbl.remove t.entries e.e_fingerprint;
+      unindex_text t e;
       Same_graph.remove t.by_graph e.e_graph;
       Option.iter (Same_graph.remove t.by_graph) e.e_alias;
       C.Obs.count "serve.evictions" 1)
@@ -160,15 +191,20 @@ let intern t g =
           in
           t.interned <- t.interned + 1;
           Hashtbl.replace t.entries key e;
+          index_text t e;
           Same_graph.replace t.by_graph g e;
           (e, false))
 
 (* Text equal to an entry's canonical text parses to that entry's graph,
-   so the entry's own value stands in for the parse. *)
+   so the entry's own value stands in for the parse.  Only entries whose
+   text has this length can match, and comparing with them is cheaper
+   than digesting the text. *)
 let find_text t text =
-  match Hashtbl.find_opt t.entries (Digest.to_hex (Digest.string text)) with
-  | Some e when String.equal e.e_text text -> Some e.e_graph
-  | _ -> None
+  Option.map
+    (fun e -> e.e_graph)
+    (List.find_opt
+       (fun e -> String.equal e.e_text text)
+       (texts_of_length t (String.length text)))
 
 let graph e = e.e_graph
 let fingerprint e = e.e_fingerprint
@@ -212,6 +248,7 @@ let cls_key ~capacity ~span_limit ~budget =
     (match budget with None -> "-" | Some b -> string_of_int b)
 
 let family t e ~capacity ~span_limit ~budget =
+  t.stale <- true;
   let key = cls_key ~capacity ~span_limit ~budget in
   match Hashtbl.find_opt e.e_families key with
   | Some f -> (f, true)
@@ -238,7 +275,8 @@ let classification t e ~capacity ~span_limit ~budget =
   let f, warm = family t e ~capacity ~span_limit ~budget in
   (f.classify, warm)
 
-let plain_eval e =
+let plain_eval t e =
+  t.stale <- true;
   match e.e_plain with
   | Some ev -> ev
   | None ->
@@ -319,7 +357,7 @@ let schedule t e ~options ?(trace = false) ~patterns () =
       let warm = e.e_plain <> None in
       let r =
         C.Eval.schedule ~priority:options.C.Pipeline.priority ~trace
-          (plain_eval e) ~patterns:pats
+          (plain_eval t e) ~patterns:pats
       in
       (pats, r, warm)
 

@@ -94,11 +94,13 @@ val intern : t -> Core.Dfg.t -> entry * bool
 
 val find_text : t -> string -> Core.Dfg.t option
 (** The graph of the live entry whose canonical {!text} equals this text
-    byte for byte, found through the text's digest: the value parsing
-    the text would intern to, without the parse.  [None] for any other
-    text, comments, another node order or DOT included.  A lookup is not
-    a use: {!intern} decides the eviction order alone, so a request
-    touches the same entries however it spells its graph. *)
+    byte for byte: the value parsing the text would intern to, without
+    the parse.  [None] for any other text, comments, another node order
+    or DOT included.  The session indexes live entries by the byte length
+    of their text, so a lookup compares the text with the entries of its
+    length only and never digests it.  A lookup is not a use: {!intern}
+    decides the eviction order alone, so a request touches the same
+    entries however it spells its graph. *)
 
 val graph : entry -> Core.Dfg.t
 val fingerprint : entry -> string
@@ -115,7 +117,11 @@ val session_cache_stats : t -> int * int
 (** {!cache_stats} summed over the live entries, plus what evicted
     entries held when they went — the session-cumulative numbers
     [--stats] and the [stats] command report.  Neither component ever
-    decreases. *)
+    decreases.  The session keeps the sum: only an operation that can
+    run an evaluation context (every request-level operation below, and
+    {!classification}) marks it stale, and the next call folds the live
+    entries again, so a call after {!intern}, {!recall} or {!remember}
+    alone costs nothing. *)
 
 (** {2 The response memo}
 

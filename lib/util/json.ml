@@ -36,47 +36,59 @@ let escape_into buf s =
   Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-(* Integral values below 1e15 are exact ints, so [string_of_int] prints
-   the digits ["%.0f"] would; only negative zero needs its sign. *)
+(* The decimal digits of [n >= 0], written straight into the buffer. *)
+let rec digits_into buf n =
+  if n >= 10 then digits_into buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* Integral values below 1e15 are exact ints, so a sign and their decimal
+   digits are what ["%.0f"] prints, ["-0"] for negative zero included. *)
 let number_into buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
-    else Buffer.add_string buf (string_of_int (int_of_float f))
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    digits_into buf (Float.to_int (Float.abs f))
+  end
   else Buffer.add_string buf (Printf.sprintf "%.12g" f)
 
+let rec add_value ~sep buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> number_into buf f
+  | Str s -> escape_into buf s
+  | Arr xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string buf sep;
+          add_value ~sep buf x)
+        xs;
+      Buffer.add_char buf ']'
+  | Obj kvs ->
+      Buffer.add_char buf '{';
+      add_members_sep ~sep buf kvs;
+      Buffer.add_char buf '}'
+
+and add_members_sep ~sep buf kvs =
+  List.iteri
+    (fun i (k, x) ->
+      if i > 0 then Buffer.add_string buf sep;
+      escape_into buf k;
+      Buffer.add_char buf ':';
+      add_value ~sep buf x)
+    kvs
+
+(* Protocol lines are short: a small first buffer keeps a one-line
+   render from allocating a kilobyte. *)
 let render ~sep v =
-  let buf = Buffer.create 1024 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> number_into buf f
-    | Str s -> escape_into buf s
-    | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string buf sep;
-            go x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_string buf sep;
-            escape_into buf k;
-            Buffer.add_char buf ':';
-            go x)
-          kvs;
-        Buffer.add_char buf '}'
-  in
-  go v;
+  let buf = Buffer.create 256 in
+  add_value ~sep buf v;
   Buffer.contents buf
 
 (* Traces keep the newline separators for greppability; the serve protocol
    needs one value per line. *)
 let to_string v = render ~sep:",\n" v
 let to_line v = render ~sep:"," v
+let add_members buf kvs = add_members_sep ~sep:"," buf kvs
 
 (* --- parsing --- *)
 
@@ -110,6 +122,16 @@ let parse s =
     if i < n && match String.unsafe_get s i with '"' | '\\' -> false | _ -> true then
       plain (i + 1)
     else i
+  in
+  (* The four characters at [!pos], read as [int_of_string "0x…"] reads
+     them. *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+    | Some code ->
+        pos := !pos + 4;
+        code
+    | None -> fail "bad \\u escape"
   in
   let string_body () =
     expect '"';
@@ -147,18 +169,32 @@ let parse s =
                  | 'b' -> escaped '\b'
                  | 'f' -> escaped '\012'
                  | 'u' ->
+                     (* UTF-8, with a surrogate pair read as one code
+                        point; a surrogate without its other half is
+                        refused at its own four characters. *)
                      incr pos;
-                     if !pos + 4 > n then fail "truncated \\u escape";
-                     let hex = String.sub s !pos 4 in
-                     let code =
-                       try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+                     let at = !pos in
+                     let lone () =
+                       pos := at;
+                       fail "bad \\u escape"
                      in
-                     pos := !pos + 4;
-                     (* Emitted traces only escape control characters, so
-                        plain byte emission covers the round-trip; anything
-                        above Latin-1 is preserved as '?' rather than
-                        rejected. *)
-                     Buffer.add_char buf (if code < 256 then Char.chr code else '?')
+                     let code = hex4 () in
+                     let code =
+                       if code >= 0xD800 && code <= 0xDBFF then
+                         if !pos + 6 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+                         then begin
+                           pos := !pos + 2;
+                           match hex4 () with
+                           | low when low >= 0xDC00 && low <= 0xDFFF ->
+                               0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                           | _ -> lone ()
+                           | exception Bad _ -> lone ()
+                         end
+                         else lone ()
+                       else if code >= 0xDC00 && code <= 0xDFFF then lone ()
+                       else code
+                     in
+                     Buffer.add_utf_8_uchar buf (Uchar.of_int code)
                  | _ -> fail "bad escape");
               go ()
           | _ ->
@@ -184,7 +220,8 @@ let parse s =
     done;
     if !pos = start then fail "expected a number";
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail "number out of range"
     | None -> fail "malformed number"
   in
   let rec value () =

@@ -35,15 +35,24 @@ val to_line : t -> string
     the value, which is what the line-delimited serve protocol requires
     (a request or response is exactly one ['\n']-terminated line). *)
 
+val add_members : Buffer.t -> (string * t) list -> unit
+(** Appends the members of an object as {!to_line} renders them between
+    its braces, so a caller can frame an object line in its own buffer:
+    ["{"], then [add_members buf kvs], then ["}"] is [to_line (Obj kvs)]. *)
+
 val parse : string -> (t, string) result
 (** Parses one JSON value followed only by whitespace.  [Error] carries a
     byte offset and a reason, as ["offset N: reason"], for the first
     failure a left-to-right reading meets.  Whitespace is space, tab,
     ['\n'] and ['\r'].  String bodies are copied by plain runs up to the
     next quote or backslash; [\u] takes exactly four characters that
-    [int_of_string "0x…"] accepts and keeps code points above 255 as
-    ['?'].  A number is the longest run of [0-9+-.eE] that
-    [float_of_string] accepts. *)
+    [int_of_string "0x…"] accepts and decodes to UTF-8, a high surrogate
+    followed by a [\u] escape of a low one as the one code point they
+    encode; a surrogate without its other half is refused as
+    ["bad \u escape"] at the offset of its own four characters.  A number
+    is the longest run of [0-9+-.eE] that [float_of_string] accepts; one
+    that overflows to an infinity is refused as ["number out of range"]
+    at the end of that run. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the first binding of [k]; [None] on any other

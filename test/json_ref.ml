@@ -113,18 +113,36 @@ let parse s =
           | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
           | Some 'u' ->
               advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
+              let at = !pos in
+              let lone () =
+                pos := at;
+                fail "bad \\u escape"
               in
-              pos := !pos + 4;
-              (* Emitted traces only escape control characters, so plain
-                 byte emission covers the round-trip; anything above Latin-1
-                 is preserved as '?' rather than rejected. *)
-              Buffer.add_char buf
-                (if code < 256 then Char.chr code else '?');
+              let hex4 () =
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let code =
+                  try int_of_string ("0x" ^ String.sub s !pos 4)
+                  with _ -> fail "bad \\u escape"
+                in
+                pos := !pos + 4;
+                code
+              in
+              let code = hex4 () in
+              let code =
+                if code >= 0xD800 && code <= 0xDBFF then
+                  if !pos + 6 <= n && String.sub s !pos 2 = "\\u" then begin
+                    pos := !pos + 2;
+                    match hex4 () with
+                    | low when low >= 0xDC00 && low <= 0xDFFF ->
+                        0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                    | _ -> lone ()
+                    | exception Bad _ -> lone ()
+                  end
+                  else lone ()
+                else if code >= 0xDC00 && code <= 0xDFFF then lone ()
+                else code
+              in
+              Buffer.add_utf_8_uchar buf (Uchar.of_int code);
               go ()
           | _ -> fail "bad escape")
       | Some c -> advance (); Buffer.add_char buf c; go ()
@@ -144,7 +162,8 @@ let parse s =
     done;
     if !pos = start then fail "expected a number";
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail "number out of range"
     | None -> fail "malformed number"
   in
   let rec value () =

@@ -1,7 +1,8 @@
 (** The character-at-a-time JSON codec that [Mps_util.Json] replaced,
     kept with the tests as the reference its values, errors and bytes are
     checked against: [parse] reads through a [peek] that allocates an
-    option per character and adds string bodies one character at a time;
+    option per character and adds string bodies one character at a time
+    (a [\u] escape, or a surrogate pair of them, as UTF-8);
     the emitter escapes one character at a time and prints every integral
     number below 1e15 through ["%.0f"]. *)
 

@@ -349,7 +349,36 @@ let test_json_pinned () =
         (Json.to_line (Json.Num f)))
     edge_numbers;
   Alcotest.(check string) "control characters" {|"\u0000\u001f\n\r\t\"\\/"|}
-    (Json.to_line (Json.Str "\000\031\n\r\t\"\\/"))
+    (Json.to_line (Json.Str "\000\031\n\r\t\"\\/"));
+  (* [\u] escapes decode to UTF-8, a surrogate pair to its one code
+     point; a surrogate without its other half and a number that
+     overflows are refused at pinned offsets.  The reference agrees. *)
+  let show = function Ok v -> "Ok " ^ Json.to_line v | Error m -> "Error " ^ m in
+  List.iter
+    (fun (line, want) ->
+      Alcotest.(check string) line (show want) (show (Json.parse line));
+      Alcotest.(check string) (line ^ ": reference") (show want) (show (Json_ref.parse line)))
+    [
+      ({|"\u00e9"|}, Ok (Json.Str "\xc3\xa9"));
+      ({|"\u00E9"|}, Ok (Json.Str "\xc3\xa9"));
+      ("\"\xc3\xa9\"", Ok (Json.Str "\xc3\xa9"));
+      ({|"\u0041\u007f\u0080"|}, Ok (Json.Str "A\x7f\xc2\x80"));
+      ({|"\u4e2d\u4e8c"|}, Ok (Json.Str "\xe4\xb8\xad\xe4\xba\x8c"));
+      ({|"\uffff"|}, Ok (Json.Str "\xef\xbf\xbf"));
+      ({|"x\ud83d\ude00y"|}, Ok (Json.Str "x\xf0\x9f\x98\x80y"));
+      ({|"\udbff\udfff"|}, Ok (Json.Str "\xf4\x8f\xbf\xbf"));
+      ({|"\ud800"|}, Error "offset 3: bad \\u escape");
+      ({|"ab\udc00"|}, Error "offset 5: bad \\u escape");
+      ({|"\ud83dA"|}, Error "offset 3: bad \\u escape");
+      ({|"\ud800\u0041"|}, Error "offset 3: bad \\u escape");
+      ({|"\ud800\ud800"|}, Error "offset 3: bad \\u escape");
+      ({|"\ud800\uzzzz"|}, Error "offset 3: bad \\u escape");
+      ({|"\ud800\u00|}, Error "offset 3: bad \\u escape");
+      ({|"\u12|}, Error "offset 3: truncated \\u escape");
+      ({|[1e308,-1e308]|}, Ok (Json.Arr [ Json.Num 1e308; Json.Num (-1e308) ]));
+      ({|1e400|}, Error "offset 5: number out of range");
+      ({|{"id":-1e400}|}, Error "offset 12: number out of range");
+    ]
 
 let json_props =
   [

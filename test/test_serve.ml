@@ -380,6 +380,7 @@ let test_malformed_keeps_session_alive () =
     "{\"cmd\":\"edit\",\"graph\":\"3dft\",\"edits\":[{\"op\":\"remove_node\",\"name\":\"a2\"}]}";
   expect_error "edit names an unknown node"
     "{\"cmd\":\"edit\",\"graph\":\"3dft\",\"edits\":[{\"op\":\"remove_node\",\"node\":\"zzz\"}]}";
+  expect_error "an id that overflows" "{\"id\":1e400,\"cmd\":\"stats\"}";
   (* After all of that, the session still answers. *)
   let resp =
     parse_ok "post-error select"
@@ -409,6 +410,11 @@ let test_error_echoes_id () =
   check_id "bad edit key"
     "{\"id\":9,\"cmd\":\"edit\",\"graph\":\"3dft\",\"edits\":[{\"op\":\"add_edge\",\"src\":\"b1\",\"to\":\"a2\"}]}"
     (Json.Num 9.)
+
+let builtin name =
+  match Server.resolve_source (Protocol.Builtin name) with
+  | Ok g -> g
+  | Error m -> Alcotest.fail m
 
 (* Per-request cache stats are deltas; session stats are cumulative. *)
 let test_cache_stats_accumulate () =
@@ -441,14 +447,51 @@ let test_cache_stats_accumulate () =
   Alcotest.(check (pair int int)) "warm request delta" (1, 0) (h3, m3);
   Alcotest.(check (pair int int)) "warm session totals" (1, 1) (sh3, sm3);
   let h, m = Session.session_cache_stats sess in
-  Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh3, sm3) (h, m)
+  Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh3, sm3) (h, m);
+  (* The session keeps its totals between operations: after each
+     operation that can run a context, they equal the fold of
+     [cache_stats] over the entries it touched. *)
+  let sess = Session.create () in
+  let g = builtin "w5dft" in
+  let e, _ = Session.intern sess g in
+  let touched = ref [ e ] in
+  let agrees what =
+    let fold =
+      List.fold_left
+        (fun (h, m) e ->
+          let h', m' = Session.cache_stats e in
+          (h + h', m + m'))
+        (0, 0) !touched
+    in
+    Alcotest.(check (pair int int)) what fold (Session.session_cache_stats sess)
+  in
+  let options = Pipeline.default_options in
+  let auto = { options with Pipeline.strategy = Core.Auto.Auto Core.Auto.builtin_rules } in
+  agrees "fresh";
+  let report, _ = Session.select_report sess e ~options in
+  agrees "select_report";
+  ignore (Session.set_cycles sess e ~options report.Select.patterns);
+  agrees "set_cycles";
+  ignore (Session.auto_select sess e ~options:auto ~rules:Core.Auto.builtin_rules);
+  agrees "auto_select";
+  ignore (Session.schedule sess e ~options:{ options with Pipeline.pdef = 3 } ~patterns:[] ());
+  agrees "schedule, selected";
+  ignore (Session.schedule sess e ~options ~patterns:report.Select.patterns ());
+  agrees "schedule, given patterns";
+  ignore (Session.pipeline sess g ~options:{ auto with Pipeline.pdef = 5 });
+  agrees "pipeline";
+  ignore (Session.portfolio sess e ~options);
+  agrees "portfolio";
+  ignore (Session.certify sess g ~options ());
+  agrees "certify";
+  let e', _, _, _, _ =
+    Session.edit sess g ~options
+      ~edits:[ Protocol.Add_node { node = "z"; color = "a" } ]
+  in
+  touched := e' :: !touched;
+  agrees "edit"
 
 (* --- sharing ------------------------------------------------------------ *)
-
-let builtin name =
-  match Server.resolve_source (Protocol.Builtin name) with
-  | Ok g -> g
-  | Error m -> Alcotest.fail m
 
 (* A builtin is built once per process: every resolution, from any domain
    and even when two domains race on the first one, is the same value. *)
@@ -568,9 +611,19 @@ let z1_base_text () =
     (List.filter (fun l -> l <> "edge b1 z1")
        (String.split_on_char '\n' (Core.Dfg_parse.to_string g)))
 
-(* Seventeen lines that cover every command; builtin, canonical-text,
-   commented-text and DOT sources of one graph; f1 and f2; Pdef 1 to 6 and
-   10^15; cluster on and off; and requests that fail. *)
+(* 3dft's canonical text with node a2 colored b: another graph whose
+   canonical text has the same length. *)
+let recolored_text () =
+  String.concat "\n"
+    (List.map
+       (fun l -> if l = "node a2 a" then "node a2 b" else l)
+       (String.split_on_char '\n' (Core.Dfg_parse.to_string (builtin "3dft"))))
+
+(* Eighteen lines that cover every command; builtin, canonical-text,
+   commented-text and DOT sources of one graph; canonical text of another
+   graph whose text has the same length, so two entries share a length;
+   f1 and f2; Pdef 1 to 6 and 10^15; cluster on and off; and requests
+   that fail. *)
 let stream_pool =
   lazy
     (let canonical = Core.Dfg_parse.to_string (builtin "3dft") in
@@ -609,6 +662,7 @@ let stream_pool =
        line_of [ ("cmd", str "stats") ];
        "{\"cmd\":\"select\",\"graph\":\"nope\"}";
        "not a request";
+       line_of [ ("cmd", str "select"); ("dfg", str (recolored_text ())) ];
      |])
 
 (* What the memo may change: the eval-cache counts, and the stats fields
@@ -632,12 +686,26 @@ let parse_line what resp =
   | Ok j -> j
   | Error m -> QCheck2.Test.fail_reportf "%s: unparseable response %s: %s" what resp m
 
+(* The session totals an ok response reports, and its request's delta:
+   [stats] reports the totals alone. *)
+let eval_counts j =
+  let n k o = as_int (member_exn "eval_cache" k o) in
+  match Json.member "stats" j with
+  | Some st ->
+      let c = member_exn "stats" "eval_cache" st in
+      Some ((n "session_hits" c, n "session_misses" c), (n "hits" c, n "misses" c))
+  | None -> Option.map (fun c -> ((n "hits" c, n "misses" c), (0, 0))) (Json.member "eval_cache" j)
+
 (* Each response of a stream with frequent repeats, memoized and spliced,
    equals the memo-less reference's apart from the eval-cache counts and
-   the new stats fields, and prints as Json.to_line prints its tree. *)
+   the new stats fields, and prints as Json.to_line prints its tree.  Its
+   session totals are the previous response's plus its own request's
+   delta, unless an error came between them (a request that fails may
+   have costed sets first). *)
 let stream_matches_reference ?max_graphs picks =
   let pool = Lazy.force stream_pool in
   let sess = Session.create ?max_graphs () and ref_sess = Session.create ?max_graphs () in
+  let last = ref (Some (0, 0)) in
   List.iteri
     (fun i k ->
       let line = pool.(k mod Array.length pool) in
@@ -649,6 +717,16 @@ let stream_matches_reference ?max_graphs picks =
       let got = Server.handle_line sess line and want = Server_ref.handle_line ref_sess line in
       let j = parse_line "memo" got in
       if Json.to_line j <> got then QCheck2.Test.fail_reportf "not to_line's rendering: %s" got;
+      (match (Json.member "ok" j, eval_counts j) with
+      | Some (Json.Bool true), Some (((sh, sm) as totals), (dh, dm)) ->
+          (match !last with
+          | Some (h0, m0) when (sh, sm) <> (h0 + dh, m0 + dm) ->
+              QCheck2.Test.fail_reportf
+                "request %d: session totals %d/%d after %d/%d and a delta of %d/%d: %s" i sh sm
+                h0 m0 dh dm got
+          | _ -> ());
+          last := Some totals
+      | _ -> last := None);
       let a = Json.to_line (strip_memo_fields j)
       and b = Json.to_line (strip_memo_fields (parse_line "reference" want)) in
       if a <> b then
@@ -656,11 +734,13 @@ let stream_matches_reference ?max_graphs picks =
     picks;
   true
 
-let picks_gen = QCheck2.Gen.(list_size (1 -- 30) (0 -- 16))
+let picks_gen = QCheck2.Gen.(list_size (1 -- 30) (0 -- 17))
 
-(* Splicing rendered member runs is rendering the whole object. *)
-let splice_matches_to_line (groups : (string * Json.t) list list) =
-  Server.splice (List.map Server.members groups) = Json.to_line (Json.Obj (List.concat groups))
+(* Splicing a rendered member run between a head and a tail is rendering
+   the whole object, whichever of the three is empty. *)
+let splice_matches_to_line (head, body, tail) =
+  Server.splice head (Server.members body) tail
+  = Json.to_line (Json.Obj (head @ body @ tail))
 
 let object_groups_gen =
   let open QCheck2.Gen in
@@ -687,7 +767,8 @@ let object_groups_gen =
                  (1, map (fun kvs -> Json.Obj kvs) (list_size (0 -- 3) (pair key (self (size / 3)))));
                ])
   in
-  list_size (0 -- 4) (list_size (0 -- 4) (pair key value))
+  let group = list_size (0 -- 4) (pair key value) in
+  triple group group group
 
 let select_line graph = line_of [ ("cmd", str "select"); ("graph", str graph) ]
 
