@@ -292,8 +292,8 @@ let select_cmd =
     with_session jobs @@ fun sess ->
     let entry, _ = Session.intern sess g in
     (* The phase commands classify unbudgeted, as they always did;
-       certification below uses the pipeline default budget — two distinct
-       cached families, mirroring the historical double classification. *)
+       certification below asks for the pipeline default budget, which
+       the complete classification serves unless the budget cuts it. *)
     let sel_options =
       {
         C.Pipeline.default_options with
@@ -833,10 +833,11 @@ let serve_cmd =
     let memo_hits, memo_misses = Session.memo_stats sess in
     Printf.eprintf
       "serve: %d requests over %d graphs, eval cache %d hits / %d misses, \
-       memo %d hits / %d misses\n"
+       memo %d hits / %d misses, %d classifications\n"
       (Session.request_count sess)
       (Session.graph_count sess)
       hits misses memo_hits memo_misses
+      (Session.classification_count sess)
   in
   let run use_stdin listen connect jobs max_graphs stats trace_out =
     match (use_stdin, listen, connect) with

@@ -3,8 +3,9 @@
 # determinism across --jobs (portfolio 3dft and w5dft run every portfolio
 # backend: eq8, harvest:greedy and beam), the observability
 # no-perturbation gate, the serve smoke gate (golden stream, error
-# recovery, --jobs invariance, the --max-graphs 2 eviction golden, the
-# JSON decode golden), the eval counter gate (eval.* counters and
+# recovery, --jobs invariance, a certify sharing the select's
+# classification, the --max-graphs 2 eviction golden, the JSON decode
+# golden), the eval counter gate (eval.* counters and
 # the serve edit stream byte-identical at any --jobs), the selector gate
 # (auto smoke, counter jobs-invariance), the selector fit in release
 # (refit = compiled-in table, auto = portfolio entry, regret <= 5%), the
@@ -114,6 +115,18 @@ if [ "$(grep -c '"ok":true' "$tmp1")" -ne 3 ] || \
   exit 1
 fi
 echo "  ok: malformed request answered with an error, session survived"
+# The certify asks for the 5M default budget, which 3dft's 3,430
+# antichains never reach, so the select's complete classification serves
+# it: the certify is warm and the session classified once.
+for out in "$tmp1" "$tmp4"; do
+  if ! grep '"id":2,' "$out" | grep -q '"warm":true' || \
+     ! grep '"id":3,' "$out" | grep -q '"classifications":1[,}]'; then
+    echo "FAIL: certify after select must share its classification (warm, 1 classification), got:" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+done
+echo "  ok: certify at the default budget shares the select's classification"
 timeout 60 dune exec --no-build bin/mpsched.exe -- serve --stdin \
   < test/cli/serve_requests.txt > "$tmp1"
 if ! cmp -s test/cli/serve_smoke.expected "$tmp1"; then

@@ -64,13 +64,31 @@ let validate_options ~who options =
   if options.capacity < 1 then invalid_arg (who ^ ": capacity < 1");
   if options.pdef < 1 then invalid_arg (who ^ ": pdef < 1")
 
+(* The flow's selection step: Fig. 7 (Eq. 8/9) under [Paper], the one
+   backend the rule table dispatches under [Auto].  [eval] is a context for
+   the classified graph sharing its universe: auto reuses its analyses for
+   the feature vector and costs its backend's set on it. *)
+let selection ?(options = default_options) ?features ~eval classify =
+  match options.strategy with
+  | Auto.Paper ->
+      ( Select.select_report ~params:options.selection ~pdef:options.pdef
+          classify,
+        None )
+  | Auto.Auto rules ->
+      let outcome =
+        Auto.select ~rules ?features ~eval ~pdef:options.pdef classify
+      in
+      ({ Select.patterns = outcome.Auto.patterns; steps = [] }, Some outcome)
+
 (* Selection + scheduling + configuration on an already-computed
    classification — the part of the flow every request after the first hits
    in a warm serve session.  [eval], when given, must be a context for the
    classified graph sharing the classification's universe; the schedule it
    produces is identical to a fresh context's (see {!Mps_scheduler.Eval}),
-   only the per-graph analyses are amortized. *)
-let classified_core ~options ~clustering ~eval ~features classify =
+   only the per-graph analyses are amortized.  [chosen], when given, is
+   {!selection}'s result for these options, forced only here, after the
+   options were validated. *)
+let classified_core ~options ~clustering ~eval ~chosen classify =
   let graph = Classify.graph classify in
   let universe = Classify.universe classify in
   (* The evaluation context is built before selection so the auto strategy
@@ -79,16 +97,9 @@ let classified_core ~options ~clustering ~eval ~features classify =
      path is byte-identical to the old build-after-selection order. *)
   let ev = match eval with Some ev -> ev | None -> Eval.make ~universe graph in
   let selection_report, auto =
-    match options.strategy with
-    | Auto.Paper ->
-        ( Select.select_report ~params:options.selection ~pdef:options.pdef
-            classify,
-          None )
-    | Auto.Auto rules ->
-        let outcome =
-          Auto.select ~rules ?features ~eval:ev ~pdef:options.pdef classify
-        in
-        ({ Select.patterns = outcome.Auto.patterns; steps = [] }, Some outcome)
+    match chosen with
+    | Some chosen -> Lazy.force chosen
+    | None -> selection ~options ~eval:ev classify
   in
   let patterns = selection_report.Select.patterns in
   (* Full-fidelity schedule through an evaluation context — the same
@@ -114,11 +125,11 @@ let classified_core ~options ~clustering ~eval ~features classify =
           Config_space.of_schedule ~tile:options.tile schedule);
   }
 
-let run_classified ?(options = default_options) ?clustering ?eval ?features
-    classify =
+let run_classified ?(options = default_options) ?clustering ?eval
+    ?selection:chosen classify =
   validate_options ~who:"Pipeline.run_classified" options;
   Obs.span "pipeline" @@ fun () ->
-  classified_core ~options ~clustering ~eval ~features classify
+  classified_core ~options ~clustering ~eval ~chosen classify
 
 let run ?pool ?(options = default_options) dfg =
   validate_options ~who:"Pipeline.run" options;
@@ -140,7 +151,13 @@ let run ?pool ?(options = default_options) dfg =
     Classify.compute ?pool ?span_limit:options.span_limit
       ?budget:options.enumeration_budget ~capacity:options.capacity ~universe ctx
   in
-  classified_core ~options ~clustering ~eval:None ~features:None classify
+  (* The scheduler reads the levels and reachability the enumeration
+     context already computed. *)
+  let eval =
+    Eval.make ~universe ~levels:(Enumerate.ctx_levels ctx)
+      ~reachability:(Enumerate.ctx_reachability ctx) graph
+  in
+  classified_core ~options ~clustering ~eval:(Some eval) ~chosen:None classify
 
 type certification = {
   heuristic : Pattern.t list;
@@ -149,10 +166,13 @@ type certification = {
   gap_percent : float;
 }
 
-let certified_core ~options ?max_nodes ?bans classify =
+let certified_core ~options ?max_nodes ?bans ?heuristic classify =
   let graph = Classify.graph classify in
   let heuristic =
-    Select.select ~params:options.selection ~pdef:options.pdef classify
+    match heuristic with
+    | Some h -> Lazy.force h
+    | None ->
+        Select.select ~params:options.selection ~pdef:options.pdef classify
   in
   (* The heuristic's set seeds the branch-and-bound as its warm-start
      incumbent, so the certified optimum can only tie or beat it and the
@@ -180,10 +200,11 @@ let certified_core ~options ?max_nodes ?bans classify =
   in
   { heuristic; heuristic_cycles; exact; gap_percent }
 
-let certify_classified ?(options = default_options) ?max_nodes ?bans classify =
+let certify_classified ?(options = default_options) ?max_nodes ?bans ?heuristic
+    classify =
   validate_options ~who:"Pipeline.certify_classified" options;
   Obs.span "certify" @@ fun () ->
-  certified_core ~options ?max_nodes ?bans classify
+  certified_core ~options ?max_nodes ?bans ?heuristic classify
 
 let certify ?pool ?(options = default_options) ?max_nodes dfg =
   validate_options ~who:"Pipeline.certify" options;

@@ -65,11 +65,28 @@ val run : ?pool:Mps_exec.Pool.t -> ?options:options -> Mps_dfg.Dfg.t -> t
     @raise Invalid_argument on nonsensical options (pdef or
     capacity < 1). *)
 
+val selection :
+  ?options:options ->
+  ?features:Mps_select.Features.t ->
+  eval:Mps_scheduler.Eval.t ->
+  Mps_antichain.Classify.t ->
+  Mps_select.Select.report * Mps_select.Auto.outcome option
+(** The flow's selection step, the one both {!run} and a serve session's
+    selection memo run: the Eq. 8/9 report and [None] under [Paper]; under
+    [Auto rules], the dispatched backend's patterns with an empty step
+    list and the auto-selector's outcome.  [eval] must be a context for
+    the classified graph sharing its universe: auto costs the backend's
+    set on it and reads its analyses for the feature vector unless
+    [features] (the serve session's per-graph copy) is given.  Reads only
+    [strategy], [selection] and [pdef] of [options].
+    @raise Invalid_argument as {!Mps_select.Select.select_report} and
+    {!Mps_select.Auto.select} do on [pdef < 1]. *)
+
 val run_classified :
   ?options:options ->
   ?clustering:Mps_clustering.Cluster.t ->
   ?eval:Mps_scheduler.Eval.t ->
-  ?features:Mps_select.Features.t ->
+  ?selection:(Mps_select.Select.report * Mps_select.Auto.outcome option) Lazy.t ->
   Mps_antichain.Classify.t ->
   t
 (** The flow from an already-computed classification on: selection,
@@ -81,10 +98,11 @@ val run_classified :
     {!t.clustering} verbatim for callers that clustered upstream; [eval]
     reuses a warm evaluation context for the classified graph (it must
     share the classification's universe) instead of building one — the
-    schedule is identical either way.  [features], meaningful only under
-    an [Auto] strategy, is a pre-extracted feature vector for the
-    classified graph (the serve session passes its fingerprint-keyed
-    cache); when absent the auto path derives it from [eval]'s analyses. *)
+    schedule is identical either way.  [selection], when given, is
+    {!selection}'s result for [options] on this classification (a serve
+    session keeps it per Pdef), used instead of selecting again; it is
+    forced after the options are validated, so a bad [pdef] is refused as
+    without it. *)
 
 type certification = {
   heuristic : Mps_pattern.Pattern.t list;
@@ -117,6 +135,7 @@ val certify_classified :
   ?options:options ->
   ?max_nodes:int ->
   ?bans:Mps_select.Exact.ban_entry list ->
+  ?heuristic:Mps_pattern.Pattern.t list Lazy.t ->
   Mps_antichain.Classify.t ->
   certification
 (** {!certify} from an already-computed classification, optionally warm:
@@ -124,7 +143,10 @@ val certify_classified :
     ({!Mps_select.Exact.search}'s contract), so repeat certifications in a
     serve session skip every already-costed set.  The certification's
     optimal set and cycles are identical to a cold {!certify}; only the
-    search accounting (ban hits, evaluations) reflects the reuse. *)
+    search accounting (ban hits, evaluations) reflects the reuse.
+    [heuristic], when given, is the Eq. 8/9 selection for [options] on
+    this classification, forced after the options are validated, used
+    instead of selecting again. *)
 
 type mapped = {
   program : Mps_frontend.Program.t;

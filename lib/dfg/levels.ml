@@ -45,6 +45,3 @@ let span t nodes =
       max 0 (max_asap - min_alap)
 
 let span_bound t nodes = t.asap_max + span t nodes + 1
-
-let pp_row g t ppf i =
-  Format.fprintf ppf "%s %d %d %d" (Dfg.name g i) (asap t i) (alap t i) (height t i)

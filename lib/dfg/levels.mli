@@ -37,6 +37,3 @@ val span : t -> int list -> int
 val span_bound : t -> int list -> int
 (** Theorem 1's lower bound on total schedule length if the given set is
     forced into a single cycle: [asap_max + span + 1]. *)
-
-val pp_row : Dfg.t -> t -> Format.formatter -> int -> unit
-(** "name asap alap height" — the shape of a Table 1 row. *)

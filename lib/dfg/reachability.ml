@@ -1,28 +1,27 @@
 module Bitset = Mps_util.Bitset
 
-type t = {
-  desc : Bitset.t array;
-  anc : Bitset.t array;
-  par : Bitset.t array;
-}
+type t = { desc : Bitset.t array; par : Bitset.t array }
 
+(* Both closures are unions of whole sets along one topological order:
+   desc(i) = ∪ ({s} ∪ desc(s)) over the successors s, filled in reverse
+   order, and anc(s) = ∪ ({i} ∪ anc(i)) over the predecessors i, each
+   predecessor adding its set once it is final.  [anc] is needed only for
+   the parallel sets. *)
 let compute g =
   let n = Dfg.node_count g in
   let desc = Array.init n (fun _ -> Bitset.create n) in
   let anc = Array.init n (fun _ -> Bitset.create n) in
   let order = Topo.order g in
-  (* desc(i) = union over successors s of ({s} ∪ desc(s)), reverse topo. *)
+  let add_closed dst i src =
+    Bitset.add dst i;
+    Bitset.union_into ~dst src
+  in
   List.iter
-    (fun i ->
-      List.iter
-        (fun s ->
-          Bitset.add desc.(i) s;
-          Bitset.union_into ~dst:desc.(i) desc.(s))
-        (Dfg.succs g i))
+    (fun i -> Array.iter (fun s -> add_closed desc.(i) s desc.(s)) (Dfg.succ_array g i))
     (List.rev order);
-  for i = 0 to n - 1 do
-    Bitset.iter (fun j -> Bitset.add anc.(j) i) desc.(i)
-  done;
+  List.iter
+    (fun i -> Array.iter (fun s -> add_closed anc.(s) i anc.(i)) (Dfg.succ_array g i))
+    order;
   let par =
     Array.init n (fun i ->
         let p = Bitset.full n in
@@ -31,7 +30,7 @@ let compute g =
         Bitset.remove p i;
         p)
   in
-  { desc; anc; par }
+  { desc; par }
 
 let node_count t = Array.length t.desc
 
@@ -55,10 +54,6 @@ let parallelizable t i j =
 let descendants t i =
   check t i;
   t.desc.(i)
-
-let ancestors t i =
-  check t i;
-  t.anc.(i)
 
 let parallel_set t i =
   check t i;

@@ -27,9 +27,6 @@ val descendants : t -> int -> Mps_util.Bitset.t
 (** All followers of the node.  The returned bitset is shared internal
     state: treat it as read-only. *)
 
-val ancestors : t -> int -> Mps_util.Bitset.t
-(** All nodes the given node follows.  Read-only, as above. *)
-
 val parallel_set : t -> int -> Mps_util.Bitset.t
 (** All nodes parallelizable with the node (excludes the node itself).
     Read-only, as above. *)

@@ -74,10 +74,12 @@ type t = {
   mutable misses : int;
 }
 
-let make ?universe g =
+let make ?universe ?levels ?reachability g =
   let n = Dfg.node_count g in
-  let reach = Reachability.compute g in
-  let lvls = Levels.compute g in
+  let reach =
+    match reachability with Some r -> r | None -> Reachability.compute g
+  in
+  let lvls = match levels with Some l -> l | None -> Levels.compute g in
   let prio = Node_priority.compute g reach lvls in
   let cidx = Array.make 256 (-1) in
   let ncolors = ref 0 in
@@ -130,7 +132,6 @@ let make ?universe g =
 let graph t = t.graph
 let reachability t = t.reach
 let levels t = t.lvls
-let node_priority t = t.prio
 let cache_stats t = (t.hits, t.misses)
 
 (* --- fast path --------------------------------------------------------- *)

@@ -69,23 +69,30 @@ type result = {
 type t
 (** The per-graph evaluation context. *)
 
-val make : ?universe:Mps_pattern.Universe.t -> Mps_dfg.Dfg.t -> t
+val make :
+  ?universe:Mps_pattern.Universe.t ->
+  ?levels:Mps_dfg.Levels.t ->
+  ?reachability:Mps_dfg.Reachability.t ->
+  Mps_dfg.Dfg.t ->
+  t
 (** Computes the graph analyses (reachability, levels, node priorities,
     color index) and allocates the scratch buffers once.  [universe], when
     given, plays two roles: {!schedule} hash-conses its patterns through it
     (exactly as {!Multi_pattern.schedule} documents), and {!cycles_ids}
     interprets ids in it.  The context never interns into the caller's
     universe on the fast path — memo keys live in a private arena — so
-    sharing a universe across contexts stays safe. *)
+    sharing a universe across contexts stays safe.  [levels] and
+    [reachability], when given, are analyses of this graph the caller
+    already owns (the antichain enumeration context computes both),
+    used instead of computing them again — same context. *)
 
 val graph : t -> Mps_dfg.Dfg.t
 (** The graph the context was built for. *)
 
 val reachability : t -> Mps_dfg.Reachability.t
 val levels : t -> Mps_dfg.Levels.t
-val node_priority : t -> Node_priority.t
 (** The amortized per-graph analyses, for callers that need them beyond
-    scheduling (the context computed them anyway). *)
+    scheduling (the context computed or was given them anyway). *)
 
 val cycles :
   ?priority:pattern_priority -> t -> Mps_pattern.Pattern.t list -> int

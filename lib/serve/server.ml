@@ -395,6 +395,7 @@ let execute sess (p : prepared) =
           ("eval_cache", hits_misses (Session.session_cache_stats sess));
           ("memo", hits_misses (Session.memo_stats sess));
           ("evictions", num (Session.eviction_count sess));
+          ("classifications", num (Session.classification_count sess));
         ]
   | Ok (r, g) -> (
       let g = Option.get g (* the protocol guarantees a graph *) in

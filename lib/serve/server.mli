@@ -10,8 +10,9 @@
                                  "session_hits": int, "session_misses": int } } }
     v}
 
-    where [warm] says the request hit an already-cached classification
-    (or, for an explicit-pattern [schedule], an already-built context),
+    where [warm] says an existing classification family served the
+    request, whichever budget made it (or, for an explicit-pattern
+    [schedule], an already-built context),
     and [eval_cache] reports the scheduler memo cache {e for this
     request} (the delta) and {e for the session so far} (cumulative).
     Cycle counts that are [max_int] (unschedulable) render as [null].  A
@@ -20,8 +21,10 @@
     {!Protocol.error_response}'s shape, and the session survives to
     serve the next line.  [stats] answers
     [{"id"?, "ok", "cmd", "requests", "graphs", "eval_cache": {"hits",
-    "misses"}, "memo": {"hits", "misses"}, "evictions"}] for the session
-    so far.
+    "misses"}, "memo": {"hits", "misses"}, "evictions",
+    "classifications"}] for the session so far, [classifications]
+    counting every cold classification computed, evicted entries'
+    included ({!Session.classification_count}).
 
     {2 A repeated request is a lookup}
 

@@ -1,9 +1,23 @@
 module C = Core
 
-(* One classification parameter set's warm artifacts.  The universe lives
-   inside [classify]; the eval context shares it, so selection fallbacks
-   interned later stay valid for id-based costing. *)
-type family = { classify : C.Classify.t; f_eval : C.Eval.t }
+(* What selects a pattern set on a family: Fig. 7's parameters, or the
+   auto-selector's rule table, and Pdef. *)
+type selection_key =
+  | Eq8 of C.Select.params * int
+  | Dispatch of C.Auto.rules * int
+
+(* One classification's warm artifacts.  The universe lives inside
+   [classify]; the eval context shares it, so selection fallbacks interned
+   later stay valid for id-based costing.  [f_selections] keeps what
+   [Pipeline.selection] answered, within [selection_cap] and
+   [selection_size_cap]; [f_size] is the size it holds. *)
+type family = {
+  classify : C.Classify.t;
+  f_eval : C.Eval.t;
+  f_selections :
+    (selection_key, C.Select.report * C.Auto.outcome option) Hashtbl.t;
+  mutable f_size : int;
+}
 
 (* A memoized response: the command's rendered fields, and for [edit] the
    edited graph, which a hit interns again as the computation did. *)
@@ -21,7 +35,9 @@ type entry = {
   mutable e_plain : C.Eval.t option;
       (* Context for explicit-pattern scheduling, built without a
          universe exactly like [Multi_pattern.schedule]'s. *)
-  e_families : (string, family) Hashtbl.t;
+  e_families : (int * int option * int option, family) Hashtbl.t;
+      (* By capacity, span limit and budget; a complete classification
+         sits under budget [None], whatever budget asked for it. *)
   e_bans : (string, C.Exact.ban_entry list) Hashtbl.t;
   (* Families migrated onto this entry by [edit] instead of classified:
      the patched pattern set, whether coverage needed patching, and the
@@ -239,18 +255,29 @@ let remember e key a =
     e.e_memo_bytes <- e.e_memo_bytes + size
   end
 
-(* Classification cache key: exactly the parameters Classify.compute sees.
-   Selection parameters are deliberately not part of it — selection is
-   cheap and runs per request on the cached classification. *)
+(* The ban-list key's classification part: exactly the parameters
+   Classify.compute sees. *)
 let cls_key ~capacity ~span_limit ~budget =
   Printf.sprintf "%d/%s/%s" capacity
     (match span_limit with None -> "-" | Some s -> string_of_int s)
     (match budget with None -> "-" | Some b -> string_of_int b)
 
+(* A budgeted walk of a complete pool visits every antichain in the same
+   order as the unbudgeted one, so it builds the same classification: a
+   complete family serves every budget at or above its antichain count,
+   and no budget at all.  A truncated one serves only its own budget. *)
+let find_family e ~capacity ~span_limit ~budget =
+  match
+    (Hashtbl.find_opt e.e_families (capacity, span_limit, None), budget)
+  with
+  | Some f, None -> Some f
+  | Some f, Some b when C.Classify.total_antichains f.classify <= b -> Some f
+  | _, None -> None
+  | _, Some _ -> Hashtbl.find_opt e.e_families (capacity, span_limit, budget)
+
 let family t e ~capacity ~span_limit ~budget =
   t.stale <- true;
-  let key = cls_key ~capacity ~span_limit ~budget in
-  match Hashtbl.find_opt e.e_families key with
+  match find_family e ~capacity ~span_limit ~budget with
   | Some f -> (f, true)
   | None ->
       t.s_classifications <- t.s_classifications + 1;
@@ -260,9 +287,15 @@ let family t e ~capacity ~span_limit ~budget =
         C.Classify.compute ?pool:t.s_pool ?span_limit ?budget ~capacity
           ~universe ctx
       in
-      let f_eval = C.Eval.make ~universe e.e_graph in
-      let f = { classify; f_eval } in
-      Hashtbl.replace e.e_families key f;
+      let f_eval =
+        C.Eval.make ~universe ~levels:(C.Enumerate.ctx_levels ctx)
+          ~reachability:(C.Enumerate.ctx_reachability ctx) e.e_graph
+      in
+      let f =
+        { classify; f_eval; f_selections = Hashtbl.create 8; f_size = 0 }
+      in
+      let budget = if C.Classify.truncated classify then budget else None in
+      Hashtbl.replace e.e_families (capacity, span_limit, budget) f;
       e.e_evals <- f_eval :: e.e_evals;
       (f, false)
 
@@ -302,34 +335,91 @@ let ban_key ~(options : C.Pipeline.options) =
 let prior_bans e key =
   Option.value (Hashtbl.find_opt e.e_bans key) ~default:[]
 
-let select_report t e ~options =
-  let f, warm = family_of_options t e ~options in
-  ( C.Select.select_report ~params:options.C.Pipeline.selection
-      ~pdef:options.C.Pipeline.pdef f.classify,
-    warm )
-
-(* Warm per-graph feature vector: extracted once per fingerprint,
-   reusing a family context's analyses when a family already exists. *)
-let features e ~eval =
+(* Warm per-graph feature vector: extracted once per fingerprint from the
+   analyses of the first family context that asks. *)
+let features e ev =
   match e.e_features with
   | Some fv -> fv
   | None ->
       let fv =
-        match eval with
-        | Some ev ->
-            C.Features.extract_with ~levels:(C.Eval.levels ev)
-              ~reachability:(C.Eval.reachability ev) e.e_graph
-        | None -> C.Features.extract e.e_graph
+        C.Features.extract_with ~levels:(C.Eval.levels ev)
+          ~reachability:(C.Eval.reachability ev) e.e_graph
       in
       e.e_features <- Some fv;
       fv
 
+(* ---- one selection per Pdef ---- *)
+
+let selection_cap = 64
+let selection_size_cap = 1 lsl 14
+
+let selections e =
+  Hashtbl.fold (fun _ f n -> n + Hashtbl.length f.f_selections) e.e_families 0
+
+(* List entries a selection holds: its patterns and, per Fig. 7 step, the
+   step, its scored candidates and its deletions.  A report takes about 8
+   words an entry. *)
+let selection_size ((report : C.Select.report), _) =
+  List.fold_left
+    (fun n (st : C.Select.step) ->
+      n + 1
+      + List.length st.C.Select.priorities
+      + List.length st.C.Select.deleted)
+    (List.length report.C.Select.patterns)
+    report.C.Select.steps
+
+(* [Pipeline.selection] on the family, kept per selection key: it reads
+   the classification, the strategy and Pdef, never the request's priority
+   or command.  An answer that would pass either cap empties the memo
+   first, and one larger than [selection_size_cap] is not kept: at a Pdef
+   in the thousands, the report on 30 unconnected nodes of 10 colors (a
+   pool of 2,892 patterns) has 1,902 steps and 17.9M words. *)
+let selection e f ~(options : C.Pipeline.options) =
+  let pdef = options.C.Pipeline.pdef in
+  let key =
+    match options.C.Pipeline.strategy with
+    | C.Auto.Paper -> Eq8 (options.C.Pipeline.selection, pdef)
+    | C.Auto.Auto rules -> Dispatch (rules, pdef)
+  in
+  match Hashtbl.find_opt f.f_selections key with
+  | Some chosen -> chosen
+  | None ->
+      let features =
+        match key with
+        | Eq8 _ -> None
+        | Dispatch _ -> Some (features e f.f_eval)
+      in
+      let chosen =
+        C.Pipeline.selection ~options ?features ~eval:f.f_eval f.classify
+      in
+      let size = selection_size chosen in
+      if size <= selection_size_cap then begin
+        if
+          Hashtbl.length f.f_selections >= selection_cap
+          || f.f_size + size > selection_size_cap
+        then begin
+          Hashtbl.reset f.f_selections;
+          f.f_size <- 0
+        end;
+        Hashtbl.replace f.f_selections key chosen;
+        f.f_size <- f.f_size + size
+      end;
+      chosen
+
+let eq8 options = { options with C.Pipeline.strategy = C.Auto.Paper }
+
+let select_report t e ~options =
+  let f, warm = family_of_options t e ~options in
+  (fst (selection e f ~options:(eq8 options)), warm)
+
 let auto_select t e ~options ~rules =
   let f, warm = family_of_options t e ~options in
-  let fv = features e ~eval:(Some f.f_eval) in
-  ( C.Auto.select ~rules ~features:fv ~eval:f.f_eval
-      ~pdef:options.C.Pipeline.pdef f.classify,
-    warm )
+  match
+    selection e f
+      ~options:{ options with C.Pipeline.strategy = C.Auto.Auto rules }
+  with
+  | _, Some outcome -> (outcome, warm)
+  | _, None -> assert false (* an [Auto] strategy answers its outcome *)
 
 let set_cycles t e ~options patterns =
   let f, _ = family_of_options t e ~options in
@@ -339,15 +429,7 @@ let schedule t e ~options ?(trace = false) ~patterns () =
   match patterns with
   | [] ->
       let f, warm = family_of_options t e ~options in
-      let pats =
-        match options.C.Pipeline.strategy with
-        | C.Auto.Paper ->
-            C.Select.select ~params:options.C.Pipeline.selection
-              ~pdef:options.C.Pipeline.pdef f.classify
-        | C.Auto.Auto rules ->
-            let outcome, _ = auto_select t e ~options ~rules in
-            outcome.C.Auto.patterns
-      in
+      let pats = (fst (selection e f ~options)).C.Select.patterns in
       let r =
         C.Eval.schedule ~priority:options.C.Pipeline.priority ~trace f.f_eval
           ~patterns:pats
@@ -372,13 +454,9 @@ let pipeline t dfg ~options =
   in
   let e, _ = intern t graph in
   let f, warm = family_of_options t e ~options in
-  let fv =
-    match options.C.Pipeline.strategy with
-    | C.Auto.Paper -> None
-    | C.Auto.Auto _ -> Some (features e ~eval:(Some f.f_eval))
-  in
   let r =
-    C.Pipeline.run_classified ~options ?clustering ~eval:f.f_eval ?features:fv
+    C.Pipeline.run_classified ~options ?clustering ~eval:f.f_eval
+      ~selection:(lazy (selection e f ~options))
       f.classify
   in
   (r, warm)
@@ -408,8 +486,12 @@ let certify t dfg ~options ?max_nodes () =
   let f, warm = family_of_options t e ~options in
   let key = ban_key ~options in
   let prior = prior_bans e key in
+  let heuristic =
+    lazy (fst (selection e f ~options:(eq8 options))).C.Select.patterns
+  in
   let cert =
-    C.Pipeline.certify_classified ~options ?max_nodes ~bans:prior f.classify
+    C.Pipeline.certify_classified ~options ?max_nodes ~bans:prior ~heuristic
+      f.classify
   in
   Hashtbl.replace e.e_bans key (prior @ cert.C.Pipeline.exact.C.Exact.bans);
   (cert, warm)
@@ -484,8 +566,7 @@ let edit t dfg ~options ~edits =
            patched with fabricated patterns — the same shape as Fig. 7's
            coverage fallback, capacity colors at a time. *)
         let selected =
-          C.Select.select ~params:options.C.Pipeline.selection
-            ~pdef:options.C.Pipeline.pdef f.classify
+          (fst (selection e_base f ~options:(eq8 options))).C.Select.patterns
         in
         let covered =
           List.fold_left

@@ -3,26 +3,43 @@
 
     A session holds one {e entry} per distinct graph (keyed by a
     fingerprint of its canonical DFG text).  Each entry amortizes, per
-    classification parameter set (capacity, span limit, enumeration
-    budget), the expensive artifacts of the one-shot flow:
+    {e family} of classification parameters, the expensive artifacts of
+    the one-shot flow:
 
     - the {b classification} itself — antichain enumeration is the
       dominant cost on every non-trivial graph;
     - the {b pattern universe} it interned into — one universe {e per
-      family}, never shared across parameter sets or graphs, so id
-      assignment (first-visit enumeration order) is byte-identical to
-      what a cold one-shot run produces;
+      family}, never shared across families or graphs, so id assignment
+      (first-visit enumeration order) is byte-identical to what a cold
+      one-shot run produces;
     - a warm {b evaluation context} ({!Mps_scheduler.Eval.t}) over that
-      universe, whose memo cache makes repeat set-costing a hash lookup;
-    - the exact backend's {b ban list}, keyed by the search family
-      (classification parameters + pdef + priority — the fingerprint
-      under which {!Mps_select.Exact.search} documents its bans as
-      reusable facts), so repeat certifications skip every
-      already-costed set.
+      universe, built on the enumeration context's levels and
+      reachability, whose memo cache makes repeat set-costing a hash
+      lookup;
+    - the {b selections} made on it ({!selection_cap}): Fig. 7's report
+      per (selection parameters, Pdef) and the auto-selector's outcome
+      per (rule table, Pdef), which read neither the request's priority
+      nor its command, so [select], [schedule], [pipeline], [certify] and
+      [edit] asking for one Pdef select once.
 
-    Every operation reports whether it ran {e warm} (the classification
-    was already cached) — the bit the service surfaces per response and
-    counts in its telemetry.
+    Families are keyed by capacity and span limit.  A classification the
+    enumeration budget did not truncate is {e complete}: a budgeted walk
+    of a complete pool visits every antichain in the same order, so it
+    builds the identical classification, and the complete family serves
+    every request with its capacity and span whose budget is absent or at
+    least its antichain count.  A truncated classification serves only its
+    own budget.  The unbudgeted phase commands and the budgeted
+    [pipeline] and [certify] thus share one family on every graph the
+    budget does not cut.
+
+    The exact backend's {b ban list} is kept per search family
+    (capacity, span limit, budget, pdef and priority — the fingerprint
+    under which {!Mps_select.Exact.search} documents its bans as reusable
+    facts), so repeat certifications skip every already-costed set.
+
+    Every operation reports whether it ran {e warm} (a family serving
+    it, made for this budget or another, already existed) — the bit the
+    service surfaces per response and counts in its telemetry.
 
     Each entry also keeps its graph's canonical text ({!text}) and a
     {b response memo} ({!recall}, {!remember}) that the server fills
@@ -62,9 +79,9 @@ val request_count : t -> int
 
 val classification_count : t -> int
 (** How many cold classifications the session has ever computed — the
-    number {!edit} is designed to keep flat: a warm edit migrates the base
-    family instead of classifying the edited graph.  Evictions never
-    lower it. *)
+    number {!edit} is designed to keep flat (a warm edit migrates the base
+    family instead of classifying the edited graph) and a complete family
+    keeps flat across budgets.  Evictions never lower it. *)
 
 val eviction_count : t -> int
 (** Entries evicted so far. *)
@@ -159,21 +176,42 @@ val classification :
   span_limit:int option ->
   budget:int option ->
   Core.Classify.t * bool
-(** The cached classification for these parameters, computing (and
-    caching) it on first use; [true] = cache hit.  Identical to what
-    {!Core.Classify.compute} on a fresh universe returns. *)
+(** The family classification serving these parameters, computing (and
+    caching) it when none does; [true] = an existing family served.
+    Identical to what {!Core.Classify.compute} on a fresh universe
+    returns. *)
+
+val selection_cap : int
+(** 64: the selections one family keeps. *)
+
+val selection_size_cap : int
+(** 16,384: the list entries one family's selections hold (about 1 MiB),
+    counting each selection's patterns and, per Fig. 7 step, the step,
+    its scored candidates and its deletions.  A selection that would take the memo
+    past either cap empties it first, and one larger than this cap alone
+    is not kept, so a stream of distinct Pdefs, or of huge reports (a Pdef
+    in the thousands on a graph of many colors), never grows a session
+    past the caps per family. *)
+
+val selections : entry -> int
+(** Selections the entry's families keep: at most {!selection_cap} per
+    family. *)
 
 (** {2 Request-level operations}
 
     Each mirrors one CLI subcommand exactly — same defaulting, same
     classification parameters, same result — so the one-shot commands
     can be thin clients over a throwaway session.  All take the full
-    {!Core.Pipeline.options}; the classification key is derived from its
-    [capacity], [span_limit] and [enumeration_budget] fields.  The
-    returned bool is the warm bit described above. *)
+    {!Core.Pipeline.options}; the family is found from its [capacity],
+    [span_limit] and [enumeration_budget] fields, and a selection from its
+    [strategy], [selection] and [pdef].  The returned bool is the warm bit
+    described above. *)
 
 val select_report :
   t -> entry -> options:Core.Pipeline.options -> Core.Select.report * bool
+(** Fig. 7's report on the family, whatever [options.strategy] says: the
+    memoized one when this (selection parameters, Pdef) was selected on
+    the family before. *)
 
 val auto_select :
   t ->
@@ -185,9 +223,9 @@ val auto_select :
     extracted once per fingerprint (graphs share it across families —
     features depend only on the graph) from the family context's cached
     analyses, and the dispatched backend is costed on the same context —
-    beam's finalists included, so a repeat request is a memo hit and the
-    response's [eval_cache] counts that costing.  The outcome is
-    identical to a cold {!Core.Auto.select} with the same rules. *)
+    beam's finalists included.  The outcome is kept per (rules, Pdef), so
+    a repeat costs nothing.  It is identical to a cold {!Core.Auto.select}
+    with the same rules. *)
 
 val set_cycles :
   t -> entry -> options:Core.Pipeline.options -> Core.Pattern.t list -> int
@@ -203,9 +241,10 @@ val schedule :
   patterns:Core.Pattern.t list ->
   unit ->
   Core.Pattern.t list * Core.Eval.result * bool
-(** With [patterns = []], runs selection first (classifying under the
-    options; [options.strategy] decides between the paper heuristic and
-    {!auto_select}) and schedules the selected set; otherwise schedules
+(** With [patterns = []], selects first (classifying under the options;
+    [options.strategy] decides between the paper heuristic and
+    {!auto_select}, through the family's memo) and schedules the selected
+    set; otherwise schedules
     the given set on a plain per-entry context exactly as
     {!Core.Multi_pattern.schedule} would.  Returns the patterns actually
     scheduled. *)
@@ -213,9 +252,10 @@ val schedule :
 val pipeline :
   t -> Core.Dfg.t -> options:Core.Pipeline.options -> Core.Pipeline.t * bool
 (** {!Core.Pipeline.run} through the session: clustering (when asked)
-    first, then the cached classification, then
-    {!Core.Pipeline.run_classified} on the warm context.  Takes the bare
-    graph because clustering changes which entry is interned. *)
+    first, then the family's classification, then
+    {!Core.Pipeline.run_classified} on the warm context with the family's
+    selection.  Takes the bare graph because clustering changes which
+    entry is interned. *)
 
 val portfolio :
   t -> entry -> options:Core.Pipeline.options -> Core.Portfolio.outcome * bool
@@ -241,8 +281,8 @@ val certify :
   unit ->
   Core.Pipeline.certification * bool
 (** {!Core.Pipeline.certify} through the session, with the same ban-list
-    reuse as {!exact}.  Takes the bare graph for the same reason as
-    {!pipeline}. *)
+    reuse as {!exact} and the family's Fig. 7 selection as its heuristic.
+    Takes the bare graph for the same reason as {!pipeline}. *)
 
 val apply_edits : Core.Dfg.t -> Protocol.edit list -> Core.Dfg.t
 (** The graph after the edits, applied in order by node name and rebuilt

@@ -123,15 +123,25 @@ let parse s =
       plain (i + 1)
     else i
   in
-  (* The four characters at [!pos], read as [int_of_string "0x…"] reads
-     them. *)
+  (* The four hex digits at [!pos], exactly four: no sign, no
+     underscore. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-    | Some code ->
-        pos := !pos + 4;
-        code
-    | None -> fail "bad \\u escape"
+    let rec go i code =
+      if i = 4 then code
+      else
+        let d =
+          match String.unsafe_get s (!pos + i) with
+          | '0' .. '9' as c -> Char.code c - 48
+          | 'a' .. 'f' as c -> Char.code c - 87
+          | 'A' .. 'F' as c -> Char.code c - 55
+          | _ -> fail "bad \\u escape"
+        in
+        go (i + 1) ((code lsl 4) lor d)
+    in
+    let code = go 0 0 in
+    pos := !pos + 4;
+    code
   in
   let string_body () =
     expect '"';
@@ -207,22 +217,37 @@ let parse s =
       Buffer.contents buf
     end
   in
+  (* RFC 8259's grammar, -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]?
+     [0-9]+)?, refused where it breaks; out of range at its end. *)
+  let digit () =
+    !pos < n && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+  in
+  let digits () =
+    if not (digit ()) then fail "malformed number";
+    while digit () do
+      incr pos
+    done
+  in
   let number () =
     let start = !pos in
-    while
-      !pos < n
-      &&
-      match String.unsafe_get s !pos with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f when Float.is_finite f -> f
-    | Some _ -> fail "number out of range"
-    | None -> fail "malformed number"
+    if at '-' then incr pos
+    else if not (digit ()) then fail "expected a number";
+    if at '0' then begin
+      incr pos;
+      if digit () then fail "malformed number"
+    end
+    else digits ();
+    if at '.' then begin
+      incr pos;
+      digits ()
+    end;
+    if at 'e' || at 'E' then begin
+      incr pos;
+      if at '+' || at '-' then incr pos;
+      digits ()
+    end;
+    let f = float_of_string (String.sub s start (!pos - start)) in
+    if Float.is_finite f then f else fail "number out of range"
   in
   let rec value () =
     skip_ws ();

@@ -45,14 +45,18 @@ val parse : string -> (t, string) result
     byte offset and a reason, as ["offset N: reason"], for the first
     failure a left-to-right reading meets.  Whitespace is space, tab,
     ['\n'] and ['\r'].  String bodies are copied by plain runs up to the
-    next quote or backslash; [\u] takes exactly four characters that
-    [int_of_string "0x…"] accepts and decodes to UTF-8, a high surrogate
-    followed by a [\u] escape of a low one as the one code point they
-    encode; a surrogate without its other half is refused as
-    ["bad \u escape"] at the offset of its own four characters.  A number
-    is the longest run of [0-9+-.eE] that [float_of_string] accepts; one
-    that overflows to an infinity is refused as ["number out of range"]
-    at the end of that run. *)
+    next quote or backslash; [\u] takes exactly four hex digits (no
+    sign, no underscore; anything else is ["bad \u escape"] at the first
+    of the four) and decodes to UTF-8, a high surrogate followed by a
+    [\u] escape of a low one as the one code point they encode; a
+    surrogate without its other half is refused as ["bad \u escape"] at
+    the offset of its own four characters.  A number follows RFC 8259's
+    grammar, [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?]: a
+    value that starts with neither a minus nor a digit ([+1], [.5]) is
+    ["expected a number"] at its first character, and a number the
+    grammar breaks off ([01], [1.], [1e], [-]) is ["malformed number"]
+    where it breaks.  A number that overflows to an infinity is refused
+    as ["number out of range"] at its end. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the first binding of [k]; [None] on any other

@@ -120,10 +120,14 @@ let parse s =
               in
               let hex4 () =
                 if !pos + 4 > n then fail "truncated \\u escape";
-                let code =
-                  try int_of_string ("0x" ^ String.sub s !pos 4)
-                  with _ -> fail "bad \\u escape"
-                in
+                let text = String.sub s !pos 4 in
+                if
+                  not
+                    (String.for_all
+                       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+                       text)
+                then fail "bad \\u escape";
+                let code = int_of_string ("0x" ^ text) in
                 pos := !pos + 4;
                 code
               in
@@ -150,17 +154,35 @@ let parse s =
     go ();
     Buffer.contents buf
   in
+  (* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
   let number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let is_digit = function Some ('0' .. '9') -> true | _ -> false in
+    let digits () =
+      if not (is_digit (peek ())) then fail "malformed number";
+      while is_digit (peek ()) do
+        advance ()
+      done
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
+    (match peek () with
+    | Some '-' -> advance ()
+    | c when is_digit c -> ()
+    | _ -> fail "expected a number");
+    (match peek () with
+    | Some '0' ->
+        advance ();
+        if is_digit (peek ()) then fail "malformed number"
+    | _ -> digits ());
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
     match float_of_string_opt (String.sub s start (!pos - start)) with
     | Some f when Float.is_finite f -> f
     | Some _ -> fail "number out of range"

@@ -2,7 +2,9 @@
     kept with the tests as the reference its values, errors and bytes are
     checked against: [parse] reads through a [peek] that allocates an
     option per character and adds string bodies one character at a time
-    (a [\u] escape, or a surrogate pair of them, as UTF-8);
+    (a [\u] escape of four hex digits, or a surrogate pair of them, as
+    UTF-8) and reads numbers by RFC 8259's grammar one character at a
+    time;
     the emitter escapes one character at a time and prints every integral
     number below 1e15 through ["%.0f"]. *)
 

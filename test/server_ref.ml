@@ -304,6 +304,7 @@ let execute sess (p : prepared) =
           ("graphs", num (Session.graph_count sess));
           ( "eval_cache",
             Json.Obj [ ("hits", num sh); ("misses", num sm) ] );
+          ("classifications", num (Session.classification_count sess));
         ]
   | Ok (r, g) -> (
       let before = Session.session_cache_stats sess in

@@ -4,7 +4,8 @@
     command through the public [Mps_serve.Session] API and builds its
     response as one [Json.t] that [Json.to_line] prints.  Nothing is
     memoized, so a repeated request recomputes its answer, and [stats]
-    reports requests, graphs and eval-cache totals only. *)
+    reports requests, graphs, eval-cache totals and classifications
+    only. *)
 
 val handle_line : Mps_serve.Session.t -> string -> string
 (** One request line to one response line, as [Server.handle_line]

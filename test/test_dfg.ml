@@ -268,6 +268,46 @@ let test_reachability_fig2 () =
     (Reachability.is_antichain r (ids [ "b1"; "a4"; "b3"; "b6"; "a16"; "a17" ]));
   Alcotest.(check int) "52 comparable pairs" 52 (Reachability.comparable_pairs r)
 
+(* DAGs of every shape the generator makes, from one chain-like layer per
+   node to wide, dense and sparse ones. *)
+let shaped_dag_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, layers, width, p) ->
+        Random_dag.generate
+          ~params:
+            { Random_dag.default_params with Random_dag.layers; width; edge_prob = p }
+          ~seed ())
+      (quad (0 -- 10_000) (1 -- 9) (1 -- 9) (oneofl [ 0.1; 0.4; 0.9 ])))
+
+(* The closure computed one pair at a time (Warshall): [path.(i).(j)] when
+   some path leads from i to j.  [Reachability.compute] must give the same
+   descendants, parallel sets and comparability. *)
+let reachability_matches_closure g =
+  let n = Dfg.node_count g in
+  let path = Array.make_matrix n n false in
+  List.iter (fun (s, d) -> path.(s).(d) <- true) (Dfg.edges g);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      if path.(i).(k) then
+        for j = 0 to n - 1 do
+          if path.(k).(j) then path.(i).(j) <- true
+        done
+    done
+  done;
+  let r = Reachability.compute g in
+  let members set = Mps_util.Bitset.elements set in
+  let nodes = Dfg.nodes g in
+  List.for_all
+    (fun i ->
+      members (Reachability.descendants r i) = List.filter (fun j -> path.(i).(j)) nodes
+      && members (Reachability.parallel_set r i)
+         = List.filter (fun j -> j <> i && not (path.(i).(j) || path.(j).(i))) nodes
+      && List.for_all
+           (fun j -> Reachability.comparable r i j = (path.(i).(j) || path.(j).(i)))
+           nodes)
+    nodes
+
 let reachability_props =
   [
     qtest "reachability: matches per-edge closure" dag_gen (fun g ->
@@ -296,6 +336,8 @@ let reachability_props =
               (fun j -> Reachability.parallelizable r i j = Reachability.parallelizable r j i)
               (Dfg.nodes g))
           (Dfg.nodes g));
+    qtest ~count:200 "reachability: = pair-by-pair transitive closure" shaped_dag_gen
+      reachability_matches_closure;
   ]
 
 (* --- text format --- *)

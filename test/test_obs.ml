@@ -378,6 +378,18 @@ let test_json_pinned () =
       ({|[1e308,-1e308]|}, Ok (Json.Arr [ Json.Num 1e308; Json.Num (-1e308) ]));
       ({|1e400|}, Error "offset 5: number out of range");
       ({|{"id":-1e400}|}, Error "offset 12: number out of range");
+      (* Exactly four hex digits, and RFC 8259's number grammar. *)
+      ({|{"id":"\u1_23","cmd":"stats"}|}, Error "offset 9: bad \\u escape");
+      ({|"\u+123"|}, Error "offset 3: bad \\u escape");
+      ({|{"id":+1}|}, Error "offset 6: expected a number");
+      ({|{"id":.5}|}, Error "offset 6: expected a number");
+      ({|{"id":01}|}, Error "offset 7: malformed number");
+      ({|{"id":1.}|}, Error "offset 8: malformed number");
+      ({|[1e]|}, Error "offset 3: malformed number");
+      ({|[1e+]|}, Error "offset 4: malformed number");
+      ({|-|}, Error "offset 1: malformed number");
+      ({|[-0,1e5,0.5,1E+2,-12.5e-1]|},
+        Ok (Json.Arr [ Json.Num (-0.); Json.Num 1e5; Json.Num 0.5; Json.Num 100.; Json.Num (-1.25) ]));
     ]
 
 let json_props =

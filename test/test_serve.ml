@@ -536,16 +536,17 @@ let classify g =
     ~capacity:d.Pipeline.capacity (Core.Enumerate.make_ctx g)
 
 (* An auto select that dispatches to beam costs its finalists on the
-   family's context: the cold request misses on each of the four, and the
-   same selection through an unbudgeted pipeline (the select's family, a
-   different memo key) hits them.  The select's repeat is answered from
-   the response memo and costs nothing.  All answer what a cold
-   Auto.select does. *)
+   family's context: the cold request misses on each of the four, and
+   costing the chosen set on the family afterwards is a hit.  The select's
+   repeat is answered from the response memo, and the same selection
+   through a pipeline at the default budget (the select's complete
+   family, a different memo key) reads the family's kept outcome, so
+   neither costs anything.  All answer what a cold Auto.select does. *)
 let test_auto_beam_on_family () =
   let sess = Session.create () in
   let line = "{\"cmd\":\"select\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\"}}" in
   let through_pipeline =
-    "{\"cmd\":\"pipeline\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\",\"budget\":-1}}"
+    "{\"cmd\":\"pipeline\",\"graph\":\"w5dft\",\"options\":{\"strategy\":\"auto\"}}"
   in
   let cold = Core.Auto.select ~pdef:Pipeline.default_options.Pipeline.pdef (classify (builtin "w5dft")) in
   List.iter
@@ -566,8 +567,15 @@ let test_auto_beam_on_family () =
     [
       ("cold", line, (0, 4));
       ("repeat", line, (0, 0));
-      ("warm pipeline", through_pipeline, (4, 0));
-    ]
+      ("warm pipeline", through_pipeline, (0, 0));
+    ];
+  Alcotest.(check int) "one classification" 1 (Session.classification_count sess);
+  let e, _ = Session.intern sess (builtin "w5dft") in
+  let before = Session.cache_stats e in
+  ignore (Session.set_cycles sess e ~options:Pipeline.default_options cold.Core.Auto.patterns);
+  let h, m = Session.cache_stats e in
+  Alcotest.(check (pair int int)) "the chosen finalist is in the family's cache" (1, 0)
+    (h - fst before, m - snd before)
 
 let test_beam_rejects_foreign_eval () =
   let g = builtin "w5dft" in
@@ -833,8 +841,8 @@ let test_memo_cap () =
   Alcotest.(check bool) "larger than the cap: not kept" true (Session.recall sess e "big" = None);
   Alcotest.(check int) "memo unchanged" (1 + third) (Session.memo_bytes e)
 
-(* [stats] reports memo hits and misses and evictions as integers, after
-   the fields it had. *)
+(* [stats] reports memo hits and misses, evictions and classifications as
+   integers, after the fields it had. *)
 let test_stats_schema () =
   let sess = Session.create ~max_graphs:1 () in
   List.iter
@@ -844,12 +852,16 @@ let test_stats_schema () =
   let j = parse_ok "stats" (Server.handle_line sess "{\"cmd\":\"stats\"}") in
   let keys = function Json.Obj kvs -> List.map fst kvs | _ -> Alcotest.fail "expected an object" in
   Alcotest.(check (list string)) "fields"
-    [ "ok"; "cmd"; "requests"; "graphs"; "eval_cache"; "memo"; "evictions" ] (keys j);
+    [ "ok"; "cmd"; "requests"; "graphs"; "eval_cache"; "memo"; "evictions"; "classifications" ]
+    (keys j);
   let memo = member_exn "stats" "memo" j in
   Alcotest.(check (list string)) "memo fields" [ "hits"; "misses" ] (keys memo);
   Alcotest.(check (pair int int)) "memo hits, misses" (3, 2)
     (as_int (member_exn "memo" "hits" memo), as_int (member_exn "memo" "misses" memo));
   Alcotest.(check int) "evictions" 1 (as_int (member_exn "stats" "evictions" j));
+  (* 3dft, then fig4 after it: the certify at the default budget finds
+     fig4's complete family. *)
+  Alcotest.(check int) "classifications" 2 (as_int (member_exn "stats" "classifications" j));
   Alcotest.(check int) "graphs" 1 (as_int (member_exn "stats" "graphs" j))
 
 (* An edit migrates its own base's selection, even when an edit from
@@ -882,6 +894,134 @@ let test_edit_keyed_by_base () =
       Alcotest.check pair "A first" a_alone a_first;
       Alcotest.check pair "A after B" a_alone a_after_b
   | _ -> assert false
+
+(* --- shared families and the selection memo ----------------------------- *)
+
+type budget_pick = Omitted | Unlimited | Below | Equal | Above
+
+(* Interleaved select, pipeline and certify requests on one random graph,
+   each with a budget below, at or above the graph's antichain count, or
+   none, at Pdef 3 or 4. *)
+let shared_gen =
+  QCheck2.Gen.(
+    pair (1 -- 1000)
+      (list_size (1 -- 8)
+         (triple
+            (oneofl [ "select"; "pipeline"; "certify" ])
+            (oneofl [ Omitted; Unlimited; Below; Equal; Above ])
+            (3 -- 4))))
+
+(* Each answer on one session equals a fresh session's, apart from the
+   warm bit, the cache counts and the ban-list accounting; a request is
+   warm exactly when an earlier one needed the same classification, and
+   the session classifies once per distinct classification: the complete
+   one, which every budget at or above the count and no budget at all
+   share, and one per budget below the count. *)
+let shared_families_match_fresh (seed, requests) =
+  let g = random_graph ~seed in
+  let text = Core.Dfg_parse.to_string g in
+  let count = Core.Classify.total_antichains (classify g) in
+  let default = Pipeline.default_options.Pipeline.enumeration_budget in
+  let sess = Session.create () in
+  let seen = ref [] in
+  List.iteri
+    (fun i (cmd, pick, pdef) ->
+      let budget =
+        match pick with
+        | Omitted -> None
+        | Unlimited -> Some (-1)
+        | Below -> Some (count / 2)
+        | Equal -> Some count
+        | Above -> Some (count + 1)
+      in
+      let effective =
+        match (budget, cmd) with
+        | None, "select" | Some -1, _ -> None
+        | None, _ -> default
+        | b, _ -> b
+      in
+      let key = match effective with Some b when b < count -> Some b | _ -> None in
+      let line =
+        line_of
+          [ ("cmd", str cmd); ("dfg", str text);
+            opts
+              (("pdef", int_json pdef)
+              :: (match budget with Some b -> [ ("budget", int_json b) ] | None -> [])) ]
+      in
+      let shared = parse_ok cmd (Server.handle_line sess line)
+      and fresh = parse_ok cmd (Server.handle_line (Session.create ()) line) in
+      if strip_volatile shared <> strip_volatile fresh then
+        QCheck2.Test.fail_reportf "request %d, %s:\nshared: %s\nfresh:  %s" i line
+          (Json.to_line shared) (Json.to_line fresh);
+      let warm = as_bool "warm" (member_exn cmd "warm" shared) in
+      if warm <> List.mem key !seen then
+        QCheck2.Test.fail_reportf "request %d, %s: warm %b" i line warm;
+      if not (List.mem key !seen) then seen := key :: !seen)
+    requests;
+  Session.classification_count sess = List.length !seen
+  || QCheck2.Test.fail_reportf "%d classifications for %d distinct ones"
+       (Session.classification_count sess) (List.length !seen)
+
+(* A budget that cuts the pool classifies on its own; an unbudgeted
+   select then classifies the complete pool, which the default-budget
+   pipeline and certify share, while the cut budget keeps its family. *)
+let test_budget_families () =
+  let sess = Session.create () in
+  let ask what fields =
+    let j = parse_ok what (Server.handle_line sess (line_of (("graph", str "w5dft") :: fields))) in
+    (as_bool "warm" (member_exn what "warm" j), Session.classification_count sess)
+  in
+  let check what want got = Alcotest.(check (pair bool int)) what want got in
+  check "pipeline at budget 100" (false, 1)
+    (ask "pipeline" [ ("cmd", str "pipeline"); opts [ ("budget", int_json 100) ] ]);
+  check "unbudgeted select" (false, 2) (ask "select" [ ("cmd", str "select") ]);
+  check "pipeline at the default budget" (true, 2) (ask "pipeline" [ ("cmd", str "pipeline") ]);
+  check "certify at the default budget" (true, 2) (ask "certify" [ ("cmd", str "certify") ]);
+  check "budget 100 again" (true, 2)
+    (ask "select" [ ("cmd", str "select"); opts [ ("budget", int_json 100) ] ])
+
+(* Distinct Pdefs past the cap empty a family's selections instead of
+   growing them; a report larger than the size cap is not kept (a huge
+   Pdef on 14 unconnected nodes of 7 colors scores hundreds of candidates
+   at each of hundreds of steps); every answer is Fig. 7's on a fresh
+   classification. *)
+let test_selection_cap () =
+  let sess = Session.create () in
+  let g = builtin "fig4" in
+  let e, _ = Session.intern sess g in
+  let cls = classify g in
+  let options = { Pipeline.default_options with Pipeline.enumeration_budget = None } in
+  for pdef = 1 to (2 * Session.selection_cap) + 10 do
+    let report, _ = Session.select_report sess e ~options:{ options with Pipeline.pdef } in
+    let kept = Session.selections e in
+    if kept > Session.selection_cap then Alcotest.failf "Pdef %d: %d selections kept" pdef kept;
+    Alcotest.(check int) (Printf.sprintf "Pdef %d: kept" pdef)
+      (((pdef - 1) mod Session.selection_cap) + 1) kept;
+    Alcotest.(check (list string)) (Printf.sprintf "Pdef %d: patterns" pdef)
+      (List.map Pattern.to_string (Select.select ~pdef cls))
+      (List.map Pattern.to_string report.Select.patterns)
+  done;
+  Alcotest.(check int) "one classification" 1 (Session.classification_count sess);
+  let wide =
+    Core.Dfg.of_alist
+      (List.init 14 (fun i -> (Printf.sprintf "n%d" i, Core.Color.of_char (Char.chr (97 + (i mod 7))))))
+      []
+  in
+  let e, _ = Session.intern sess wide in
+  let huge = { options with Pipeline.pdef = 1_000_000_000_000_000 } in
+  let report, _ = Session.select_report sess e ~options:huge in
+  let size =
+    List.fold_left
+      (fun n (st : Select.step) -> n + 1 + List.length st.Select.priorities + List.length st.Select.deleted)
+      (List.length report.Select.patterns) report.Select.steps
+  in
+  if size <= Session.selection_size_cap then Alcotest.failf "a report of %d entries fits" size;
+  Alcotest.(check int) "an oversized report is not kept" 0 (Session.selections e);
+  Alcotest.(check (list string)) "oversized: patterns"
+    (List.map Pattern.to_string (Select.select ~pdef:huge.Pipeline.pdef (classify wide)))
+    (List.map Pattern.to_string report.Select.patterns);
+  ignore (Session.select_report sess e ~options);
+  Alcotest.(check int) "a small one is" 1 (Session.selections e)
 
 (* --- socket transport ------------------------------------------------- *)
 
@@ -1144,6 +1284,13 @@ let () =
           Alcotest.test_case "memo stays within its byte cap" `Quick test_memo_cap;
           Alcotest.test_case "stats reports memo and evictions" `Quick test_stats_schema;
           Alcotest.test_case "edit migrates its own base" `Quick test_edit_keyed_by_base;
+        ] );
+      ( "shared families",
+        [
+          qtest ~count:15 "one family per distinct classification = fresh sessions"
+            shared_gen shared_families_match_fresh;
+          Alcotest.test_case "a cut budget keeps its own family" `Quick test_budget_families;
+          Alcotest.test_case "selections stay within their cap" `Quick test_selection_cap;
         ] );
       ( "stdin",
         [
