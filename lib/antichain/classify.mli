@@ -13,9 +13,9 @@
     The classification is the input to the selection algorithm (§5.2).
 
     Patterns are interned into a {!Mps_pattern.Universe}: buckets are keyed
-    by dense pattern id, and the universe's memoized facts (spelling, size,
-    color set) and dominance matrix are shared with every later phase that
-    consumes the classification.
+    by dense pattern id, and the universe's ids and memoized facts (size,
+    color set) are shared with every later phase that consumes the
+    classification.
 
     The classification is a sink of {!Enumerate.walk_root}: no antichain is
     built as a list or a pattern.  The pattern of each depth is an id,
@@ -74,7 +74,7 @@ val span_limit : t -> int option
 
 val universe : t -> Mps_pattern.Universe.t
 (** The interning arena the classification's patterns live in.  Consumers
-    run their pattern tests (dominance, color sets, sizes) against it. *)
+    read ids' patterns, sizes and color sets from it. *)
 
 val ids : t -> Mps_pattern.Pattern.Id.t list
 (** Ids of all patterns that have at least one antichain, in the canonical

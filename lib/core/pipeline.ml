@@ -48,12 +48,10 @@ type t = {
   options : options;
   graph : Dfg.t;
   clustering : Cluster.t option;
-  universe : Universe.t;
   pattern_pool : int;
   antichains : int;
   truncated : bool;
   patterns : Pattern.t list;
-  selection_report : Select.report;
   auto : Auto.outcome option;
   schedule : Schedule.t;
   cycles : int;
@@ -96,12 +94,11 @@ let classified_core ~options ~clustering ~eval ~chosen classify =
      set on it; building it never emits observability events, so the Paper
      path is byte-identical to the old build-after-selection order. *)
   let ev = match eval with Some ev -> ev | None -> Eval.make ~universe graph in
-  let selection_report, auto =
+  let { Select.patterns; _ }, auto =
     match chosen with
     | Some chosen -> Lazy.force chosen
     | None -> selection ~options ~eval:ev classify
   in
-  let patterns = selection_report.Select.patterns in
   (* Full-fidelity schedule through an evaluation context — the same
      engine every search strategy costs candidates on. *)
   let { Mp.schedule; _ } =
@@ -111,12 +108,10 @@ let classified_core ~options ~clustering ~eval ~chosen classify =
     options;
     graph;
     clustering;
-    universe;
     pattern_pool = Classify.pattern_count classify;
     antichains = Classify.total_antichains classify;
     truncated = Classify.truncated classify;
     patterns;
-    selection_report;
     auto;
     schedule;
     cycles = Schedule.cycles schedule;

@@ -36,18 +36,10 @@ type t = {
   options : options;
   graph : Mps_dfg.Dfg.t;  (** The scheduled graph (clustered if enabled). *)
   clustering : Mps_clustering.Cluster.t option;
-  universe : Mps_pattern.Universe.t;
-      (** The pattern universe built during classification and shared by
-          selection and scheduling.  Ids are internal: nothing printed by
-          the flow depends on them. *)
   pattern_pool : int;  (** Distinct patterns found in the graph. *)
   antichains : int;  (** Antichains enumerated under the span limit. *)
   truncated : bool;  (** The enumeration budget cut pattern generation short. *)
   patterns : Mps_pattern.Pattern.t list;  (** The selected patterns. *)
-  selection_report : Mps_select.Select.report;
-      (** Eq. 8/9 step log when [strategy] is [Paper]; under [Auto] the
-          report carries the dispatched backend's patterns with an empty
-          step list (the decision evidence lives in {!t.auto}). *)
   auto : Mps_select.Auto.outcome option;
       (** The auto-selector's decision (matched rule, features, backend)
           when [strategy] is [Auto]; [None] under [Paper]. *)

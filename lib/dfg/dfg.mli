@@ -125,6 +125,3 @@ val induced : t -> int list -> t * int array
 
 val pp : Format.formatter -> t -> unit
 (** Compact one-line-per-node summary, for debugging. *)
-
-val pp_node : t -> Format.formatter -> int -> unit
-(** Prints the node's name. *)

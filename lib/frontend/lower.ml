@@ -71,5 +71,3 @@ let lower ?(cse = true) bindings =
   let dfg = Dfg.Builder.build builder in
   let instructions = Array.of_list (List.rev !instructions) in
   Program.make ~dfg ~instructions ~outputs
-
-let lower_dfg ?cse bindings = Program.dfg (lower ?cse bindings)

@@ -14,6 +14,3 @@ val lower : ?cse:bool -> (string * Expr.t) list -> Program.t
 (** @raise Invalid_argument on duplicate output names.  An output that is a
     bare variable or constant is materialized as an addition with 0 so it
     owns a node. *)
-
-val lower_dfg : ?cse:bool -> (string * Expr.t) list -> Mps_dfg.Dfg.t
-(** Just the graph. *)

@@ -20,8 +20,6 @@ type costs = {
   idle_alu_cycle : float;
 }
 
-val default_costs : costs
-
 type breakdown = {
   operations : float;
   transfers : float;

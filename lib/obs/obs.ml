@@ -1,6 +1,5 @@
 module Clock = Mps_util.Clock
 module Json = Mps_util.Json
-module Csv = Mps_util.Csv
 module Ascii_table = Mps_util.Ascii_table
 
 (* Events are kept newest-first; every report walk reverses once.  [dom] is
@@ -339,21 +338,3 @@ let validate_chrome_trace text =
               | Some (Json.Obj _) -> Ok (List.length evs)
               | _ -> Error "missing counters object"))
       | Some _ -> Error "traceEvents is not an array")
-
-let counters_csv t =
-  let csv =
-    Csv.create ~header:[ "counter"; "kind"; "samples"; "total"; "min"; "max" ]
-  in
-  List.iter
-    (fun c ->
-      Csv.add_row csv
-        [
-          c.name;
-          (match c.kind with Sum -> "sum" | Dist -> "dist");
-          string_of_int c.samples;
-          string_of_int c.total;
-          string_of_int c.vmin;
-          string_of_int c.vmax;
-        ])
-    (counters t);
-  csv

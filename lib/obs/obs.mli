@@ -153,7 +153,3 @@ val validate_chrome_trace : string -> (int, string) result
     [name]/[ph]/[ts]/[dur]/[pid]/[tid], and a ["counters"] object.
     Returns the number of trace events — [mpsched tracecheck] is this
     function on a file. *)
-
-val counters_csv : t -> Mps_util.Csv.t
-(** Counters as CSV rows [name,kind,samples,total,min,max] (sorted by
-    name) — the bench harness writes these next to its result tables. *)

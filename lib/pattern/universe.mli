@@ -1,22 +1,16 @@
 (** An interning arena for patterns: the pattern universe.
 
     Every hot phase of the flow — antichain classification (§5.1), pattern
-    selection (§5.2), multi-pattern scheduling (§4) — keeps asking the same
-    questions about the same small set of distinct patterns: what is its
-    canonical spelling, its size, its color set, and above all whether one
-    pattern is a subpattern of another.  A universe answers those questions
-    once.  Each distinct pattern is mapped to a dense integer id
-    ({!Pattern.Id.t}); per-id size, color set and spelling are memoized at
-    interning time; and the subpattern partial order over the interned
-    patterns is materialized as a packed bit dominance matrix, so a
-    subpattern test is one array index plus one bit probe instead of a
-    multiset walk.
+    selection (§5.2), multi-pattern scheduling (§4) — works on the same
+    small set of distinct patterns.  A universe maps each distinct pattern
+    to a dense integer id ({!Pattern.Id.t}), so tables can be arrays
+    indexed by id, and memoizes each id's size and color set at interning
+    time.
 
-    The matrix is built lazily and incrementally: interning never pays for
-    it, the first dominance query after new ids appeared extends it.  A
-    scratch universe that is only ever interned into (e.g. a per-domain
-    partial during parallel classification) therefore never builds a matrix
-    at all.
+    Dominance is not a universe question.  Fig. 7 needs one dominance row
+    per step, the subpatterns of the pattern just chosen, so selection,
+    beam, exact search and harvest test [Pattern.subpattern] on the
+    patterns they hold.
 
     Ids are allocated densely in first-interning order, which makes them
     deterministic for any deterministic visit order — and {!merge} folds a
@@ -53,22 +47,6 @@ val size : t -> Pattern.Id.t -> int
 val color_set : t -> Pattern.Id.t -> Mps_dfg.Color.Set.t
 (** Memoized [Pattern.color_set]. *)
 
-val to_string : t -> Pattern.Id.t -> string
-(** Memoized canonical spelling ([Pattern.to_string]). *)
-
-val padded_string : t -> capacity:int -> Pattern.Id.t -> string
-(** The memoized spelling padded with '-' dummies up to [capacity].
-    @raise Invalid_argument if the pattern exceeds the capacity. *)
-
-val subpattern : t -> Pattern.Id.t -> of_:Pattern.Id.t -> bool
-(** [subpattern u q ~of_:p] iff [Pattern.subpattern (pattern u q)
-    ~of_:(pattern u p)] — answered from the dominance matrix in O(1) after
-    the (amortized) lazy matrix extension. *)
-
-val proper_subpattern : t -> Pattern.Id.t -> of_:Pattern.Id.t -> bool
-(** Strict version; because interning is injective this is the matrix test
-    plus an id comparison. *)
-
 val merge : into:t -> t -> Pattern.Id.t array
 (** [merge ~into other] interns every pattern of [other] into [into], in
     [other]'s id order, and returns the translation table: slot [i] holds
@@ -84,6 +62,3 @@ val fold : (Pattern.Id.t -> Pattern.t -> 'a -> 'a) -> t -> 'a -> 'a
 val sorted_ids : t -> Pattern.Id.t array
 (** All live ids ordered by [Pattern.compare] of their patterns — the
     canonical presentation order every text format uses.  Fresh array. *)
-
-val pp : Format.formatter -> t -> unit
-(** "id: spelling" lines in id order, for debugging. *)

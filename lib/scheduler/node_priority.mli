@@ -30,12 +30,8 @@ val key : t -> int -> int * int * int
 
 val rank : t -> int -> int
 (** The node's position (0-based) in the global descending priority order
-    (f(n) desc, node id asc).  Ranks are distinct, so comparing ranks is
-    exactly {!compare_desc}. *)
-
-val compare_desc : t -> int -> int -> int
-(** Higher priority first; ties broken by increasing node id, making every
-    consumer deterministic. *)
+    (f(n) desc, node id asc).  Ranks are distinct, so ties are broken by
+    increasing node id and every consumer is deterministic. *)
 
 val sort : t -> int list -> int list
 (** Sorts a candidate list, highest priority first. *)

@@ -266,12 +266,12 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   in
   let key_of_ids ids = List.sort Pattern.Id.compare ids in
   (* [subs.(j)]: the pool patterns [j] properly dominates, all after [j]
-     in pool order. *)
+     in pool order (pool patterns are distinct, so dominance is proper). *)
   let subs =
     Array.init np (fun j ->
         let row = Bitset.create np in
         for i = j + 1 to np - 1 do
-          if Universe.proper_subpattern u ids.(i) ~of_:ids.(j) then Bitset.add row i
+          if Pattern.subpattern pats.(i) ~of_:pats.(j) then Bitset.add row i
         done;
         row)
   in

@@ -130,10 +130,11 @@ let fallback u ~capacity ~colors ~covered =
       Some (Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered)))
 
 let delete p ~alive ~of_ =
+  let chosen = Universe.pattern p.universe of_ in
   for k = 0 to Array.length p.ids - 1 do
     if
       Bytes.unsafe_get alive k <> '\000'
-      && Universe.subpattern p.universe p.ids.(k) ~of_
+      && Pattern.subpattern (Universe.pattern p.universe p.ids.(k)) ~of_:chosen
     then Bytes.unsafe_set alive k '\000'
   done
 
@@ -173,12 +174,13 @@ let run u ~capacity ~colors ~pdef ~score ~commit candidates =
       | None -> List.rev steps
       | Some (pid, priority, fallback) ->
           (* The step's evidence in pool order, deleting as it goes. *)
+          let chosen = Universe.pattern u pid in
           let priorities = ref [] and deleted = ref [] in
           for k = n - 1 downto 0 do
             if Bytes.unsafe_get live k <> '\000' then begin
               let q = Universe.pattern u p.ids.(k) in
               priorities := (q, scores.(k)) :: !priorities;
-              if Universe.subpattern u p.ids.(k) ~of_:pid then begin
+              if Pattern.subpattern q ~of_:chosen then begin
                 deleted := q :: !deleted;
                 Bytes.unsafe_set live k '\000'
               end
@@ -186,7 +188,7 @@ let run u ~capacity ~colors ~pdef ~score ~commit candidates =
           done;
           let step =
             {
-              chosen = Universe.pattern u pid;
+              chosen;
               priority;
               fallback;
               deleted = !deleted;

@@ -186,4 +186,6 @@ val admits : 'a pool -> admission -> int -> bool
 
 val delete : 'a pool -> alive:Bytes.t -> of_:Mps_pattern.Pattern.Id.t -> unit
 (** Fig. 7, line 4: clears from [alive] the subpatterns of [of_] ([of_]
-    itself included). *)
+    itself included), one [Pattern.subpattern] test per alive candidate.
+    [of_] may have been interned after the pool was made, as a
+    {!fallback} is. *)

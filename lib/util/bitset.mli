@@ -35,10 +35,6 @@ val is_empty : t -> bool
 
 val equal : t -> t -> bool
 
-val inter_into : dst:t -> t -> unit
-(** [inter_into ~dst src] replaces [dst] with [dst ∩ src].
-    @raise Invalid_argument on universe mismatch (as for all binary ops). *)
-
 val union_into : dst:t -> t -> unit
 val diff_into : dst:t -> t -> unit
 

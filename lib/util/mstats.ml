@@ -5,8 +5,6 @@ let mean xs =
   require_nonempty "mean" xs;
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
-let mean_int xs = mean (Array.map float_of_int xs)
-
 let variance xs =
   require_nonempty "variance" xs;
   let n = Array.length xs in

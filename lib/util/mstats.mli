@@ -7,13 +7,9 @@
 val mean : float array -> float
 (** @raise Invalid_argument on an empty array. *)
 
-val mean_int : int array -> float
-
-val variance : float array -> float
-(** Unbiased sample variance (n−1 denominator); 0 for singleton input.
-    @raise Invalid_argument on an empty array. *)
-
 val stddev : float array -> float
+(** Unbiased sample standard deviation (n−1 denominator); 0 for singleton
+    input.  @raise Invalid_argument on an empty array. *)
 
 val min_max : float array -> float * float
 (** @raise Invalid_argument on an empty array. *)

@@ -49,9 +49,6 @@ val choice : t -> 'a array -> 'a
 val choice_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list.  @raise Invalid_argument on []. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
 val shuffle_list : t -> 'a list -> 'a list
 (** Persistent shuffle of a list. *)
 

@@ -38,7 +38,6 @@ let fig4_small () =
     [ ("a1", "a2"); ("a2", "b4"); ("a2", "b5"); ("a3", "b4"); ("a3", "b5") ]
 
 let montium_capacity = 5
-let montium_max_configs = 32
 
 let table1 =
   [

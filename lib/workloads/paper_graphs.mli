@@ -17,9 +17,6 @@ val fig4_small : unit -> Mps_dfg.Dfg.t
 val montium_capacity : int
 (** C = 5 ALUs per Montium tile. *)
 
-val montium_max_configs : int
-(** The Montium allows at most 32 distinct patterns per application (§1). *)
-
 val table1 : (string * (int * int * int)) list
 (** Table 1 verbatim: node name ↦ (ASAP, ALAP, Height) for the 22 nodes the
     paper lists (c12 and c14 are absent there). *)

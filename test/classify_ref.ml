@@ -39,7 +39,7 @@ let compute ?span_limit ?budget ~keep_antichains ~capacity ctx =
   in
   let row id =
     let count, freq, kept = Hashtbl.find entries id in
-    ( Universe.to_string u (Pattern.Id.of_int id),
+    ( Pattern.to_string (Universe.pattern u (Pattern.Id.of_int id)),
       !count,
       Array.to_list freq,
       List.rev !kept )
@@ -47,16 +47,15 @@ let compute ?span_limit ?budget ~keep_antichains ~capacity ctx =
   { total = !total; truncated; rows = List.init (Universe.cardinal u) row }
 
 let of_classify cls =
-  let u = Classify.universe cls in
   let rows =
     Universe.fold
       (fun id p acc ->
-        ( Universe.to_string u id,
+        ( Pattern.to_string p,
           Classify.count_id cls id,
           Array.to_list (Classify.node_frequency cls p),
           List.map Antichain.nodes (Classify.antichains cls p) )
         :: acc)
-      u []
+      (Classify.universe cls) []
   in
   {
     total = Classify.total_antichains cls;

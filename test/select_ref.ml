@@ -39,7 +39,10 @@ let fallback u ~capacity ~colors ~covered =
       Some (Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered)))
 
 let delete_subpatterns u ~of_ pool =
-  List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_)) pool
+  let chosen = Universe.pattern u of_ in
+  List.filter
+    (fun (q, _) -> not (Pattern.subpattern (Universe.pattern u q) ~of_:chosen))
+    pool
 
 let run u ~capacity ~colors ~pdef ~score ~commit pool =
   let rec go i pool covered steps =
@@ -82,7 +85,8 @@ let run u ~capacity ~colors ~pdef ~score ~commit pool =
               deleted =
                 List.filter_map
                   (fun (q, _) ->
-                    if Universe.subpattern u q ~of_:pid then Some (Universe.pattern u q)
+                    let q = Universe.pattern u q in
+                    if Pattern.subpattern q ~of_:(Universe.pattern u pid) then Some q
                     else None)
                   pool;
               priorities = List.map (fun (id, _, f) -> (Universe.pattern u id, f)) scored;

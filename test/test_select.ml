@@ -5,6 +5,7 @@
 module Dfg = Mps_dfg.Dfg
 module Color = Mps_dfg.Color
 module Pattern = Mps_pattern.Pattern
+module Universe = Mps_pattern.Universe
 module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Select = Mps_select.Select
@@ -275,9 +276,20 @@ let test_kernel_corpus () =
       done)
     corpus
 
+(* 30 unconnected nodes over 10 colors, node i colored "abcdefghij".[i
+   mod 10] (test/cli/colors10.dfg): the only pool here in the thousands,
+   so each Fig. 7 step deletes from 2,892 candidates. *)
+let colors10 () =
+  let b = Dfg.Builder.create () in
+  for i = 0 to 29 do
+    ignore (Dfg.Builder.add_node b (Color.of_char "abcdefghij".[i mod 10]))
+  done;
+  Dfg.Builder.build b
+
 (* Eq. 9 keeps no color bitmask, so more colors than a machine word holds
    work too: 20 layers of 4 nodes, each layer feeding the next, every
-   node its own color out of 80 printable characters. *)
+   node its own color out of 80 printable characters.  The colors10 graph
+   rides along for its pool size. *)
 let test_kernel_many_colors () =
   let palette =
     List.filter (fun c -> c <> '-') (List.init 94 (fun k -> Char.chr (33 + k)))
@@ -301,7 +313,16 @@ let test_kernel_many_colors () =
       match kernel_mismatch ~pdef cls with
       | None -> ()
       | Some what -> Alcotest.failf "pdef %d: %s differs" pdef what)
-    [ 1; 8; 15; 16; 17; 24 ]
+    [ 1; 8; 15; 16; 17; 24 ];
+  let cls = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx (colors10 ())) in
+  Alcotest.(check (pair int int)) "colors10 antichains and pool" (174_436, 2_892)
+    (Classify.total_antichains cls, Classify.pattern_count cls);
+  List.iter
+    (fun pdef ->
+      match kernel_mismatch ~pdef cls with
+      | None -> ()
+      | Some what -> Alcotest.failf "colors10 pdef %d: %s differs" pdef what)
+    [ 1; 4; 8 ]
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -351,6 +372,43 @@ let beam_fixed_point (seed, cls, _, alpha, width) =
   let huge = Beam.search ~width ~params ~pdef:(1 lsl 40) cls in
   beam_row huge = beam_row (Beam.search ~width ~params ~pdef:bound cls)
   || QCheck2.Test.fail_reportf "seed %d: pdef 2^40 differs from pdef %d" seed bound
+
+(* Fig. 7, line 4 on a random pool and alive mask: [Select.delete]
+   clears exactly the alive candidates that are subpatterns of the
+   choice.  The choice is a pool member, or a pattern interned after the
+   pool was flattened, as a fallback is. *)
+let delete_gen =
+  QCheck2.Gen.(
+    let pattern =
+      map
+        (fun chars -> Pattern.of_colors (List.map Color.of_char chars))
+        (list_size (1 -- 5) (char_range 'a' 'd'))
+    in
+    triple (list_size (1 -- 30) (pair pattern bool)) (option (int_bound 29)) pattern)
+
+let delete_clears_subpatterns (entries, member, outsider) =
+  let u = Universe.create () in
+  let pool =
+    Select.pool u
+      ~colors:(Color.Set.of_list (List.map Color.of_char [ 'a'; 'b'; 'c'; 'd' ]))
+      (List.map (fun (p, _) -> (Universe.intern u p, ())) entries)
+  in
+  let was_alive = Array.of_list (List.map snd entries) in
+  let alive =
+    Bytes.init (Array.length was_alive) (fun k -> if was_alive.(k) then '\001' else '\000')
+  in
+  let choice =
+    match member with
+    | Some k when k < List.length entries -> fst (List.nth entries k)
+    | _ -> outsider
+  in
+  Select.delete pool ~alive ~of_:(Universe.intern u choice);
+  List.for_all Fun.id
+    (List.mapi
+       (fun k (p, _) ->
+         (Bytes.get alive k <> '\000')
+         = (was_alive.(k) && not (Pattern.subpattern p ~of_:choice)))
+       entries)
 
 (* [beam.expansions] of one search: (steps taken, states they expanded
    into). *)
@@ -420,5 +478,7 @@ let () =
           qtest ~count:30 "beam: pdef 2^40 = its fixed point" random_case_gen
             beam_fixed_point;
           Alcotest.test_case "beam: stops at its fixed point" `Quick test_beam_stops;
+          qtest ~count:500 "delete: exactly the subpatterns" delete_gen
+            delete_clears_subpatterns;
         ] );
     ]

@@ -1,6 +1,5 @@
-(* The pattern universe: interning injectivity, memoized facts, the lazy
-   dominance matrix against the direct multiset order, merge translation,
-   and id determinism of parallel classification. *)
+(* The pattern universe: interning injectivity, memoized facts, merge
+   translation, and id determinism of parallel classification. *)
 
 module Color = Mps_dfg.Color
 module Pattern = Mps_pattern.Pattern
@@ -47,9 +46,6 @@ let test_memoized_facts () =
   let u = Universe.create () in
   let id = Universe.intern u (pat "cabca") in
   Alcotest.(check int) "size" 5 (Universe.size u id);
-  Alcotest.(check string) "canonical spelling" "aabcc" (Universe.to_string u id);
-  Alcotest.(check string) "padded spelling" "aabcc--"
-    (Universe.padded_string u ~capacity:7 id);
   Alcotest.(check int) "color set" 3
     (Color.Set.cardinal (Universe.color_set u id));
   let bogus = Pattern.Id.of_int 7 in
@@ -64,7 +60,7 @@ let test_sorted_ids () =
     [ "cc"; "a"; "aab"; "b"; "a" ];
   let sorted =
     Universe.sorted_ids u |> Array.to_list
-    |> List.map (Universe.to_string u)
+    |> List.map (fun id -> Pattern.to_string (Universe.pattern u id))
   in
   Alcotest.(check (list string)) "sorted by Pattern.compare"
     (List.sort compare [ "cc"; "a"; "aab"; "b" ])
@@ -95,21 +91,6 @@ let test_merge () =
     (Universe.cardinal master);
   Alcotest.(check int) "scratch untouched" 3 (Universe.cardinal scratch)
 
-(* Reference implementation for the matrix. *)
-let direct u q ~of_ =
-  Pattern.subpattern (Universe.pattern u q) ~of_:(Universe.pattern u of_)
-
-let all_pairs_agree u ids =
-  List.for_all
-    (fun q ->
-      List.for_all
-        (fun p ->
-          Universe.subpattern u q ~of_:p = direct u q ~of_:p
-          && Universe.proper_subpattern u q ~of_:p
-             = (direct u q ~of_:p && not (Pattern.Id.equal q p)))
-        ids)
-    ids
-
 let props =
   [
     qtest "universe: interning is injective (id <-> pattern)" pool_gen
@@ -121,20 +102,6 @@ let props =
           pats ids
         && Universe.cardinal u
            = List.length (List.sort_uniq Pattern.compare pats));
-    qtest "universe: matrix agrees with Pattern.subpattern" pool_gen
-      (fun pats ->
-        let u = Universe.create () in
-        let ids = List.map (Universe.intern u) pats in
-        all_pairs_agree u ids);
-    qtest "universe: matrix stays correct across incremental interning"
-      QCheck2.Gen.(pair pool_gen pool_gen)
-      (fun (batch1, batch2) ->
-        let u = Universe.create () in
-        let ids1 = List.map (Universe.intern u) batch1 in
-        (* Force the matrix on the first batch, then extend the universe. *)
-        let ok1 = all_pairs_agree u ids1 in
-        let ids2 = List.map (Universe.intern u) batch2 in
-        ok1 && all_pairs_agree u (ids1 @ ids2));
     qtest "universe: merge translation table preserves patterns"
       QCheck2.Gen.(pair pool_gen pool_gen)
       (fun (master_pats, scratch_pats) ->
@@ -164,7 +131,7 @@ let test_parallel_classify_determinism () =
     Classify.fold_ids
       (fun id ~count ~freq acc ->
         Printf.sprintf "%d:%s:%d:%s" (Pattern.Id.to_int id)
-          (Universe.to_string u id) count
+          (Pattern.to_string (Universe.pattern u id)) count
           (String.concat "," (List.map string_of_int (Array.to_list freq)))
         :: acc)
       c []
@@ -217,10 +184,10 @@ let test_classified_patterns_canonical () =
               let u = Universe.create () in
               ignore (Classify.compute ?pool ~universe:u ~span_limit:1 ~capacity:5 ctx);
               Universe.iter
-                (fun id p ->
-                  if p <> Pattern.of_string (Universe.to_string u id) then
+                (fun _ p ->
+                  if p <> Pattern.of_string (Pattern.to_string p) then
                     Alcotest.failf "%s: %s is not built from its sorted colors" name
-                      (Universe.to_string u id))
+                      (Pattern.to_string p))
                 u)
             [ None; Some pool ])
         (Mps_workloads.Suite.graphs ()))
