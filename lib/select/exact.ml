@@ -265,15 +265,21 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
     | _ -> None
   in
   let key_of_ids ids = List.sort Pattern.Id.compare ids in
-  (* [subs.(j)]: the pool patterns [j] properly dominates, all after [j]
-     in pool order (pool patterns are distinct, so dominance is proper). *)
-  let subs =
-    Array.init np (fun j ->
+  (* [subs j]: the pool patterns [j] properly dominates, all after [j] in
+     pool order (pool patterns are distinct, so dominance is proper).  A
+     row is built the first time the search pushes [j], so a pattern
+     pruned before it is ever pushed costs no dominance tests. *)
+  let rows = Array.make np None in
+  let subs j =
+    match rows.(j) with
+    | Some row -> row
+    | None ->
         let row = Bitset.create np in
         for i = j + 1 to np - 1 do
           if Pattern.subpattern pats.(i) ~of_:pats.(j) then Bitset.add row i
         done;
-        row)
+        rows.(j) <- Some row;
+        row
   in
   (* Suffix aggregates over the candidate order: what patterns i.. can
      still contribute in colors, size, and per-color multiplicity. *)
@@ -451,7 +457,7 @@ let search ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
     let dom = dominated.(d + 1) in
     Bitset.clear dom;
     Bitset.union_into ~dst:dom dominated.(d);
-    Bitset.union_into ~dst:dom subs.(i);
+    Bitset.union_into ~dst:dom (subs i);
     max_size.(d + 1) <- max max_size.(d) sizes.(i);
     for c = 0 to nc - 1 do
       max_mult.(((d + 1) * nc) + c) <-

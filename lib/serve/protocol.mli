@@ -110,10 +110,16 @@ val request_to_line : request -> string
     Integers print exactly (the codec accepts them only up to 1e15 in
     magnitude), so two different requests never encode to one line. *)
 
-val request_of_line : string -> (request, error) result
+val request_of_line :
+  ?known:(string -> int -> (string * int) option) ->
+  string ->
+  (request, error) result
 (** Parses one line.  Round-trips with {!request_to_line}:
     [request_of_line (request_to_line r) = Ok r] for every [r] it
-    accepts. *)
+    accepts.  [known] is offered the ["dfg"] member's string value
+    before it is decoded, as {!Mps_util.Json.parse} offers it: a text
+    it recognises is taken as it answers, physically.  The result is
+    the same with or without it. *)
 
 val error_response : id:Json.t option -> string -> Json.t
 (** [{"id"?: id, "ok": false, "error": message}] — the response shape for

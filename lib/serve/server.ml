@@ -170,25 +170,22 @@ let certificate_json (ct : C.Exact.certificate) =
 
 type prepared = (P.request * C.Dfg.t option, P.error) result
 
-(* Inline DFG text that is some entry's canonical text resolves to that
-   entry's graph without a parse; every other source resolves as
-   [resolve_source] does. *)
+(* Inline DFG text spelled as the session escapes a live entry's text is
+   that entry's text, neither decoded nor parsed, and resolves to its
+   graph; every other source resolves as [resolve_source] does. *)
 let prepare sess line : prepared =
-  match P.request_of_line line with
+  match P.request_of_line ~known:(Session.lookup sess) line with
   | Error _ as e -> e
   | Ok r -> (
-      let known =
-        match r.P.source with
-        | Some (P.Dfg_text text) -> Session.find_text sess text
-        | _ -> None
-      in
-      match (r.P.source, known) with
-      | None, _ -> Ok (r, None)
-      | Some _, Some g -> Ok (r, Some g)
-      | Some s, None -> (
-          match resolve_source s with
-          | Ok g -> Ok (r, Some g)
-          | Error m -> Error { P.err_id = r.P.id; message = m }))
+      match r.P.source with
+      | None -> Ok (r, None)
+      | Some s -> (
+          match Session.known_graph sess s with
+          | Some g -> Ok (r, Some g)
+          | None -> (
+              match resolve_source s with
+              | Ok g -> Ok (r, Some g)
+              | Error m -> Error { P.err_id = r.P.id; message = m })))
 
 let describe_exn = function
   | C.Eval.Unschedulable colors ->
@@ -396,6 +393,9 @@ let execute sess (p : prepared) =
           ("memo", hits_misses (Session.memo_stats sess));
           ("evictions", num (Session.eviction_count sess));
           ("classifications", num (Session.classification_count sess));
+          ( "texts",
+            let m, p = Session.text_stats sess in
+            Json.Obj [ ("matched", num m); ("parsed", num p) ] );
         ]
   | Ok (r, g) -> (
       let g = Option.get g (* the protocol guarantees a graph *) in

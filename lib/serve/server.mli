@@ -22,9 +22,12 @@
     serve the next line.  [stats] answers
     [{"id"?, "ok", "cmd", "requests", "graphs", "eval_cache": {"hits",
     "misses"}, "memo": {"hits", "misses"}, "evictions",
-    "classifications"}] for the session so far, [classifications]
-    counting every cold classification computed, evicted entries'
-    included ({!Session.classification_count}).
+    "classifications", "texts": {"matched", "parsed"}}] for the session
+    so far, [classifications] counting every cold classification
+    computed, evicted entries' included ({!Session.classification_count}),
+    and [texts] the inline graph texts that resolved to a live entry
+    without a decode or a parse and those that were parsed
+    ({!Session.text_stats}).
 
     {2 A repeated request is a lookup}
 
@@ -46,9 +49,11 @@
     the clustered graph), [stats] and any request that failed are never
     stored.
 
-    Inline ["dfg"] text equal to a live entry's canonical text
-    ({!Session.find_text}) resolves to that entry's graph without a
-    parse; other text parses as {!resolve_source} does.
+    Inline ["dfg"] text whose bytes in the line are a live entry's
+    canonical text as {!Mps_util.Json.to_line} escapes it
+    ({!Session.lookup}) is that entry's text: it is neither decoded nor
+    parsed, and resolves to the entry's graph.  Any other spelling or
+    text is decoded and parses as {!resolve_source} does.
 
     {2 One request at a time, and determinism}
 

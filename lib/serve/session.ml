@@ -27,6 +27,10 @@ type entry = {
   e_graph : C.Dfg.t;
   e_fingerprint : string;
   e_text : string;  (* The canonical text [e_fingerprint] digests. *)
+  e_escaped : string;  (* [e_text] as a JSON string spells it, unquoted. *)
+  mutable e_scratch : Bytes.t;
+      (* [e_escaped]'s length once a line is compared with it: the bytes
+         of the line under comparison. *)
   e_seq : int;  (* Interning order: breaks ties between equal [e_used]. *)
   mutable e_used : int;  (* Request index of the last intern. *)
   mutable e_alias : C.Dfg.t option;
@@ -62,16 +66,15 @@ module Same_graph = Hashtbl.Make (struct
   let hash g = Hashtbl.hash (C.Dfg.node_count g, C.Dfg.edge_count g)
 end)
 
-module By_length = Hashtbl.Make (Int)
-
 type t = {
   s_pool : C.Pool.t option;
   max_graphs : int;
   entries : (string, entry) Hashtbl.t;  (* Live entries by fingerprint. *)
   by_graph : entry Same_graph.t;
       (* Each live entry under its [e_graph] and its [e_alias]. *)
-  by_length : entry list By_length.t;
-      (* Live entries by the byte length of their [e_text]. *)
+  live : entry list ref;  (* Live entries, newest first. *)
+  lookup : string -> int -> (string * int) option;
+      (* The escaped-body lookup over [live], built once. *)
   mutable interned : int;  (* Entries ever created. *)
   mutable requests : int;
   mutable s_classifications : int;  (* Cold classifications ever computed. *)
@@ -82,16 +85,40 @@ type t = {
          moves its counts; cleared when the totals are folded again. *)
   mutable memo_hits : int;
   mutable memo_misses : int;
+  mutable texts_matched : int;
+  mutable texts_parsed : int;
 }
+
+(* Does the line hold [e]'s escaped text from [i], closed by a quote?  A
+   candidate whose closing quote is not where its length puts it is
+   passed over before any byte is compared; the rest are copied into the
+   entry's own buffer and compared whole, both at memcmp speed. *)
+let holds e s i =
+  let len = String.length e.e_escaped in
+  i + len < String.length s
+  && String.unsafe_get s (i + len) = '"'
+  && begin
+       if Bytes.length e.e_scratch <> len then e.e_scratch <- Bytes.create len;
+       Bytes.blit_string s i e.e_scratch 0 len;
+       String.equal (Bytes.unsafe_to_string e.e_scratch) e.e_escaped
+     end
+
+let rec find_escaped s i = function
+  | [] -> None
+  | e :: rest ->
+      if holds e s i then Some (e.e_text, i + String.length e.e_escaped)
+      else find_escaped s i rest
 
 let create ?pool ?(max_graphs = 64) () =
   if max_graphs < 1 then invalid_arg "Session.create: max_graphs must be >= 1";
+  let live = ref [] in
   {
     s_pool = pool;
     max_graphs;
     entries = Hashtbl.create 16;
     by_graph = Same_graph.create 16;
-    by_length = By_length.create 16;
+    live;
+    lookup = (fun s i -> find_escaped s i !live);
     interned = 0;
     requests = 0;
     s_classifications = 0;
@@ -100,6 +127,8 @@ let create ?pool ?(max_graphs = 64) () =
     stale = false;
     memo_hits = 0;
     memo_misses = 0;
+    texts_matched = 0;
+    texts_parsed = 0;
   }
 
 let graph_count t = Hashtbl.length t.entries
@@ -108,6 +137,7 @@ let note_request t = t.requests <- t.requests + 1
 let classification_count t = t.s_classifications
 let eviction_count t = t.interned - Hashtbl.length t.entries
 let memo_stats t = (t.memo_hits, t.memo_misses)
+let text_stats t = (t.texts_matched, t.texts_parsed)
 
 let cache_stats e =
   List.fold_left
@@ -128,19 +158,6 @@ let session_cache_stats t =
   end;
   t.totals
 
-let texts_of_length t len =
-  Option.value (By_length.find_opt t.by_length len) ~default:[]
-
-let index_text t e =
-  let len = String.length e.e_text in
-  By_length.replace t.by_length len (e :: texts_of_length t len)
-
-let unindex_text t e =
-  let len = String.length e.e_text in
-  match List.filter (fun x -> x != e) (texts_of_length t len) with
-  | [] -> By_length.remove t.by_length len
-  | rest -> By_length.replace t.by_length len rest
-
 (* The least recently interned entry goes, by request index and then by
    interning order, so the choice is the same at any pool size; its
    eval-cache counts move into [evicted_cache], which leaves the totals as
@@ -159,7 +176,7 @@ let evict_lru t =
       let h, m = cache_stats e and h0, m0 = t.evicted_cache in
       t.evicted_cache <- (h0 + h, m0 + m);
       Hashtbl.remove t.entries e.e_fingerprint;
-      unindex_text t e;
+      t.live := List.filter (fun x -> x != e) !(t.live);
       Same_graph.remove t.by_graph e.e_graph;
       Option.iter (Same_graph.remove t.by_graph) e.e_alias;
       C.Obs.count "serve.evictions" 1)
@@ -192,6 +209,8 @@ let intern t g =
               e_graph = g;
               e_fingerprint = key;
               e_text = text;
+              e_escaped = Mps_util.Json.escaped text;
+              e_scratch = Bytes.empty;
               e_seq = t.interned;
               e_used = t.requests;
               e_alias = None;
@@ -207,20 +226,31 @@ let intern t g =
           in
           t.interned <- t.interned + 1;
           Hashtbl.replace t.entries key e;
-          index_text t e;
+          t.live := e :: !(t.live);
           Same_graph.replace t.by_graph g e;
           (e, false))
 
-(* Text equal to an entry's canonical text parses to that entry's graph,
-   so the entry's own value stands in for the parse.  Only entries whose
-   text has this length can match, and comparing with them is cheaper
-   than digesting the text. *)
-let find_text t text =
-  Option.map
-    (fun e -> e.e_graph)
-    (List.find_opt
-       (fun e -> String.equal e.e_text text)
-       (texts_of_length t (String.length text)))
+let lookup t = t.lookup
+
+(* A text is an entry's own only when the lookup answered it, so identity
+   finds the entry. *)
+let rec owner text = function
+  | [] -> None
+  | e :: rest -> if e.e_text == text then Some e.e_graph else owner text rest
+
+let known_graph t = function
+  | Protocol.Builtin _ -> None
+  | Protocol.Dot_text _ ->
+      t.texts_parsed <- t.texts_parsed + 1;
+      None
+  | Protocol.Dfg_text text -> (
+      match owner text !(t.live) with
+      | Some _ as g ->
+          t.texts_matched <- t.texts_matched + 1;
+          g
+      | None ->
+          t.texts_parsed <- t.texts_parsed + 1;
+          None)
 
 let graph e = e.e_graph
 let fingerprint e = e.e_fingerprint

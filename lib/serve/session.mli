@@ -41,10 +41,10 @@
     it, made for this budget or another, already existed) — the bit the
     service surfaces per response and counts in its telemetry.
 
-    Each entry also keeps its graph's canonical text ({!text}) and a
-    {b response memo} ({!recall}, {!remember}) that the server fills
-    with rendered answers.  Everything an entry holds lives and dies
-    with it.
+    Each entry also keeps its graph's canonical text ({!text}), that
+    text as a JSON string spells it, for {!lookup}, and a {b response
+    memo} ({!recall}, {!remember}) that the server fills with rendered
+    answers.  Everything an entry holds lives and dies with it.
 
     {b A bounded session.}  A session keeps at most [max_graphs] entries.
     Interning a new graph when it is full first evicts the least
@@ -109,15 +109,33 @@ val intern : t -> Core.Dfg.t -> entry * bool
     share one entry; the canonical-text digest stays the one definition
     of graph identity. *)
 
-val find_text : t -> string -> Core.Dfg.t option
-(** The graph of the live entry whose canonical {!text} equals this text
-    byte for byte: the value parsing the text would intern to, without
-    the parse.  [None] for any other text, comments, another node order
-    or DOT included.  The session indexes live entries by the byte length
-    of their text, so a lookup compares the text with the entries of its
-    length only and never digests it.  A lookup is not a use: {!intern}
-    decides the eviction order alone, so a request touches the same
-    entries however it spells its graph. *)
+val lookup : t -> string -> int -> (string * int) option
+(** The session's escaped-body lookup, built once with the session, for
+    {!Protocol.request_of_line}'s [known]: [lookup t s i] is
+    [Some (text, j)] when the bytes of [s] from [i] are a live entry's
+    canonical {!text} exactly as {!Mps_util.Json.escaped} spells it and
+    [s.[j]] is the quote that closes them; [text] is the entry's own
+    string, not a copy.  Any other spelling of the text ([\u000a] for a
+    newline, [\/] for a slash), any other text, and DOT answer [None]
+    and are decoded.  An entry is passed over, before any byte is
+    compared, unless the line holds a quote where its spelling would
+    end; the compare copies the bytes into a buffer the entry keeps, so
+    it allocates nothing after the entry's first.  A lookup is not a use: {!intern} decides
+    the eviction order alone, so a request touches the same entries
+    however it spells its graph, and an evicted entry no longer
+    matches. *)
+
+val known_graph : t -> Protocol.source -> Core.Dfg.t option
+(** The graph of the live entry whose own {!text} a [Dfg_text] source
+    carries, recognised by identity: a text {!lookup} answered resolves
+    to that entry's graph without a parse.  [None] for every other
+    source.  Each inline source, DFG or DOT, counts as matched or, when
+    [None] leaves it to be parsed, as parsed ({!text_stats}); a builtin
+    name counts as neither. *)
+
+val text_stats : t -> int * int
+(** [(matched, parsed)]: the inline sources {!known_graph} resolved and
+    left to a parse, over the session's life. *)
 
 val graph : entry -> Core.Dfg.t
 val fingerprint : entry -> string

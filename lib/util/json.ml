@@ -36,6 +36,13 @@ let escape_into buf s =
   Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
+(* [escape_into] without the quotes: rare enough to copy, so the
+   emitter's hot path stays one function. *)
+let escaped s =
+  let buf = Buffer.create (String.length s + 16) in
+  escape_into buf s;
+  Buffer.sub buf 1 (Buffer.length buf - 2)
+
 (* The decimal digits of [n >= 0], written straight into the buffer. *)
 let rec digits_into buf n =
   if n >= 10 then digits_into buf (n / 10);
@@ -94,7 +101,7 @@ let add_members buf kvs = add_members_sep ~sep:"," buf kvs
 
 exception Bad of int * string
 
-let parse s =
+let parse ?known s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (!pos, msg)) in
@@ -249,7 +256,16 @@ let parse s =
     let f = float_of_string (String.sub s start (!pos - start)) in
     if Float.is_finite f then f else fail "number out of range"
   in
-  let rec value () =
+  (* A string [find] recognises at its first byte is taken as [find]
+     answers it, and nothing else is read. *)
+  let rec known_value find =
+    skip_ws ();
+    match if at '"' then find s (!pos + 1) else None with
+    | Some (v, stop) ->
+        pos := stop + 1;
+        Str v
+    | None -> value ()
+  and value () =
     skip_ws ();
     if !pos >= n then fail "unexpected end of input"
     else
@@ -267,7 +283,11 @@ let parse s =
               let k = string_body () in
               skip_ws ();
               expect ':';
-              let v = value () in
+              let v =
+                match known with
+                | Some (key, find) when String.equal k key -> known_value find
+                | _ -> value ()
+              in
               skip_ws ();
               if at ',' then begin
                 incr pos;

@@ -40,7 +40,14 @@ val add_members : Buffer.t -> (string * t) list -> unit
     its braces, so a caller can frame an object line in its own buffer:
     ["{"], then [add_members buf kvs], then ["}"] is [to_line (Obj kvs)]. *)
 
-val parse : string -> (t, string) result
+val escaped : string -> string
+(** The body of the string's JSON spelling, between its quotes, as
+    {!to_line} spells [Str s]. *)
+
+val parse :
+  ?known:string * (string -> int -> (string * int) option) ->
+  string ->
+  (t, string) result
 (** Parses one JSON value followed only by whitespace.  [Error] carries a
     byte offset and a reason, as ["offset N: reason"], for the first
     failure a left-to-right reading meets.  Whitespace is space, tab,
@@ -56,7 +63,17 @@ val parse : string -> (t, string) result
     ["expected a number"] at its first character, and a number the
     grammar breaks off ([01], [1.], [1e], [-]) is ["malformed number"]
     where it breaks.  A number that overflows to an infinity is refused
-    as ["number out of range"] at its end. *)
+    as ["number out of range"] at its end.
+
+    [known = (k, find)] offers the string value of each object member
+    named [k] to [find] before decoding it: [find s i] sees the line and
+    the offset of the value's first byte after its opening quote.
+    [Some (v, j)] says that decoding the string from [i] would give [v]
+    and end at the closing quote at [j]; the value is then [v] itself,
+    no byte of it is decoded, and reading resumes after [j].  [None]
+    decodes the string as usual.  [find] is trusted to answer only what
+    decoding would, so the result, errors and offsets included, is the
+    same with or without [known]. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the first binding of [k]; [None] on any other

@@ -679,7 +679,9 @@ let strip_memo_fields j =
   match j with
   | Json.Obj fields when Json.member "cmd" j = Some (Json.Str "stats") ->
       Json.Obj
-        (List.filter (fun (k, _) -> not (List.mem k [ "eval_cache"; "memo"; "evictions" ])) fields)
+        (List.filter
+           (fun (k, _) -> not (List.mem k [ "eval_cache"; "memo"; "evictions"; "texts" ]))
+           fields)
   | Json.Obj fields ->
       Json.Obj
         (List.map
@@ -841,8 +843,8 @@ let test_memo_cap () =
   Alcotest.(check bool) "larger than the cap: not kept" true (Session.recall sess e "big" = None);
   Alcotest.(check int) "memo unchanged" (1 + third) (Session.memo_bytes e)
 
-(* [stats] reports memo hits and misses, evictions and classifications as
-   integers, after the fields it had. *)
+(* [stats] reports memo hits and misses, evictions, classifications and
+   how inline texts resolved as integers, after the fields it had. *)
 let test_stats_schema () =
   let sess = Session.create ~max_graphs:1 () in
   List.iter
@@ -852,7 +854,8 @@ let test_stats_schema () =
   let j = parse_ok "stats" (Server.handle_line sess "{\"cmd\":\"stats\"}") in
   let keys = function Json.Obj kvs -> List.map fst kvs | _ -> Alcotest.fail "expected an object" in
   Alcotest.(check (list string)) "fields"
-    [ "ok"; "cmd"; "requests"; "graphs"; "eval_cache"; "memo"; "evictions"; "classifications" ]
+    [ "ok"; "cmd"; "requests"; "graphs"; "eval_cache"; "memo"; "evictions"; "classifications";
+      "texts" ]
     (keys j);
   let memo = member_exn "stats" "memo" j in
   Alcotest.(check (list string)) "memo fields" [ "hits"; "misses" ] (keys memo);
@@ -862,7 +865,26 @@ let test_stats_schema () =
   (* 3dft, then fig4 after it: the certify at the default budget finds
      fig4's complete family. *)
   Alcotest.(check int) "classifications" 2 (as_int (member_exn "stats" "classifications" j));
-  Alcotest.(check int) "graphs" 1 (as_int (member_exn "stats" "graphs" j))
+  Alcotest.(check int) "graphs" 1 (as_int (member_exn "stats" "graphs" j));
+  let texts j =
+    let t = member_exn "stats" "texts" j in
+    Alcotest.(check (list string)) "texts fields" [ "matched"; "parsed" ] (keys t);
+    (as_int (member_exn "texts" "matched" t), as_int (member_exn "texts" "parsed" t))
+  in
+  Alcotest.(check (pair int int)) "builtin names are no inline texts" (0, 0) (texts j);
+  (* fig4's text as the escaper spells it matches; its newlines as \u000a
+     and DOT are parsed. *)
+  let fig4 = Core.Dfg_parse.to_string (builtin "fig4") in
+  let newlines = String.concat "\\u000a" (List.map Json.escaped (String.split_on_char '\n' fig4)) in
+  List.iter
+    (fun l -> ignore (Server.handle_line sess l))
+    [
+      line_of [ ("cmd", str "select"); ("dfg", str fig4) ];
+      "{\"cmd\":\"select\",\"dfg\":\"" ^ newlines ^ "\"}";
+      line_of [ ("cmd", str "select"); ("dot", str (Core.Dot.to_dot (builtin "fig4"))) ];
+    ];
+  Alcotest.(check (pair int int)) "matched, parsed" (1, 2)
+    (texts (parse_ok "stats" (Server.handle_line sess "{\"cmd\":\"stats\"}")))
 
 (* An edit migrates its own base's selection, even when an edit from
    another base reached the same graph first. *)
@@ -894,6 +916,150 @@ let test_edit_keyed_by_base () =
       Alcotest.check pair "A first" a_alone a_first;
       Alcotest.check pair "A after B" a_alone a_after_b
   | _ -> assert false
+
+(* --- the escaped-body lookup --------------------------------------------- *)
+
+(* Names the escaper must escape (a quote, a backslash, a carriage return,
+   a backspace) and characters it leaves as they are (a slash, UTF-8). *)
+let odd_text =
+  "node a/1 a\nnode b\"2 b\nnode c\\3 c\nnode d\xc3\xa9 a\nnode e\r5 b\nnode f\b6 c\n\
+   edge a/1 b\"2\nedge b\"2 c\\3\nedge e\r5 f\b6\n"
+
+(* A session holding every corpus graph and the odd one; their canonical
+   texts, and each as the escaper spells it. *)
+let lookup_session =
+  lazy
+    (let sess = Session.create () in
+     let graphs =
+       List.map (fun (_, build) -> build ()) Server.builtins
+       @ [ Core.Dfg_parse.of_string odd_text ]
+     in
+     let texts =
+       Array.of_list (List.map (fun g -> Session.text (fst (Session.intern sess g))) graphs)
+     in
+     (sess, texts, Array.map Json.escaped texts))
+
+type spelling = Escaper | Newlines | Slash
+
+(* The escaper's spelling, or the escaper's with every newline as \u000a
+   or every slash as \/: the same value, other bytes. *)
+let spell spelling text =
+  let buf = Buffer.create (String.length text + 64) in
+  String.iter
+    (fun c ->
+      match (spelling, c) with
+      | Newlines, '\n' -> Buffer.add_string buf "\\u000a"
+      | Slash, '/' -> Buffer.add_string buf "\\/"
+      | _ -> Buffer.add_string buf (Json.escaped (String.make 1 c)))
+    text;
+  Buffer.contents buf
+
+type body_change =
+  | Whole
+  | Truncated of int
+  | Flipped of int * int
+  | Same_length of int  (* another text of the same length *)
+  | Plus_line
+  | Closed_early
+
+(* [text] with its [p]-th letter or digit (mod their count) replaced. *)
+let same_length_text text p =
+  let alnum = function 'a' .. 'z' | '0' .. '9' -> true | _ -> false in
+  let positions = List.filter (fun i -> alnum text.[i]) (List.init (String.length text) Fun.id) in
+  let i = List.nth positions (p mod List.length positions) in
+  String.mapi (fun j c -> if j <> i then c else if c = 'a' then 'b' else 'a') text
+
+let changed_body spelling change text =
+  let whole = spell spelling text in
+  let n = String.length whole in
+  match change with
+  | Whole -> whole
+  | Truncated k -> String.sub whole 0 (k mod n)
+  | Closed_early -> String.sub whole 0 (n - 1)
+  | Flipped (p, x) ->
+      let b = Bytes.of_string whole in
+      let p = p mod n in
+      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 + (x mod 255))));
+      Bytes.to_string b
+  | Same_length p -> spell spelling (same_length_text text p)
+  | Plus_line -> spell spelling (text ^ "node zz9 a\n")
+
+let lookup_gen =
+  let open QCheck2.Gen in
+  let change =
+    frequency
+      [
+        (3, pure Whole);
+        (1, map (fun k -> Truncated k) nat);
+        (1, map2 (fun p x -> Flipped (p, x)) nat nat);
+        (1, map (fun p -> Same_length p) nat);
+        (1, pure Plus_line);
+        (1, pure Closed_early);
+      ]
+  in
+  tup6 nat (oneofl [ Escaper; Newlines; Slash ]) change (oneofl [ ":"; " : " ]) bool bool
+
+(* A line decodes the same with the session's lookup as without: the same
+   request, or the same error and offset.  Its "dfg" value is an entry's
+   own string exactly when the line spells it as the escaper does. *)
+let lookup_agrees (g, spelling, change, colon, dfg_first, repeat) =
+  let sess, texts, escaped = Lazy.force lookup_session in
+  let g = g mod Array.length texts in
+  let body = changed_body spelling change texts.(g) in
+  let member = "\"dfg\"" ^ colon ^ "\"" ^ body ^ "\"" and cmd = "\"cmd\":\"select\"" in
+  let line =
+    "{"
+    ^ (if dfg_first then member ^ "," ^ cmd else cmd ^ "," ^ member)
+    ^ (if repeat then ",\"dfg\":\"" ^ escaped.(g) ^ "\"" else "")
+    ^ "}"
+  in
+  let show = function
+    | Ok _ -> "a request"
+    | Error e -> "error " ^ e.Protocol.message
+  in
+  let got = Protocol.request_of_line ~known:(Session.lookup sess) line
+  and want = Protocol.request_of_line line in
+  if got <> want then
+    QCheck2.Test.fail_reportf "graph %d: %s with the lookup, %s without: %s" g (show got)
+      (show want) (String.sub line 0 (min 120 (String.length line)));
+  (match got with
+  | Ok { Protocol.source = Some (Protocol.Dfg_text v); _ } ->
+      let own = Array.exists (fun t -> t == v) texts
+      and spelled = Array.exists (String.equal body) escaped in
+      if own <> spelled then
+        QCheck2.Test.fail_reportf "graph %d: an entry's own text %b, spelled as escaped %b" g own
+          spelled
+  | _ -> ());
+  true
+
+(* Each live entry's text as the escaper spells it is taken as the
+   entry's own string.  A lookup is not a use, and an evicted entry's text
+   is decoded again. *)
+let test_lookup_live_entries () =
+  let value sess text =
+    match
+      Protocol.request_of_line ~known:(Session.lookup sess)
+        (line_of [ ("cmd", str "select"); ("dfg", str text) ])
+    with
+    | Ok { Protocol.source = Some (Protocol.Dfg_text v); _ } -> v
+    | _ -> Alcotest.fail "expected a dfg request"
+  in
+  let sess, texts, _ = Lazy.force lookup_session in
+  Array.iteri (fun i t -> if value sess t != t then Alcotest.failf "text %d was decoded" i) texts;
+  let sess = Session.create ~max_graphs:2 () in
+  let text name =
+    Session.note_request sess;
+    Session.text (fst (Session.intern sess (builtin name)))
+  in
+  let a = text "3dft" in
+  let b = text "fig4" in
+  Session.note_request sess;
+  Alcotest.(check bool) "3dft matches" true (value sess a == a);
+  ignore (text "w5dft");
+  Alcotest.(check bool) "3dft, looked up but used least recently, went" true
+    (let v = value sess a in
+     v != a && String.equal v a);
+  Alcotest.(check bool) "fig4 stays" true (value sess b == b)
 
 (* --- shared families and the selection memo ----------------------------- *)
 
@@ -1284,6 +1450,12 @@ let () =
           Alcotest.test_case "memo stays within its byte cap" `Quick test_memo_cap;
           Alcotest.test_case "stats reports memo and evictions" `Quick test_stats_schema;
           Alcotest.test_case "edit migrates its own base" `Quick test_edit_keyed_by_base;
+        ] );
+      ( "inline text",
+        [
+          qtest ~count:400 "lookup decodes as the decoder does" lookup_gen lookup_agrees;
+          Alcotest.test_case "lookup: live entries only, not a use" `Quick
+            test_lookup_live_entries;
         ] );
       ( "shared families",
         [
